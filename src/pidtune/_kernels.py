@@ -12,7 +12,8 @@ triggering output sample itself is clipped into the band.
 
 Backend selection happens once at import: the numba kernel is used unless
 the environment variable ``PIDTUNE_BACKEND`` is set to ``numpy`` or numba
-is not importable. ``benchmarks/bench_backends.py`` compares the two.
+is not importable. ``tests/test_lti.py::TestBackends`` checks that the two
+agree, and ``perfbench/run.py`` prints the backend a run used.
 """
 
 import os

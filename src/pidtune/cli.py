@@ -91,13 +91,14 @@ def cmd_simulate(args) -> int:
     cfg = SimConfig(t_max=args.tmax, dt=args.dt)
     band = SettlingBand()
     gains = PidGains(kp=args.kp, ki=args.ki, kd=args.kd)
-    value = evaluate(gains, plant, cfg, band)
+    responses = []
+    value = evaluate(gains, plant, cfg, band, responses)
     print(
         f"total={value.total:.6g} rise_time={value.rise_time:.6g} "
         f"deviation={value.deviation:.6g} rose={'true' if value.rose else 'false'}"
     )
     if args.samples:
-        resp = _loop_response(gains, plant, cfg)
+        (resp,) = responses
         lines = ["t,z"]
         lines.extend(
             f"{k * resp.dt:.17g},{z:.17g}" for k, z in enumerate(resp.values)
@@ -128,6 +129,8 @@ def _starting_gains(args, plant, cfg):
 
 
 def cmd_tune(args) -> int:
+    if args.frames and not args.out:
+        raise PidTuneError("--frames requires --out")
     plant = parse_plant(args.plant)
     cfg = SimConfig(t_max=args.tmax, dt=args.dt)
     band = SettlingBand()
@@ -147,7 +150,9 @@ def cmd_tune(args) -> int:
     )
     print(start_desc)
 
-    trace = optimize(gains, lambda g: evaluate(g, plant, cfg, band), search)
+    # Frames need every scored response; keep them as they are simulated.
+    responses = [] if args.frames else None
+    trace = optimize(gains, lambda g: evaluate(g, plant, cfg, band, responses), search)
 
     print(_gain_line("initial", trace.records[0].gains, trace.records[0].objective))
     print(_gain_line("final", trace.incumbent, trace.incumbent_value))
@@ -160,13 +165,10 @@ def cmd_tune(args) -> int:
         (out / "trace.json").write_bytes(export_trace(trace, "json"))
         print(f"trace written to {out / 'trace.csv'} and {out / 'trace.json'}")
         if args.frames:
-            responses = [_loop_response(r.gains, plant, cfg) for r in trace.records]
             n = render_animation(
                 trace, responses, band, FrameStyle(), out / "frames", plant=plant
             )
             print(f"{n} frames written to {out / 'frames'}")
-    elif args.frames:
-        raise PidTuneError("--frames requires --out")
     return 0
 
 

@@ -123,13 +123,19 @@ class StateSpace:
         return self.a.shape[0]
 
 
+# Largest sample count per response: 10**7 float64 samples are 80 MB, and a
+# search holds one response at a time (frames keep one per evaluation).
+MAX_SAMPLES = 10**7
+
+
 @dataclass(frozen=True)
 class SimConfig:
     """Fixed-grid simulation settings.
 
     t_max is the evaluation horizon in seconds (default 100), dt the
     integration step, blow_up_limit the magnitude at which a response is
-    declared divergent and clamped.
+    declared divergent and clamped. The grid may hold at most MAX_SAMPLES
+    samples.
     """
 
     t_max: float = 100.0
@@ -139,6 +145,13 @@ class SimConfig:
     def __post_init__(self):
         if not (self.t_max > 0 and self.dt > 0 and self.dt <= self.t_max):
             raise ValueError(f"need 0 < dt <= t_max, got dt={self.dt} t_max={self.t_max}")
+        # n_samples <= MAX_SAMPLES exactly when t_max/dt < MAX_SAMPLES; the
+        # ratio is tested before int() so an infinite one cannot overflow
+        if not self.t_max / self.dt < MAX_SAMPLES:
+            raise ValueError(
+                f"t_max/dt = {self.t_max / self.dt:.6g} exceeds the limit of "
+                f"{MAX_SAMPLES} samples per response"
+            )
         if not self.blow_up_limit > 2:
             raise ValueError(f"blow_up_limit must exceed 2, got {self.blow_up_limit}")
 

@@ -89,18 +89,23 @@ def evaluate(
     plant: TransferFunction,
     cfg: SimConfig | None = None,
     band: SettlingBand | None = None,
+    responses: list[StepResponse] | None = None,
 ) -> ObjectiveValue:
     """Score a gain vector on a plant: close the loop, simulate, decompose.
 
     Always finite: divergent responses are clamped by the simulator, so the
     deviation term is bounded by blow_up_limit and the search landscape stays
     total even for destabilizing gains. Raises ImproperLoop (propagated from
-    loop closure) when kd makes the loop improper.
+    loop closure) when kd makes the loop improper. When responses is given,
+    the simulated step response is appended to it, so callers that also need
+    the samples (frames, CSV output) do not simulate a second time.
     """
     cfg = cfg if cfg is not None else SimConfig()
     band = band if band is not None else SettlingBand()
     loop = close_unity_feedback(pid_transfer_function(gains), plant)
     resp = simulate_step(tf_to_state_space(loop), cfg)
+    if responses is not None:
+        responses.append(resp)
     rt, rose = rise_time(resp, band)
     if not rose:
         rt = cfg.t_max

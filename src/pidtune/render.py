@@ -152,17 +152,20 @@ def render_frame(
     y_hi += margin
     x0, y0, x1, y1 = _PLOT
 
-    def sx(t: float) -> float:
+    # sx and sy take scalars (ticks, guides) or arrays (the curve) alike;
+    # either way each coordinate is the same sequence of IEEE operations.
+    def sx(t):
         return x0 + (x1 - x0) * t / t_end
 
-    def sy(z: float) -> float:
+    def sy(z):
         return y1 - (y1 - y0) * (z - y_lo) / (y_hi - y_lo)
 
     if len(vals) > style.max_curve_points:
         idx = np.linspace(0, len(vals) - 1, style.max_curve_points).round().astype(int)
     else:
         idx = np.arange(len(vals))
-    points = " ".join(f"{sx(k * response.dt):.2f},{sy(vals[k]):.2f}" for k in idx)
+    xy = np.column_stack((sx(idx * response.dt), sy(vals[idx])))
+    points = " ".join(["%.2f,%.2f"] * len(idx)) % tuple(xy.ravel().tolist())
     color = style.improved_color if record.improved else style.rejected_color
 
     parts = [

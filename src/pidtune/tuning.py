@@ -124,7 +124,7 @@ def zn_pid_gains(up: UltimatePoint) -> PidGains:
     )
 
 
-def draw_gains(rng: np.random.Generator, low: float, high: float) -> PidGains:
+def draw_gains(rng: "np.random.Generator", low: float, high: float) -> PidGains:
     """One (kp, ki, kd) triple of independent uniforms from an existing stream."""
     kp, ki, kd = rng.uniform(low, high, size=3)
     return PidGains(kp=float(kp), ki=float(ki), kd=float(kd))

@@ -19,6 +19,28 @@ def loop_response(gains: PidGains, plant: TransferFunction, cfg: SimConfig) -> S
     return simulate_step(tf_to_state_space(loop), cfg)
 
 
+def polyline_points(resp: StepResponse, max_curve_points: int) -> str:
+    """The points attribute of a frame's response curve, one vertex at a
+    time: the scalar form of render_frame's plot mapping."""
+    vals = resp.values
+    y_lo = min(0.0, float(np.min(vals)))
+    y_hi = max(1.1, float(np.max(vals)))
+    margin = 0.05 * (y_hi - y_lo)
+    y_lo -= margin
+    y_hi += margin
+    x0, y0, x1, y1 = 62.0, 18.0, 624.0, 434.0
+    if len(vals) > max_curve_points:
+        idx = np.linspace(0, len(vals) - 1, max_curve_points).round().astype(int)
+    else:
+        idx = np.arange(len(vals))
+    vertices = []
+    for k in idx:
+        x = x0 + (x1 - x0) * (k * resp.dt) / resp.t_end
+        y = y1 - (y1 - y0) * (vals[k] - y_lo) / (y_hi - y_lo)
+        vertices.append(f"{x:.2f},{y:.2f}")
+    return " ".join(vertices)
+
+
 def brute_force_score(values, dt, t_max, band):
     """Objective by direct scan over the samples: first rise-level crossing
     with linear interpolation, max violation above the band for t > 0, max

@@ -1,11 +1,23 @@
+import argparse
 import json
 import subprocess
 import sys
 
 import pytest
 
-from pidtune import PlantParseError
-from pidtune.cli import parse_plant
+from pidtune import (
+    PlantParseError,
+    SearchConfig,
+    SettlingBand,
+    SimConfig,
+    evaluate,
+    export_trace,
+    optimize,
+    render_animation,
+)
+from pidtune.cli import _starting_gains, parse_plant
+
+from helpers import BENCH3, loop_response
 
 
 def run_cli(*args):
@@ -92,6 +104,23 @@ class TestSimulateCommand:
         assert float(z) == 0.0
 
 
+    def test_sample_cap_exits_2(self):
+        r = run_cli("simulate", "--dt", "1e-9", "--tmax", "1e9")
+        assert r.returncode == 2
+        assert "samples per response" in r.stderr
+        assert "Traceback" not in r.stderr
+
+
+def test_import_leaves_numpy_random_unloaded():
+    r = subprocess.run(
+        [sys.executable, "-c",
+         "import sys, pidtune.cli; print('numpy.random' in sys.modules)"],
+        capture_output=True, text=True, timeout=60,
+    )
+    assert r.returncode == 0, r.stderr
+    assert r.stdout.strip() == "False"
+
+
 class TestTuneCommand:
     def test_zn_start_descends(self, tmp_path):
         out = tmp_path / "run"
@@ -147,6 +176,7 @@ class TestTuneCommand:
                     "--frames", "--max-evals", "5")
         assert r.returncode != 0
         assert "--frames requires --out" in r.stderr
+        assert r.stdout == ""  # refused before the search runs
 
     def test_effective_config_echoed(self, tmp_path):
         r = run_cli("tune", "--plant", "benchmark3", "--start", "zn", "--max-evals", "5",
@@ -156,3 +186,22 @@ class TestTuneCommand:
         assert "dt=0.02 tmax=50" in r.stdout
         assert "step=0.5 min_step=0.0001" in r.stdout
         assert "max_evals=5" in r.stdout
+
+    def test_frames_match_resimulated_responses(self, tmp_path):
+        out = tmp_path / "cli"
+        r = run_cli("tune", "--plant", "benchmark3", "--start", "random",
+                    "--seed", "7", "--out", str(out), "--frames", "--max-evals", "25")
+        assert r.returncode == 0
+        cfg, band = SimConfig(), SettlingBand()
+        start_args = argparse.Namespace(start="random", seed=7, ensure_unstable=False)
+        start, _ = _starting_gains(start_args, BENCH3, cfg)
+        trace = optimize(start, lambda g: evaluate(g, BENCH3, cfg, band),
+                         SearchConfig(max_evals=25))
+        assert (out / "trace.csv").read_bytes() == export_trace(trace, "csv")
+        responses = [loop_response(rec.gains, BENCH3, cfg) for rec in trace.records]
+        ref = tmp_path / "ref"
+        render_animation(trace, responses, band, out_dir=ref, plant=BENCH3)
+        names = sorted(p.name for p in ref.iterdir())
+        assert sorted(p.name for p in (out / "frames").iterdir()) == names
+        for name in names:
+            assert (out / "frames" / name).read_bytes() == (ref / name).read_bytes()

@@ -14,7 +14,7 @@ from pidtune import (
     tf_to_state_space,
 )
 from pidtune._kernels import choose_backend, numba_scan, numpy_scan
-from pidtune.lti import _rk4_step_map
+from pidtune.lti import MAX_SAMPLES, _rk4_step_map
 
 from helpers import random_proper_tf
 
@@ -253,6 +253,15 @@ class TestSimConfig:
             SimConfig(t_max=1.0, dt=2.0)
         with pytest.raises(ValueError):
             SimConfig(blow_up_limit=1.5)
+
+    def test_sample_cap(self):
+        assert SimConfig(t_max=float(MAX_SAMPLES - 1), dt=1.0).n_samples == MAX_SAMPLES
+        with pytest.raises(ValueError):
+            SimConfig(t_max=float(MAX_SAMPLES), dt=1.0)
+        with pytest.raises(ValueError):
+            SimConfig(t_max=1e9, dt=1e-9)
+        with pytest.raises(ValueError):
+            SimConfig(t_max=float("inf"))
 
     def test_defaults(self):
         cfg = SimConfig()

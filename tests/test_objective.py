@@ -147,7 +147,7 @@ class TestEvaluate:
         for _ in range(30):
             g = PidGains(*(float(x) for x in rng.uniform(-10.0, 10.0, 3)))
             v = evaluate(g, BENCH3, SimConfig(t_max=20.0, dt=0.01))
-            assert v.total - v.rise_term - v.deviation == 0.0
+            assert v.total == v.rise_term + v.deviation
 
     @settings(max_examples=60, deadline=None)
     @given(

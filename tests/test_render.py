@@ -5,6 +5,8 @@ import xml.etree.ElementTree as ET
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from pidtune import (
     EvaluationRecord,
@@ -21,6 +23,8 @@ from pidtune import (
     render_frame,
 )
 from pidtune.render import CSV_HEADER, export_trace
+
+from helpers import polyline_points
 
 SVG_NS = "{http://www.w3.org/2000/svg}"
 BAND = SettlingBand()
@@ -193,6 +197,30 @@ class TestRenderFrame:
     def test_requires_two_samples(self):
         with pytest.raises(ValueError):
             render_frame(make_trace([0.5]).records[0], make_resp([1.0]), BAND)
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        head=st.lists(
+            st.one_of(
+                st.floats(-1e6, 1e6),
+                st.sampled_from([1e6, -1e6]),  # clamped samples
+                st.floats(-0.004999, -0.0),  # print as -0.00
+            ),
+            min_size=1,
+            max_size=50,
+        ),
+        n=st.integers(2, 2500),
+        # the CLI's round steps put many x coordinates exactly on a .xx5
+        # rounding boundary, where one ulp changes the printed digits
+        dt=st.one_of(st.sampled_from([0.01, 0.02, 0.05, 0.1]), st.floats(1e-4, 10.0)),
+        max_points=st.integers(2, 1500),  # above and below the sample count
+    )
+    def test_curve_matches_scalar_reference(self, head, n, dt, max_points):
+        resp = make_resp(np.resize(head, n), dt=dt)
+        style = FrameStyle(max_curve_points=max_points)
+        root = ET.fromstring(render_frame(make_trace([0.5]).records[0], resp, BAND, style))
+        curve = [e for e in root.iter(f"{SVG_NS}polyline") if e.get("class") == "response-curve"][0]
+        assert curve.get("points") == polyline_points(resp, max_points)
 
     def test_style_validation(self):
         with pytest.raises(ValueError):
