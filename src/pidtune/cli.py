@@ -8,7 +8,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import PidTuneError, PlantParseError, ResampleExhausted
+from .errors import ImproperLoop, PidTuneError, PlantParseError, ResampleExhausted
 from .lti import (
     PidGains,
     SimConfig,
@@ -20,7 +20,13 @@ from .lti import (
     tf_to_state_space,
 )
 from .objective import SettlingBand, evaluate
-from .render import FrameStyle, export_trace, render_animation
+from .render import (
+    FrameStyle,
+    export_trace,
+    make_output_dir,
+    render_animation,
+    write_output,
+)
 from .search import SearchConfig, optimize
 from .tuning import RandomStartConfig, draw_gains, ultimate_point, zn_pid_gains
 
@@ -103,7 +109,7 @@ def cmd_simulate(args) -> int:
         lines.extend(
             f"{k * resp.dt:.17g},{z:.17g}" for k, z in enumerate(resp.values)
         )
-        Path(args.samples).write_bytes(("\n".join(lines) + "\n").encode("utf-8"))
+        write_output(Path(args.samples), ("\n".join(lines) + "\n").encode("utf-8"))
         print(f"samples written to {args.samples}")
     return 0
 
@@ -137,7 +143,17 @@ def cmd_tune(args) -> int:
     search = SearchConfig(
         initial_step=args.step, min_step=args.min_step, max_evals=args.max_evals
     )
+    if plant.relative_degree < 1:
+        # kd s^2 in the controller numerator outgrows the loop denominator,
+        # and every search polls kd != 0
+        raise ImproperLoop(
+            f"plant has relative degree {plant.relative_degree}; the ideal-PID loop "
+            f"is improper for every kd != 0, so tune needs relative degree >= 1"
+        )
     gains, start_desc = _starting_gains(args, plant, cfg)
+    out = Path(args.out) if args.out else None
+    if out is not None:
+        make_output_dir(out / "frames" if args.frames else out)
 
     print(f"plant: {plant.to_text()}")
     print(
@@ -150,25 +166,30 @@ def cmd_tune(args) -> int:
     )
     print(start_desc)
 
-    # Frames need every scored response; keep them as they are simulated.
+    # With --frames, evaluate hands each response to render_animation, which
+    # writes its frame and drops it before the next evaluation runs.
     responses = [] if args.frames else None
-    trace = optimize(gains, lambda g: evaluate(g, plant, cfg, band, responses), search)
+
+    def run(on_record=None):
+        return optimize(
+            gains, lambda g: evaluate(g, plant, cfg, band, responses), search, on_record
+        )
+
+    if args.frames:
+        trace = render_animation(run, responses, band, FrameStyle(), out / "frames", plant=plant)
+    else:
+        trace = run()
 
     print(_gain_line("initial", trace.records[0].gains, trace.records[0].objective))
     print(_gain_line("final", trace.incumbent, trace.incumbent_value))
     print(f"evaluations={len(trace.records)} termination={trace.termination}")
 
-    if args.out:
-        out = Path(args.out)
-        out.mkdir(parents=True, exist_ok=True)
-        (out / "trace.csv").write_bytes(export_trace(trace, "csv"))
-        (out / "trace.json").write_bytes(export_trace(trace, "json"))
+    if out is not None:
+        write_output(out / "trace.csv", export_trace(trace, "csv"))
+        write_output(out / "trace.json", export_trace(trace, "json"))
         print(f"trace written to {out / 'trace.csv'} and {out / 'trace.json'}")
         if args.frames:
-            n = render_animation(
-                trace, responses, band, FrameStyle(), out / "frames", plant=plant
-            )
-            print(f"{n} frames written to {out / 'frames'}")
+            print(f"{len(trace.records)} frames written to {out / 'frames'}")
     return 0
 
 
@@ -201,7 +222,9 @@ def build_parser() -> argparse.ArgumentParser:
                       help="resample random starts until the initial response diverges")
     tune.add_argument("--out", help="directory for trace.csv / trace.json / frames")
     tune.add_argument("--frames", action="store_true",
-                      help="also render one SVG frame per evaluation")
+                      help="also write one SVG frame per evaluation to OUT/frames, "
+                           "each as its evaluation happens; OUT/frames/index.json "
+                           "is written last, when the film is complete")
     tune.add_argument("--max-evals", type=int, default=5000)
     tune.add_argument("--step", type=float, default=1.0, help="initial poll step")
     tune.add_argument("--min-step", type=float, default=1e-6, help="termination step")

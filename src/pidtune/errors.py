@@ -26,7 +26,7 @@ class ResampleExhausted(PidTuneError):
 
 
 class OutputUnwritable(PidTuneError):
-    """Frame output directory could not be created or written."""
+    """An output file or directory could not be created or written."""
 
 
 class PlantParseError(PidTuneError):

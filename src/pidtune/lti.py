@@ -124,7 +124,7 @@ class StateSpace:
 
 
 # Largest sample count per response: 10**7 float64 samples are 80 MB, and a
-# search holds one response at a time (frames keep one per evaluation).
+# search holds one response at a time (frames included).
 MAX_SAMPLES = 10**7
 
 
@@ -277,7 +277,8 @@ def simulate_step(ss: StateSpace, cfg: SimConfig) -> StepResponse:
     Integrates with classical fixed-step RK4 (precomputed one-step map) from
     x(0) = 0 under u(t) = 1. Divergence is never an error: once any state or
     output magnitude exceeds cfg.blow_up_limit the remaining samples are
-    clamped to +/-blow_up_limit so downstream scoring stays total.
+    clamped to +/-blow_up_limit so downstream scoring stays total; numpy's
+    floating-point warnings on the way there are suppressed.
     """
     n_samples = cfg.n_samples
     limit = cfg.blow_up_limit
@@ -290,14 +291,20 @@ def simulate_step(ss: StateSpace, cfg: SimConfig) -> StepResponse:
             values = np.full(n_samples, -limit if z < 0 else limit)
             diverged = True
     else:
-        m, v = _rk4_step_map(ss.a, ss.b, cfg.dt)
-        values, diverged = _kernels.scan(
-            np.ascontiguousarray(m),
-            np.ascontiguousarray(v),
-            np.ascontiguousarray(ss.c.ravel()),
-            float(ss.d),
-            n_samples,
-            limit,
-        )
+        # Huge gains overflow the step map and the states on the way to the
+        # clamp: the defined divergent outcome, not a fault to warn of. Every
+        # kind is ignored (no division occurs here) because numpy then skips
+        # its floating-point status checks; ignoring only over and invalid
+        # made the numpy scan about 1.5% slower (numpy 2.4, x86-64).
+        with np.errstate(all="ignore"):
+            m, v = _rk4_step_map(ss.a, ss.b, cfg.dt)
+            values, diverged = _kernels.scan(
+                np.ascontiguousarray(m),
+                np.ascontiguousarray(v),
+                np.ascontiguousarray(ss.c.ravel()),
+                float(ss.d),
+                n_samples,
+                limit,
+            )
     values.setflags(write=False)
     return StepResponse(dt=cfg.dt, values=values, diverged=bool(diverged))

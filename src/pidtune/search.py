@@ -66,6 +66,7 @@ def optimize(
     start: PidGains,
     score: Callable[[PidGains], ObjectiveValue],
     cfg: SearchConfig | None = None,
+    on_record: Callable[[EvaluationRecord], None] | None = None,
 ) -> SearchTrace:
     """Minimize score by coordinate compass search with opportunistic polling.
 
@@ -74,17 +75,26 @@ def optimize(
     at initial_step) and the poll restarts there. A full cycle without
     improvement shrinks the step. Stops when the step falls below min_step or
     the evaluation budget is spent. Every score call lands in the trace,
-    rejected polls included.
+    rejected polls included. When on_record is given it is called with each
+    record right after the record is appended, in poll order, so a caller
+    can act on an evaluation (write its frame) before the next one runs.
     """
     cfg = cfg if cfg is not None else SearchConfig()
     first = score(start)
     if not math.isfinite(first.total):
         raise NonFiniteStart(f"score at the starting gains is {first.total}")
-    records = [
+    records = []
+
+    def append(record):
+        records.append(record)
+        if on_record is not None:
+            on_record(record)
+
+    append(
         EvaluationRecord(
             index=1, gains=start, objective=first, improved=True, best_so_far=first.total
         )
-    ]
+    )
     best_gains = start
     best_value = first
     step = cfg.initial_step
@@ -108,7 +118,7 @@ def optimize(
             if improved:
                 best_gains = cand
                 best_value = value
-            records.append(
+            append(
                 EvaluationRecord(
                     index=len(records) + 1,
                     gains=cand,

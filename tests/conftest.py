@@ -1,6 +1,20 @@
+import os
+from pathlib import Path
+
 import pytest
 
 from pidtune import PidGains, SimConfig, TransferFunction, evaluate
+
+SRC = str(Path(__file__).resolve().parents[1] / "src")
+
+
+@pytest.fixture(scope="session", autouse=True)
+def src_on_subprocess_path():
+    # Tests that run `python -m pidtune` in a child process need the src/
+    # that pyproject's pytest pythonpath setting gives this process.
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setenv("PYTHONPATH", SRC, prepend=os.pathsep)
+        yield
 
 
 @pytest.fixture(scope="session", autouse=True)

@@ -1,9 +1,11 @@
 """Shared test oracles: slow, direct-scan reimplementations that cross-check
 the library's fast paths, plus generators for randomized cases."""
 
+import itertools
+
 import numpy as np
 
-from pidtune import PidGains, SimConfig, StepResponse, TransferFunction
+from pidtune import PidGains, SimConfig, StepResponse, TransferFunction, render_animation
 from pidtune.lti import (
     close_unity_feedback,
     pid_transfer_function,
@@ -17,6 +19,24 @@ BENCH3 = TransferFunction((1.0,), (1.0, 3.0, 3.0, 1.0))
 def loop_response(gains: PidGains, plant: TransferFunction, cfg: SimConfig) -> StepResponse:
     loop = close_unity_feedback(pid_transfer_function(gains), plant)
     return simulate_step(tf_to_state_space(loop), cfg)
+
+
+def film_finished(trace, responses, band, **kwargs) -> int:
+    """render_animation over a search that has already run: replays the
+    trace's records, handing record k the k-th response as evaluate would.
+    Responses beyond the last record are left unclaimed. Returns the number
+    of records in the trace render_animation returns."""
+    pending = []
+    feed = iter(responses)
+
+    def run(on_record):
+        for rec in trace.records:
+            pending.extend(itertools.islice(feed, 1))
+            on_record(rec)
+        pending.extend(feed)
+        return trace
+
+    return len(render_animation(run, pending, band, **kwargs).records)
 
 
 def polyline_points(resp: StepResponse, max_curve_points: int) -> str:

@@ -32,7 +32,6 @@ from pidtune import (
     TransferFunction,
     evaluate,
     optimize,
-    render_animation,
     rise_time,
     simulate_step,
     tf_to_state_space,
@@ -41,7 +40,13 @@ from pidtune import (
 )
 from pidtune.tuning import draw_gains
 
-from helpers import BENCH3, brute_force_score, loop_response, random_stable_cases
+from helpers import (
+    BENCH3,
+    brute_force_score,
+    film_finished,
+    loop_response,
+    random_stable_cases,
+)
 
 BAND = SettlingBand()
 
@@ -179,7 +184,7 @@ def test_trace_flag_correctness_and_frame_colors(zn_run, tmp_path):
         assert rec.best_so_far == best
     cfg = SimConfig()
     responses = [loop_response(r.gains, BENCH3, cfg) for r in trace.records]
-    n = render_animation(trace, responses, BAND, out_dir=tmp_path)
+    n = film_finished(trace, responses, BAND, out_dir=tmp_path)
     assert n == len(trace.records)
     greens = set()
     for rec in trace.records:

@@ -2,6 +2,7 @@ import argparse
 import json
 import subprocess
 import sys
+import weakref
 
 import pytest
 
@@ -13,11 +14,11 @@ from pidtune import (
     evaluate,
     export_trace,
     optimize,
-    render_animation,
 )
+from pidtune import cli
 from pidtune.cli import _starting_gains, parse_plant
 
-from helpers import BENCH3, loop_response
+from helpers import BENCH3, film_finished, loop_response
 
 
 def run_cli(*args):
@@ -103,6 +104,13 @@ class TestSimulateCommand:
         assert float(t) == 0.0
         assert float(z) == 0.0
 
+
+    def test_samples_into_missing_directory_exits_2(self, tmp_path):
+        r = run_cli("simulate", "--kp", "1", "--tmax", "5",
+                    "--samples", str(tmp_path / "missing" / "samples.csv"))
+        assert r.returncode == 2
+        assert "OutputUnwritable" in r.stderr
+        assert "Traceback" not in r.stderr
 
     def test_sample_cap_exits_2(self):
         r = run_cli("simulate", "--dt", "1e-9", "--tmax", "1e9")
@@ -200,8 +208,96 @@ class TestTuneCommand:
         assert (out / "trace.csv").read_bytes() == export_trace(trace, "csv")
         responses = [loop_response(rec.gains, BENCH3, cfg) for rec in trace.records]
         ref = tmp_path / "ref"
-        render_animation(trace, responses, band, out_dir=ref, plant=BENCH3)
+        film_finished(trace, responses, band, out_dir=ref, plant=BENCH3)
         names = sorted(p.name for p in ref.iterdir())
         assert sorted(p.name for p in (out / "frames").iterdir()) == names
         for name in names:
             assert (out / "frames" / name).read_bytes() == (ref / name).read_bytes()
+
+    @pytest.mark.parametrize("target,frames", [
+        ("blocker", False),  # --out names an existing regular file
+        ("blocker/run", False),  # --out lies under a non-directory
+        ("blocker/run", True),
+    ])
+    def test_unwritable_out_exits_2_before_search(self, tmp_path, target, frames):
+        blocker = tmp_path / "blocker"
+        blocker.write_text("not a directory")
+        args = ["tune", "--start", "zn", "--max-evals", "5", "--out", str(tmp_path / target)]
+        r = run_cli(*args, *(["--frames"] if frames else []))
+        assert r.returncode == 2
+        assert "OutputUnwritable" in r.stderr
+        assert "Traceback" not in r.stderr
+        assert r.stdout == ""  # refused before the search runs
+
+    @pytest.mark.parametrize("start", ["random", "zn"])
+    def test_relative_degree_zero_plant_rejected(self, tmp_path, start):
+        # every kd != 0 makes the ideal-PID loop improper, and every search
+        # polls kd != 0
+        out = tmp_path / "run"
+        r = run_cli("tune", "--plant", "num: 2 1 / den: 1 2", "--start", start,
+                    "--seed", "3", "--out", str(out))
+        assert r.returncode == 2
+        assert "ImproperLoop" in r.stderr
+        assert "relative degree 0" in r.stderr
+        assert r.stdout == ""
+        assert not out.exists()
+
+    def test_overflowing_polls_print_no_warnings(self, tmp_path):
+        # a step of 1e308 overflows the step map; the responses diverge and
+        # clamp as documented, and numpy must not warn about it on stderr
+        out = tmp_path / "run"
+        r = run_cli("tune", "--step", "1e308", "--max-evals", "20", "--tmax", "5",
+                    "--out", str(out))
+        assert r.returncode == 0
+        assert r.stderr == ""
+        cfg = SimConfig(t_max=5.0)
+        start_args = argparse.Namespace(start="zn", seed=None, ensure_unstable=False)
+        start, _ = _starting_gains(start_args, BENCH3, cfg)
+        trace = optimize(start, lambda g: evaluate(g, BENCH3, cfg, SettlingBand()),
+                         SearchConfig(initial_step=1e308, max_evals=20))
+        assert (out / "trace.csv").read_bytes() == export_trace(trace, "csv")
+
+
+class TestFrameStreaming:
+    ARGS = ["tune", "--start", "random", "--seed", "7", "--max-evals", "25", "--tmax", "20"]
+
+    def test_frame_on_disk_before_next_evaluation(self, tmp_path, monkeypatch):
+        frames = tmp_path / "run" / "frames"
+        inner = cli.evaluate
+        produced = []  # weak references to every response evaluate appended
+
+        def evaluate(gains, plant, cfg, band, responses):
+            k = len(produced)
+            names = sorted(p.name for p in frames.iterdir())
+            assert names == sorted(f"film_{i}.svg" for i in range(1, k + 1))
+            assert not responses
+            assert all(ref() is None for ref in produced)  # none is held any more
+            value = inner(gains, plant, cfg, band, responses)
+            (resp,) = responses
+            produced.append(weakref.ref(resp))
+            return value
+
+        monkeypatch.setattr(cli, "evaluate", evaluate)
+        assert cli.main([*self.ARGS, "--out", str(tmp_path / "run"), "--frames"]) == 0
+        assert len(produced) == 25
+        index = json.loads((frames / "index.json").read_text())
+        assert index["frames"] == [f"film_{i}.svg" for i in range(1, 26)]
+
+    def test_search_error_leaves_frames_without_index(self, tmp_path, monkeypatch):
+        frames = tmp_path / "run" / "frames"
+        inner = cli.evaluate
+        calls = 0
+
+        def evaluate(*args):
+            nonlocal calls
+            calls += 1
+            if calls == 4:
+                raise RuntimeError("evaluation failed")
+            return inner(*args)
+
+        monkeypatch.setattr(cli, "evaluate", evaluate)
+        with pytest.raises(RuntimeError, match="evaluation failed"):
+            cli.main([*self.ARGS, "--out", str(tmp_path / "run"), "--frames"])
+        assert sorted(p.name for p in frames.iterdir()) == [
+            "film_1.svg", "film_2.svg", "film_3.svg"
+        ]

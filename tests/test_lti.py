@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 from scipy import signal
@@ -16,7 +18,7 @@ from pidtune import (
 from pidtune._kernels import choose_backend, numba_scan, numpy_scan
 from pidtune.lti import MAX_SAMPLES, _rk4_step_map
 
-from helpers import random_proper_tf
+from helpers import BENCH3, loop_response, random_proper_tf
 
 
 class TestTransferFunction:
@@ -196,6 +198,14 @@ class TestSimulateStep:
         assert resp.diverged
         assert resp.values[-1] == -1e6
         assert np.all(np.isfinite(resp.values))
+
+    def test_overflow_on_the_way_to_the_clamp_is_silent(self):
+        # kp = 1e308 overflows the RK4 step map itself to inf and NaN
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            resp = loop_response(PidGains(1e308, 2.6, 2.2), BENCH3, SimConfig(t_max=5.0))
+        assert resp.diverged
+        assert np.all(np.abs(resp.values) <= 1e6)
 
     def test_grid_exactness(self):
         for t_max, dt in [(100.0, 0.01), (1.0, 0.1), (0.95, 0.3), (2.0, 2.0), (10.0, 0.7)]:

@@ -24,7 +24,7 @@ from pidtune import (
 )
 from pidtune.render import CSV_HEADER, export_trace
 
-from helpers import polyline_points
+from helpers import film_finished, polyline_points
 
 SVG_NS = "{http://www.w3.org/2000/svg}"
 BAND = SettlingBand()
@@ -222,6 +222,18 @@ class TestRenderFrame:
         curve = [e for e in root.iter(f"{SVG_NS}polyline") if e.get("class") == "response-curve"][0]
         assert curve.get("points") == polyline_points(resp, max_points)
 
+    def test_frames_on_different_grids_keep_their_own_x(self):
+        # at 2,001 samples, 31 x coordinates print differently for dt 0.01
+        # and 0.05; each frame must match the reference for its own grid
+        rec = make_trace([0.5]).records[0]
+        for dt in (0.01, 0.05, 0.01, 0.1):
+            resp = make_resp(np.linspace(0.0, 1.0, 2001), dt=dt)
+            root = ET.fromstring(render_frame(rec, resp, BAND))
+            curve = [
+                e for e in root.iter(f"{SVG_NS}polyline") if e.get("class") == "response-curve"
+            ][0]
+            assert curve.get("points") == polyline_points(resp, FrameStyle().max_curve_points)
+
     def test_style_validation(self):
         with pytest.raises(ValueError):
             FrameStyle(improved_color="red", rejected_color="red")
@@ -232,7 +244,7 @@ class TestRenderAnimation:
         trace = make_trace([0.5, 0.7, 0.4, 0.4, 0.2])
         responses = [make_resp([0.0, 0.5, 1.0])] * 5
         plant = TransferFunction((1.0,), (1.0, 3.0, 3.0, 1.0))
-        n = render_animation(trace, responses, BAND, out_dir=tmp_path / "frames", plant=plant)
+        n = film_finished(trace, responses, BAND, out_dir=tmp_path / "frames", plant=plant)
         assert n == 5
         names = [f"film_{i}.svg" for i in range(1, 6)]
         for name in names:
@@ -247,7 +259,7 @@ class TestRenderAnimation:
         totals = [0.9, 0.5, 0.6, 0.4, 1.0, 0.1]
         trace = make_trace(totals)
         responses = [make_resp([0.0, 0.5, 1.0])] * len(totals)
-        render_animation(trace, responses, BAND, out_dir=tmp_path)
+        film_finished(trace, responses, BAND, out_dir=tmp_path)
         for rec in trace.records:
             svg = (tmp_path / f"film_{rec.index}.svg").read_text()
             root = ET.fromstring(svg)
@@ -260,11 +272,49 @@ class TestRenderAnimation:
     def test_length_mismatch_rejected(self, tmp_path):
         trace = make_trace([0.5, 0.4])
         with pytest.raises(ValueError):
-            render_animation(trace, [make_resp([0.0, 1.0])], BAND, out_dir=tmp_path)
+            film_finished(trace, [make_resp([0.0, 1.0])], BAND, out_dir=tmp_path)
 
     def test_unwritable_directory(self, tmp_path):
         blocker = tmp_path / "blocker"
         blocker.write_text("not a directory")
         trace = make_trace([0.5])
         with pytest.raises(OutputUnwritable):
-            render_animation(trace, [make_resp([0.0, 1.0])], BAND, out_dir=blocker / "frames")
+            film_finished(trace, [make_resp([0.0, 1.0])], BAND, out_dir=blocker / "frames")
+
+    def test_extra_response_rejected(self, tmp_path):
+        trace = make_trace([0.5])
+        with pytest.raises(ValueError):
+            film_finished(trace, [make_resp([0.0, 1.0])] * 2, BAND, out_dir=tmp_path)
+        assert not (tmp_path / "index.json").exists()
+
+    def test_frame_written_as_record_arrives(self, tmp_path):
+        trace = make_trace([0.5, 0.7, 0.4])
+        pending = []
+        (tmp_path / "index.json").write_text("{}")  # left by an earlier film
+
+        def run(on_record):
+            for rec in trace.records:
+                assert not (tmp_path / f"film_{rec.index}.svg").exists()
+                pending.append(make_resp([0.0, 0.5, 1.0]))
+                on_record(rec)
+                assert pending == []  # the response is dropped once drawn
+                assert (tmp_path / f"film_{rec.index}.svg").exists()
+                assert not (tmp_path / "index.json").exists()
+            return trace
+
+        assert render_animation(run, pending, BAND, out_dir=tmp_path) is trace
+        assert (tmp_path / "index.json").exists()
+
+    def test_search_error_leaves_frames_without_index(self, tmp_path):
+        trace = make_trace([0.5, 0.7, 0.4, 0.2])
+        pending = []
+
+        def run(on_record):
+            for rec in trace.records[:2]:
+                pending.append(make_resp([0.0, 0.5, 1.0]))
+                on_record(rec)
+            raise RuntimeError("search failed")
+
+        with pytest.raises(RuntimeError, match="search failed"):
+            render_animation(run, pending, BAND, out_dir=tmp_path)
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["film_1.svg", "film_2.svg"]

@@ -108,6 +108,21 @@ class TestOptimize:
         trace = optimize(PidGains(1.0, 1.0, 1.0), counting)
         assert calls == len(trace.records)
 
+    def test_on_record_sees_each_record_once_in_order(self):
+        seen = []
+        calls = 0
+
+        def counting(g):
+            nonlocal calls
+            calls += 1
+            # the previous evaluation's record was handed over before this call
+            assert len(seen) == calls - 1
+            return sphere(g)
+
+        trace = optimize(PidGains(1.0, 1.0, 1.0), counting, on_record=seen.append)
+        assert tuple(seen) == trace.records
+        assert trace.records == optimize(PidGains(1.0, 1.0, 1.0), sphere).records
+
     def test_deterministic(self):
         a = optimize(PidGains(1.0, 1.0, 1.0), sphere)
         b = optimize(PidGains(1.0, 1.0, 1.0), sphere)
