@@ -3,6 +3,7 @@ settling-band objective, Ziegler-Nichols and random initialization, and
 compass-search optimization with full evaluation traces."""
 
 from .errors import (
+    GainOverflow,
     ImproperLoop,
     ImproperSystem,
     NonFiniteStart,
@@ -48,6 +49,7 @@ __all__ = [
     "STEP_CONVERGED",
     "EvaluationRecord",
     "FrameStyle",
+    "GainOverflow",
     "ImproperLoop",
     "ImproperSystem",
     "NoUltimateGain",

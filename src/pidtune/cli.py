@@ -2,7 +2,6 @@
 tuning search from Ziegler-Nichols or random starting gains."""
 
 import argparse
-import secrets
 import sys
 from pathlib import Path
 
@@ -120,7 +119,13 @@ def _starting_gains(args, plant, cfg):
         up = ultimate_point(plant)
         gains = zn_pid_gains(up)
         return gains, f"start=zn ku={up.ku:.6g} tu={up.tu:.6g}"
-    seed = args.seed if args.seed is not None else secrets.randbits(63)
+    seed = args.seed
+    if seed is None:
+        # imported here: secrets loads hashlib and libcrypto, which only an
+        # unseeded random start needs
+        import secrets
+
+        seed = secrets.randbits(63)
     rs = RandomStartConfig(seed=seed)
     rng = np.random.default_rng(rs.seed)
     if not args.ensure_unstable:
@@ -167,7 +172,9 @@ def cmd_tune(args) -> int:
     print(start_desc)
 
     # With --frames, evaluate hands each response to render_animation, which
-    # writes its frame and drops it before the next evaluation runs.
+    # writes its frame and drops it before the next evaluation runs; a poll
+    # that repeats a scored point is not evaluated again, so its frame's
+    # response is re-simulated.
     responses = [] if args.frames else None
 
     def run(on_record=None):
@@ -176,7 +183,10 @@ def cmd_tune(args) -> int:
         )
 
     if args.frames:
-        trace = render_animation(run, responses, band, FrameStyle(), out / "frames", plant=plant)
+        trace = render_animation(
+            run, responses, band, FrameStyle(), out / "frames", plant=plant,
+            resimulate=lambda g: _loop_response(g, plant, cfg),
+        )
     else:
         trace = run()
 

@@ -17,6 +17,10 @@ class NoUltimateGain(PidTuneError):
     """Proportional loop never crosses the stability boundary."""
 
 
+class GainOverflow(PidTuneError):
+    """A search poll whose gains overflow to a non-finite value."""
+
+
 class NonFiniteStart(PidTuneError):
     """Direct search started from a point with a non-finite score."""
 

@@ -78,10 +78,28 @@ def band_deviation(
         over = max(0.0, float(np.max(vals[1:])) - band.upper)
     under = 0.0
     if rose:
-        after = vals[resp.times() > rise]
-        if after.size:
-            under = max(0.0, band.lower - float(np.min(after)))
+        k = _first_sample_after(rise, resp.dt, len(vals))
+        if k < len(vals):
+            under = max(0.0, band.lower - float(np.min(vals[k:])))
     return max(over, under)
+
+
+def _first_sample_after(t: float, dt: float, n: int) -> int:
+    """Smallest k in [0, n] with k * dt > t, or n if there is none.
+
+    The same test as resp.times() > t, sample by sample, without building the
+    times array: k * dt is the product times() computes, and it is
+    non-decreasing in k (IEEE rounding is monotone), so the samples it
+    selects are a suffix. t / dt only guesses k; the checks at k - 1 and k
+    make the answer exact (for any t: a NaN or infinite t selects nothing).
+    """
+    guess = t / dt
+    k = min(max(int(guess) + 1, 0), n) if guess < n else n
+    while k > 0 and (k - 1) * dt > t:
+        k -= 1
+    while k < n and not k * dt > t:
+        k += 1
+    return k
 
 
 def evaluate(

@@ -18,7 +18,7 @@ from typing import Callable
 import numpy as np
 
 from .errors import OutputUnwritable
-from .lti import StepResponse, TransferFunction
+from .lti import PidGains, StepResponse, TransferFunction
 from .objective import SettlingBand
 from .search import EvaluationRecord, SearchTrace
 
@@ -267,38 +267,48 @@ def render_animation(
     style: FrameStyle | None = None,
     out_dir: str | Path = ".",
     plant: TransferFunction | None = None,
+    resimulate: Callable[[PidGains], StepResponse] | None = None,
 ) -> SearchTrace:
     """Film a search as it runs; returns the trace that run returns.
 
     run(on_record) runs the search and calls on_record with each evaluation
     record as it is made (search.optimize's on_record hook). The scored
     response of that record must be the one response waiting in responses,
-    where objective.evaluate appends it. Each record's frame,
-    film_<index>.svg, is written at once and its response dropped, so the
-    film holds one response at a time, not one per evaluation. index.json
-    lists the frame files in order with the playback rate hint (12 frames
-    per second) and is written last, so it exists only for a complete film:
-    an index.json already in out_dir is removed before the search starts,
-    and a search that raises leaves the frames of its records so far and no
-    index.json.
+    where objective.evaluate appends it. A record that repeats a point the
+    search has already scored has no response waiting, because the search
+    reuses the first score; its response is re-simulated with
+    resimulate(record.gains), which is required once such a record arrives.
+    Each record's frame, film_<index>.svg, is written at once and its
+    response dropped, so the film holds one response at a time, not one per
+    evaluation. index.json lists the frame files in order with the playback
+    rate hint (12 frames per second) and is written last, so it exists only
+    for a complete film. The film_*.svg files and index.json of an earlier
+    film in out_dir are removed before the search starts, and a search that
+    raises leaves the frames of its records so far and no index.json.
     """
     style = style if style is not None else FrameStyle()
     out = Path(out_dir)
     make_output_dir(out)
-    try:
-        # an index left by an earlier film would mark this one complete
-        (out / "index.json").unlink(missing_ok=True)
-    except OSError as exc:
-        raise OutputUnwritable(f"cannot remove {out / 'index.json'}: {exc}") from exc
+    # an earlier film's index would mark this one complete, and its frames
+    # beyond this film's last would be left beside this film's index
+    for stale in [out / "index.json", *out.glob("film_*.svg")]:
+        try:
+            stale.unlink(missing_ok=True)
+        except OSError as exc:
+            raise OutputUnwritable(f"cannot remove {stale}: {exc}") from exc
     names = []
 
     def on_record(rec: EvaluationRecord):
-        if len(responses) != 1:
+        if not responses and resimulate is not None:
+            response = resimulate(rec.gains)
+        elif len(responses) == 1:
+            response = responses.pop()
+        else:
             raise ValueError(
                 f"{len(responses)} responses waiting for record {rec.index}; expected 1"
             )
         name = f"film_{rec.index}.svg"
-        svg = render_frame(rec, responses.pop(), band, style)
+        svg = render_frame(rec, response, band, style)
         write_output(out / name, svg.encode("utf-8"))
         names.append(name)
 

@@ -1,10 +1,11 @@
 """Compass search over the three gains, recording every objective evaluation."""
 
 import math
+import struct
 from dataclasses import dataclass
 from typing import Callable
 
-from .errors import NonFiniteStart
+from .errors import GainOverflow, NonFiniteStart
 from .lti import PidGains
 from .objective import ObjectiveValue
 
@@ -20,6 +21,9 @@ _DIRECTIONS = (
     (0.0, 0.0, 1.0),
     (0.0, 0.0, -1.0),
 )
+
+# Repeat-cache key: the exact bits of (kp, ki, kd), so 0.0 and -0.0 differ.
+_key = struct.Struct("<3d").pack
 
 
 @dataclass(frozen=True)
@@ -74,13 +78,27 @@ def optimize(
     strictly improving point is accepted immediately, the step expands (capped
     at initial_step) and the poll restarts there. A full cycle without
     improvement shrinks the step. Stops when the step falls below min_step or
-    the evaluation budget is spent. Every score call lands in the trace,
-    rejected polls included. When on_record is given it is called with each
-    record right after the record is appended, in poll order, so a caller
-    can act on an evaluation (write its frame) before the next one runs.
+    the evaluation budget is spent. Every evaluation lands in the trace,
+    rejected polls included. Polls often return to a point already scored
+    (most often the previous incumbent); such a repeat reuses the first
+    score at that point, keyed on the exact bits of the gains, instead of
+    calling score again, and still gets its own record. The cache lives for
+    this call only. When on_record is given it is called with each record
+    right after the record is appended, in poll order, so a caller can act
+    on an evaluation (write its frame) before the next one runs. Raises
+    GainOverflow when a poll's gains overflow to a non-finite value.
     """
     cfg = cfg if cfg is not None else SearchConfig()
-    first = score(start)
+    scored = {}
+
+    def score_once(gains):
+        key = _key(gains.kp, gains.ki, gains.kd)
+        value = scored.get(key)
+        if value is None:
+            value = scored[key] = score(gains)
+        return value
+
+    first = score_once(start)
     if not math.isfinite(first.total):
         raise NonFiniteStart(f"score at the starting gains is {first.total}")
     records = []
@@ -108,12 +126,18 @@ def optimize(
             if len(records) >= cfg.max_evals:
                 termination = BUDGET_EXHAUSTED
                 break
-            cand = PidGains(
-                kp=best_gains.kp + step * dkp,
-                ki=best_gains.ki + step * dki,
-                kd=best_gains.kd + step * dkd,
+            coords = (
+                best_gains.kp + step * dkp,
+                best_gains.ki + step * dki,
+                best_gains.kd + step * dkd,
             )
-            value = score(cand)
+            if not all(map(math.isfinite, coords)):
+                raise GainOverflow(
+                    f"poll {len(records) + 1} at step {step:.6g} overflows the gains "
+                    f"(kp, ki, kd) to {coords}"
+                )
+            cand = PidGains(*coords)
+            value = score_once(cand)
             improved = bool(value.total < best_value.total)
             if improved:
                 best_gains = cand

@@ -5,7 +5,14 @@ import itertools
 
 import numpy as np
 
-from pidtune import PidGains, SimConfig, StepResponse, TransferFunction, render_animation
+from pidtune import (
+    EvaluationRecord,
+    PidGains,
+    SimConfig,
+    StepResponse,
+    TransferFunction,
+    render_animation,
+)
 from pidtune.lti import (
     close_unity_feedback,
     pid_transfer_function,
@@ -37,6 +44,34 @@ def film_finished(trace, responses, band, **kwargs) -> int:
         return trace
 
     return len(render_animation(run, pending, band, **kwargs).records)
+
+
+def compass_search_records(start, score, cfg) -> list[EvaluationRecord]:
+    """The records of a compass search that calls score at every poll, the
+    plain statement of the search's polling rule: no cache, no early hook."""
+    directions = ((1.0, 0.0, 0.0), (-1.0, 0.0, 0.0), (0.0, 1.0, 0.0),
+                  (0.0, -1.0, 0.0), (0.0, 0.0, 1.0), (0.0, 0.0, -1.0))
+    best, best_value = start, score(start)
+    records = [EvaluationRecord(1, start, best_value, True, best_value.total)]
+    step = cfg.initial_step
+    while step >= cfg.min_step:
+        for dkp, dki, dkd in directions:
+            if len(records) >= cfg.max_evals:
+                return records
+            cand = PidGains(best.kp + step * dkp, best.ki + step * dki, best.kd + step * dkd)
+            value = score(cand)
+            improved = value.total < best_value.total
+            if improved:
+                best, best_value = cand, value
+            records.append(
+                EvaluationRecord(len(records) + 1, cand, value, improved, best_value.total)
+            )
+            if improved:
+                step = min(step * cfg.expand, cfg.initial_step)
+                break
+        else:
+            step *= cfg.shrink
+    return records
 
 
 def polyline_points(resp: StepResponse, max_curve_points: int) -> str:
@@ -77,6 +112,13 @@ def brute_force_score(values, dt, t_max, band):
             break
     rose = rise is not None
     rt = rise if rose else t_max
+    deviation = brute_force_deviation(values, dt, rt, rose, band)
+    return rt / t_max + deviation, rt, deviation, rose
+
+
+def brute_force_deviation(values, dt, rise, rose, band):
+    """Band deviation by direct scan: max violation above the band for t > 0,
+    below it for t = k * dt > rise (only when the response rose)."""
     over = 0.0
     for k in range(1, len(values)):
         over = max(over, float(values[k]) - band.upper)
@@ -84,11 +126,10 @@ def brute_force_score(values, dt, t_max, band):
     under = 0.0
     if rose:
         for k in range(len(values)):
-            if k * dt > rt:
+            if k * dt > rise:
                 under = max(under, band.lower - float(values[k]))
         under = max(under, 0.0)
-    deviation = max(over, under)
-    return rt / t_max + deviation, rt, deviation, rose
+    return max(over, under)
 
 
 def random_proper_tf(rng: np.random.Generator, max_degree: int = 5) -> TransferFunction:

@@ -129,6 +129,17 @@ def test_import_leaves_numpy_random_unloaded():
     assert r.stdout.strip() == "False"
 
 
+def test_import_leaves_secrets_and_libcrypto_unloaded():
+    # only an unseeded random start needs secrets (hashlib, _hashlib)
+    r = subprocess.run(
+        [sys.executable, "-c",
+         "import sys, pidtune.cli; print('secrets' in sys.modules, '_hashlib' in sys.modules)"],
+        capture_output=True, text=True, timeout=60,
+    )
+    assert r.returncode == 0, r.stderr
+    assert r.stdout.strip() == "False False"
+
+
 class TestTuneCommand:
     def test_zn_start_descends(self, tmp_path):
         out = tmp_path / "run"
@@ -258,28 +269,54 @@ class TestTuneCommand:
         assert (out / "trace.csv").read_bytes() == export_trace(trace, "csv")
 
 
+    def test_overflowing_gains_exit_2_naming_the_poll(self, tmp_path):
+        out = tmp_path / "run"
+        r = run_cli("tune", "--plant", "num: 1 / den: 1 1", "--start", "random",
+                    "--seed", "1", "--step", "1.5e308", "--max-evals", "40", "--tmax", "5",
+                    "--out", str(out))
+        assert r.returncode == 2
+        assert "GainOverflow" in r.stderr
+        assert "poll 11 at step 1.5e+308" in r.stderr
+        assert "Traceback" not in r.stderr
+        assert not (out / "trace.csv").exists()
+
+
 class TestFrameStreaming:
     ARGS = ["tune", "--start", "random", "--seed", "7", "--max-evals", "25", "--tmax", "20"]
 
     def test_frame_on_disk_before_next_evaluation(self, tmp_path, monkeypatch):
         frames = tmp_path / "run" / "frames"
-        inner = cli.evaluate
+        inner, inner_resimulate = cli.evaluate, cli._loop_response
         produced = []  # weak references to every response evaluate appended
+        resimulated = []  # and to every response re-simulated for a repeated point
 
         def evaluate(gains, plant, cfg, band, responses):
-            k = len(produced)
             names = sorted(p.name for p in frames.iterdir())
-            assert names == sorted(f"film_{i}.svg" for i in range(1, k + 1))
+            # every record so far is filmed: one frame per evaluation, plus
+            # one per repeated point, which evaluate does not see
+            assert len(names) >= len(produced)
+            assert names == sorted(f"film_{i}.svg" for i in range(1, len(names) + 1))
             assert not responses
-            assert all(ref() is None for ref in produced)  # none is held any more
+            # none is held any more
+            assert all(ref() is None for ref in produced + resimulated)
             value = inner(gains, plant, cfg, band, responses)
             (resp,) = responses
             produced.append(weakref.ref(resp))
             return value
 
+        def loop_response(gains, plant, cfg):
+            assert all(ref() is None for ref in produced + resimulated)
+            resp = inner_resimulate(gains, plant, cfg)
+            resimulated.append(weakref.ref(resp))
+            return resp
+
         monkeypatch.setattr(cli, "evaluate", evaluate)
+        monkeypatch.setattr(cli, "_loop_response", loop_response)
         assert cli.main([*self.ARGS, "--out", str(tmp_path / "run"), "--frames"]) == 0
-        assert len(produced) == 25
+        records = json.loads((tmp_path / "run" / "trace.json").read_text())["records"]
+        distinct = {(r["kp"], r["ki"], r["kd"]) for r in records}
+        assert len(produced) == len(distinct) == 19
+        assert len(resimulated) == 25 - 19
         index = json.loads((frames / "index.json").read_text())
         assert index["frames"] == [f"film_{i}.svg" for i in range(1, 26)]
 
@@ -298,6 +335,7 @@ class TestFrameStreaming:
         monkeypatch.setattr(cli, "evaluate", evaluate)
         with pytest.raises(RuntimeError, match="evaluation failed"):
             cli.main([*self.ARGS, "--out", str(tmp_path / "run"), "--frames"])
+        # record 4 repeats the start, so the 4th evaluation is record 5's
         assert sorted(p.name for p in frames.iterdir()) == [
-            "film_1.svg", "film_2.svg", "film_3.svg"
+            "film_1.svg", "film_2.svg", "film_3.svg", "film_4.svg"
         ]

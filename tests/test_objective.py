@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from pidtune import (
@@ -14,7 +14,13 @@ from pidtune import (
     rise_time,
 )
 
-from helpers import BENCH3, brute_force_score, loop_response, random_stable_cases
+from helpers import (
+    BENCH3,
+    brute_force_deviation,
+    brute_force_score,
+    loop_response,
+    random_stable_cases,
+)
 
 
 def make_resp(values, dt=1.0, diverged=False):
@@ -22,6 +28,13 @@ def make_resp(values, dt=1.0, diverged=False):
 
 
 BAND = SettlingBand()
+
+# the CLI's round steps, whose multiples k * dt often round off k's decimal
+# value, plus arbitrary ones
+STEPS = st.one_of(
+    st.sampled_from([0.01, 0.1, 0.05, 0.003, 0.3, 1.0]),
+    st.floats(1e-3, 2.0),
+)
 
 
 class TestSettlingBand:
@@ -116,6 +129,50 @@ class TestBandDeviation:
         assert over_only == pytest.approx(1.50 - 1.02, abs=1e-15)
         assert under_only == pytest.approx(0.98 - 0.90, abs=1e-15)
         assert full == max(over_only, under_only)
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        values=st.lists(st.floats(-2.0, 3.0), min_size=1, max_size=60),
+        dt=STEPS,
+        k=st.integers(0, 62),
+        nudge=st.sampled_from([-1, 0, 1]),
+    )
+    # 3 * 0.7 / 0.7 rounds below 3, so the guess from rise / dt lands on the
+    # boundary sample itself, which must stay excluded
+    @example(values=[0.0, 0.0, 0.0, -1.0, 1.0], dt=0.7, k=3, nudge=0)
+    def test_under_window_matches_scan_on_grid_boundaries(self, values, dt, k, nudge):
+        # rise exactly on a sample time k * dt, or one ulp either side of it
+        rise = k * dt
+        if nudge:
+            rise = float(np.nextafter(rise, nudge * np.inf))
+        resp = make_resp(values, dt=dt)
+        got = band_deviation(resp, BAND, rise, True)
+        assert got == brute_force_deviation(values, dt, rise, True, BAND)
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        head=st.lists(st.floats(-2.0, 0.97), max_size=30),
+        tail=st.lists(st.floats(-2.0, 3.0), max_size=30),
+        dt=STEPS,
+        on_grid=st.booleans(),
+    )
+    def test_score_matches_brute_force_on_grid_crossings(self, head, tail, dt, on_grid):
+        # with a sample exactly at the rise level the interpolated rise time
+        # is that sample's own k * dt
+        values = [*head, BAND.rise_level if on_grid else 0.99, *tail]
+        resp = make_resp(values, dt=dt)
+        rt, rose = rise_time(resp, BAND)
+        if on_grid:
+            assert rt == len(head) * dt
+        t_max = resp.t_end if len(values) > 1 else dt
+        want_total, want_rt, want_dev, want_rose = brute_force_score(values, dt, t_max, BAND)
+        assert (rt, rose) == (want_rt, want_rose)
+        assert band_deviation(resp, BAND, rt, rose) == want_dev
+
+    def test_under_window_for_a_rise_off_the_grid(self):
+        resp = make_resp([0.0, 0.99, 0.5, 1.0], dt=0.1)
+        for rise, want in ((0.1, 0.48), (0.2, 0.0), (float("inf"), 0.0), (float("nan"), 0.0)):
+            assert band_deviation(resp, BAND, rise, True) == pytest.approx(want, abs=1e-15)
 
 
 class TestEvaluate:

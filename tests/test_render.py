@@ -318,3 +318,42 @@ class TestRenderAnimation:
         with pytest.raises(RuntimeError, match="search failed"):
             render_animation(run, pending, BAND, out_dir=tmp_path)
         assert sorted(p.name for p in tmp_path.iterdir()) == ["film_1.svg", "film_2.svg"]
+
+    def test_repeated_point_is_resimulated(self, tmp_path):
+        # records 2 and 4 repeat scored points: no response waits for them
+        trace = make_trace([0.5, 0.7, 0.4, 0.6])
+        waiting = {1: [0.0, 0.5, 1.0], 3: [0.0, 1.2, 1.0]}
+        resimulated = {2: [0.0, 0.9, 0.99], 4: [0.0, 0.3, 0.6]}
+        pending = []
+        asked = []
+
+        def resimulate(gains):
+            (rec,) = [r for r in trace.records if r.gains is gains]
+            asked.append(rec.index)
+            return make_resp(resimulated[rec.index])
+
+        def run(on_record):
+            for rec in trace.records:
+                if rec.index in waiting:
+                    pending.append(make_resp(waiting[rec.index]))
+                on_record(rec)
+            return trace
+
+        render_animation(run, pending, BAND, out_dir=tmp_path, resimulate=resimulate)
+        assert asked == [2, 4]
+        for rec in trace.records:
+            values = {**waiting, **resimulated}[rec.index]
+            want = render_frame(rec, make_resp(values), BAND)
+            assert (tmp_path / f"film_{rec.index}.svg").read_text() == want
+
+    def test_earlier_longer_film_leaves_no_frames(self, tmp_path):
+        film_finished(make_trace([0.5 + 0.01 * i for i in range(12)]),
+                      [make_resp([0.0, 0.5, 1.0])] * 12, BAND, out_dir=tmp_path)
+        (tmp_path / "notes.txt").write_text("not a frame")
+        film_finished(make_trace([0.5, 0.4, 0.3, 0.2]),
+                      [make_resp([0.0, 0.5, 1.0])] * 4, BAND, out_dir=tmp_path)
+        names = [f"film_{i}.svg" for i in range(1, 5)]
+        assert sorted(p.name for p in tmp_path.iterdir()) == sorted(
+            [*names, "index.json", "notes.txt"]
+        )
+        assert json.loads((tmp_path / "index.json").read_text())["frames"] == names

@@ -1,11 +1,16 @@
 import math
+import struct
+from collections import Counter
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from pidtune import (
     BUDGET_EXHAUSTED,
     STEP_CONVERGED,
+    GainOverflow,
     NonFiniteStart,
     ObjectiveValue,
     PidGains,
@@ -13,7 +18,7 @@ from pidtune import (
     optimize,
 )
 
-from helpers import BENCH3
+from helpers import BENCH3, compass_search_records
 from pidtune.objective import evaluate
 
 
@@ -25,6 +30,11 @@ def synth(total: float) -> ObjectiveValue:
 
 def sphere(g: PidGains) -> ObjectiveValue:
     return synth(g.kp**2 + g.ki**2 + g.kd**2)
+
+
+def key(g: PidGains) -> bytes:
+    """The exact bits of a gain vector, so that 0.0 and -0.0 differ."""
+    return struct.pack("<3d", g.kp, g.ki, g.kd)
 
 
 def rederive_flags(records):
@@ -98,25 +108,28 @@ class TestOptimize:
             assert trace.incumbent_value.total == min(r.objective.total for r in trace.records)
 
     def test_every_score_call_recorded(self):
-        calls = 0
+        # every point scored lands in the trace, once per distinct point;
+        # polls that repeat a point are recorded too, without a second call
+        calls = []
 
         def counting(g):
-            nonlocal calls
-            calls += 1
+            calls.append(key(g))
             return sphere(g)
 
         trace = optimize(PidGains(1.0, 1.0, 1.0), counting)
-        assert calls == len(trace.records)
+        first_seen = list(dict.fromkeys(key(r.gains) for r in trace.records))
+        assert calls == first_seen
+        assert len(trace.records) > len(calls)  # the sphere search repeats points
 
     def test_on_record_sees_each_record_once_in_order(self):
         seen = []
-        calls = 0
+        scored = []
 
         def counting(g):
-            nonlocal calls
-            calls += 1
-            # the previous evaluation's record was handed over before this call
-            assert len(seen) == calls - 1
+            # every record made so far was handed over before this call, and
+            # this call scores a point none of them holds
+            assert {key(r.gains) for r in seen} == set(scored)
+            scored.append(key(g))
             return sphere(g)
 
         trace = optimize(PidGains(1.0, 1.0, 1.0), counting, on_record=seen.append)
@@ -161,11 +174,24 @@ class TestOptimize:
             seen.append((g.kp, g.ki, g.kd))
             return synth(abs(g.kp + 9.0))
 
-        optimize(PidGains(0.0, 0.0, 0.0), score, SearchConfig(max_evals=4))
-        assert seen[0] == (0.0, 0.0, 0.0)
-        assert seen[1] == (1.0, 0.0, 0.0)  # rejected
-        assert seen[2] == (-1.0, 0.0, 0.0)  # accepted
-        assert seen[3] == (0.0, 0.0, 0.0)  # +kp from new incumbent, step capped at 1
+        trace = optimize(PidGains(0.0, 0.0, 0.0), score, SearchConfig(max_evals=4))
+        polls = [(r.gains.kp, r.gains.ki, r.gains.kd) for r in trace.records]
+        assert polls[0] == (0.0, 0.0, 0.0)
+        assert polls[1] == (1.0, 0.0, 0.0)  # rejected
+        assert polls[2] == (-1.0, 0.0, 0.0)  # accepted
+        assert polls[3] == (0.0, 0.0, 0.0)  # +kp from new incumbent, step capped at 1
+        # the 4th poll repeats the start, so it reuses the start's score
+        assert seen == polls[:3]
+        assert trace.records[3].objective is trace.records[0].objective
+        assert not trace.records[3].improved
+
+    def test_gain_overflow_names_the_poll(self):
+        start = PidGains(0.0, 0.0, 1e308)
+        cfg = SearchConfig(initial_step=1e308, max_evals=40)
+        seen = []
+        with pytest.raises(GainOverflow, match=r"poll 6 at step 1e\+308"):
+            optimize(start, lambda g: synth(1.0), cfg, on_record=seen.append)
+        assert [r.index for r in seen] == [1, 2, 3, 4, 5]  # no poll skipped
 
     def test_config_validation(self):
         with pytest.raises(ValueError):
@@ -176,3 +202,65 @@ class TestOptimize:
             SearchConfig(min_step=2.0, initial_step=1.0)
         with pytest.raises(ValueError):
             SearchConfig(max_evals=0)
+
+
+class TestRepeatCache:
+    def test_signed_zeros_are_scored_separately(self):
+        # from the incumbent -1, the +kp poll lands on 0.0, the start's -0.0
+        # flipped: equal as floats, distinct as points
+        seen = []
+
+        def score(g):
+            seen.append(key(g))
+            return synth(abs(g.kp + 9.0))
+
+        trace = optimize(PidGains(-0.0, 0.0, 0.0), score, SearchConfig(max_evals=4))
+        assert [key(r.gains) for r in trace.records] == seen
+        assert key(trace.records[0].gains) != key(trace.records[3].gains)
+        assert trace.records[0].gains == trace.records[3].gains
+
+    def test_cache_lives_for_one_call(self):
+        calls = 0
+
+        def counting(g):
+            nonlocal calls
+            calls += 1
+            return sphere(g)
+
+        first = optimize(PidGains(1.0, 1.0, 1.0), counting)
+        per_search = calls
+        second = optimize(PidGains(1.0, 1.0, 1.0), counting)
+        assert calls == 2 * per_search
+        assert first.records == second.records
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        weights=st.tuples(*[st.floats(0.1, 5.0)] * 3),
+        center=st.tuples(*[st.floats(-5.0, 5.0)] * 3),
+        start=st.tuples(*[st.sampled_from([0.0, -0.0, 1.0, -2.5, 3.75])] * 3),
+        step=st.sampled_from([0.25, 1.0, 3.0, 10.0]),
+        quantum=st.sampled_from([0.0, 0.5, 2.0]),
+        max_evals=st.integers(1, 200),
+    )
+    def test_repeats_score_once_and_change_no_record(
+        self, weights, center, start, step, quantum, max_evals
+    ):
+        # quadratic bowls, coarsened into plateaus when quantum > 0 so that
+        # ties and non-improving cycles occur too
+        def quad(g):
+            total = sum(w * (x - c) ** 2 for w, x, c in zip(weights, (g.kp, g.ki, g.kd), center))
+            return synth(math.floor(total / quantum) * quantum if quantum else total)
+
+        calls = Counter()
+
+        def counting(g):
+            calls[key(g)] += 1
+            return quad(g)
+
+        cfg = SearchConfig(initial_step=step, min_step=1e-3, max_evals=max_evals)
+        trace = optimize(PidGains(*start), counting, cfg)
+        assert set(calls) == {key(r.gains) for r in trace.records}
+        assert set(calls.values()) == {1}
+        for rec in trace.records:
+            assert rec.objective == quad(rec.gains)
+        assert list(trace.records) == compass_search_records(PidGains(*start), quad, cfg)
