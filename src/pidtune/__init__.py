@@ -6,6 +6,7 @@ from .errors import (
     GainOverflow,
     ImproperLoop,
     ImproperSystem,
+    InvalidInput,
     NonFiniteStart,
     NoUltimateGain,
     OutputUnwritable,
@@ -37,7 +38,6 @@ from .search import (
 from .tuning import (
     RandomStartConfig,
     UltimatePoint,
-    random_gains,
     ultimate_point,
     zn_pid_gains,
 )
@@ -52,6 +52,7 @@ __all__ = [
     "GainOverflow",
     "ImproperLoop",
     "ImproperSystem",
+    "InvalidInput",
     "NoUltimateGain",
     "NonFiniteStart",
     "ObjectiveValue",
@@ -75,7 +76,6 @@ __all__ = [
     "export_trace",
     "optimize",
     "pid_transfer_function",
-    "random_gains",
     "render_animation",
     "render_frame",
     "rise_time",

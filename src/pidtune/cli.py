@@ -7,7 +7,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import ImproperLoop, PidTuneError, PlantParseError, ResampleExhausted
+from .errors import ImproperLoop, InvalidInput, PidTuneError, PlantParseError, ResampleExhausted
 from .lti import (
     PidGains,
     SimConfig,
@@ -49,7 +49,7 @@ def parse_plant(text: str) -> TransferFunction:
     den = _parse_coeff_part(text, slash + 1, len(text), "den:")
     try:
         tf = TransferFunction(num, den)
-    except ValueError as exc:
+    except InvalidInput as exc:
         raise PlantParseError(str(exc), slash + 1) from exc
     if not tf.is_proper:
         raise PlantParseError(
@@ -246,14 +246,8 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except PlantParseError as exc:
-        print(f"plant parse error: {exc}", file=sys.stderr)
-        return 2
     except PidTuneError as exc:
         print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
-        return 2
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
         return 2
 
 

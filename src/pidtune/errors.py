@@ -5,6 +5,10 @@ class PidTuneError(Exception):
     """Base class for all pidtune errors."""
 
 
+class InvalidInput(PidTuneError, ValueError):
+    """A value that a constructor or input check rejects."""
+
+
 class ImproperLoop(PidTuneError):
     """Controller/plant pair whose unity-feedback loop is not proper."""
 

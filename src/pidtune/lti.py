@@ -7,15 +7,15 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import _kernels
-from .errors import ImproperLoop, ImproperSystem
+from .errors import ImproperLoop, ImproperSystem, InvalidInput
 
 
 def _as_coeffs(seq, name: str) -> tuple[float, ...]:
     coeffs = tuple(float(c) for c in seq)
     if not coeffs:
-        raise ValueError(f"{name} must have at least one coefficient")
+        raise InvalidInput(f"{name} must have at least one coefficient")
     if not all(math.isfinite(c) for c in coeffs):
-        raise ValueError(f"{name} coefficients must be finite, got {coeffs}")
+        raise InvalidInput(f"{name} coefficients must be finite, got {coeffs}")
     return coeffs
 
 
@@ -55,7 +55,7 @@ class TransferFunction:
         object.__setattr__(self, "num", _as_coeffs(num, "num"))
         object.__setattr__(self, "den", _as_coeffs(den, "den"))
         if self.den[0] == 0.0:
-            raise ValueError("den leading coefficient must be nonzero")
+            raise InvalidInput("den leading coefficient must be nonzero")
 
     @property
     def num_degree(self) -> int:
@@ -92,7 +92,7 @@ class PidGains:
         for name in ("kp", "ki", "kd"):
             v = getattr(self, name)
             if not math.isfinite(v):
-                raise ValueError(f"{name} must be finite, got {v}")
+                raise InvalidInput(f"{name} must be finite, got {v}")
 
 
 @dataclass(frozen=True, eq=False)
@@ -107,7 +107,7 @@ class StateSpace:
     def __post_init__(self):
         n = self.a.shape[0]
         if self.a.shape != (n, n) or self.b.shape != (n, 1) or self.c.shape != (1, n):
-            raise ValueError(
+            raise InvalidInput(
                 f"inconsistent dimensions a{self.a.shape} b{self.b.shape} c{self.c.shape}"
             )
         if not (
@@ -116,7 +116,7 @@ class StateSpace:
             and np.all(np.isfinite(self.c))
             and math.isfinite(self.d)
         ):
-            raise ValueError("state-space entries must be finite")
+            raise InvalidInput("state-space entries must be finite")
 
     @property
     def order(self) -> int:
@@ -144,16 +144,16 @@ class SimConfig:
 
     def __post_init__(self):
         if not (self.t_max > 0 and self.dt > 0 and self.dt <= self.t_max):
-            raise ValueError(f"need 0 < dt <= t_max, got dt={self.dt} t_max={self.t_max}")
+            raise InvalidInput(f"need 0 < dt <= t_max, got dt={self.dt} t_max={self.t_max}")
         # n_samples <= MAX_SAMPLES exactly when t_max/dt < MAX_SAMPLES; the
         # ratio is tested before int() so an infinite one cannot overflow
         if not self.t_max / self.dt < MAX_SAMPLES:
-            raise ValueError(
+            raise InvalidInput(
                 f"t_max/dt = {self.t_max / self.dt:.6g} exceeds the limit of "
                 f"{MAX_SAMPLES} samples per response"
             )
         if not self.blow_up_limit > 2:
-            raise ValueError(f"blow_up_limit must exceed 2, got {self.blow_up_limit}")
+            raise InvalidInput(f"blow_up_limit must exceed 2, got {self.blow_up_limit}")
 
     @property
     def n_samples(self) -> int:
@@ -203,7 +203,10 @@ def close_unity_feedback(
             f"open-loop product has relative degree "
             f"{poly_degree(den_open) - poly_degree(num)}; the closed loop is not proper"
         )
-    den = _poly_add(den_open, num)
+    # An overflowing sum is left to TransferFunction, which rejects
+    # non-finite coefficients, so numpy has nothing to warn about.
+    with np.errstate(all="ignore"):
+        den = _poly_add(den_open, num)
     lead = next((i for i, c in enumerate(den) if c != 0.0), None)
     if lead is None or poly_degree(num) > len(den) - 1 - lead:
         raise ImproperLoop(
@@ -228,14 +231,17 @@ def tf_to_state_space(tf: TransferFunction) -> StateSpace:
     den = np.asarray(tf.den, dtype=float)
     den = den[len(den) - 1 - n :]  # strip leading zeros (none unless constructed oddly)
     lead = den[0]
-    den = den / lead
     num = np.zeros(n + 1)
     src = np.asarray(tf.num, dtype=float)
     deg = tf.num_degree
-    if deg >= 0:
-        num[n - deg :] = src[len(src) - 1 - deg :] / lead
-    d = float(num[0])
-    rem = num[1:] - d * den[1:]  # descending, length n
+    # A tiny leading coefficient can overflow the normalization; StateSpace
+    # rejects the non-finite result, so numpy has nothing to warn about.
+    with np.errstate(all="ignore"):
+        den = den / lead
+        if deg >= 0:
+            num[n - deg :] = src[len(src) - 1 - deg :] / lead
+        d = float(num[0])
+        rem = num[1:] - d * den[1:]  # descending, length n
     a = np.zeros((n, n))
     if n > 1:
         a[: n - 1, 1:] = np.eye(n - 1)

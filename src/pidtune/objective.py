@@ -5,6 +5,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .errors import InvalidInput
 from .lti import (
     PidGains,
     SimConfig,
@@ -28,7 +29,7 @@ class SettlingBand:
 
     def __post_init__(self):
         if not (self.lower <= self.rise_level < self.upper):
-            raise ValueError(
+            raise InvalidInput(
                 f"need lower <= rise_level < upper, got {self.lower}, "
                 f"{self.rise_level}, {self.upper}"
             )

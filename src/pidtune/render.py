@@ -11,18 +11,17 @@ Assembling the frames into a video is left to external tools.
 
 import functools
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, fields, is_dataclass
+from operator import attrgetter
 from pathlib import Path
 from typing import Callable
 
 import numpy as np
 
-from .errors import OutputUnwritable
+from .errors import InvalidInput, OutputUnwritable
 from .lti import PidGains, StepResponse, TransferFunction
 from .objective import SettlingBand
 from .search import EvaluationRecord, SearchTrace
-
-CSV_HEADER = "index,kp,ki,kd,total,rise_time,rise_term,deviation,rose,improved,best_so_far"
 
 _SVG_WIDTH = 640
 _SVG_HEIGHT = 480
@@ -40,9 +39,9 @@ class FrameStyle:
 
     def __post_init__(self):
         if self.improved_color == self.rejected_color:
-            raise ValueError("improved_color and rejected_color must differ")
+            raise InvalidInput("improved_color and rejected_color must differ")
         if self.max_curve_points < 2:
-            raise ValueError("max_curve_points must be at least 2")
+            raise InvalidInput("max_curve_points must be at least 2")
 
 
 def _num(x: float) -> str:
@@ -53,38 +52,35 @@ def _flag(b: bool) -> str:
     return "true" if b else "false"
 
 
-def _record_fields(rec: EvaluationRecord) -> list[str]:
-    o = rec.objective
-    return [
-        str(rec.index),
-        _num(rec.gains.kp),
-        _num(rec.gains.ki),
-        _num(rec.gains.kd),
-        _num(o.total),
-        _num(o.rise_time),
-        _num(o.rise_term),
-        _num(o.deviation),
-        _flag(o.rose),
-        _flag(rec.improved),
-        _num(rec.best_so_far),
-    ]
+# A CSV cell is formatted by its field's declared type, so an int passed as
+# a float gain still prints as a float.
+_CELL_FORMAT = {int: str, float: _num, bool: _flag}
 
 
-def _record_dict(rec: EvaluationRecord) -> dict:
-    o = rec.objective
-    return {
-        "index": rec.index,
-        "kp": rec.gains.kp,
-        "ki": rec.gains.ki,
-        "kd": rec.gains.kd,
-        "total": o.total,
-        "rise_time": o.rise_time,
-        "rise_term": o.rise_term,
-        "deviation": o.deviation,
-        "rose": o.rose,
-        "improved": rec.improved,
-        "best_so_far": rec.best_so_far,
-    }
+@functools.cache
+def _columns(cls: type, prefix: str = "") -> tuple:
+    """(name, declared type, getter) of each field of the dataclass cls in
+    declared order, with a dataclass-typed field replaced in place by its own
+    columns. EvaluationRecord's columns are the trace's columns."""
+    cols = []
+    for f in fields(cls):
+        if is_dataclass(f.type):
+            cols.extend(_columns(f.type, f"{prefix}{f.name}."))
+        else:
+            cols.append((f.name, f.type, attrgetter(prefix + f.name)))
+    return tuple(cols)
+
+
+def _flat_dict(obj) -> dict:
+    """The columns of a dataclass instance by name, in declared order."""
+    return {name: get(obj) for name, _, get in _columns(type(obj))}
+
+
+CSV_HEADER = ",".join(name for name, _, _ in _columns(EvaluationRecord))
+
+
+def _csv_row(rec: EvaluationRecord) -> str:
+    return ",".join(_CELL_FORMAT[t](get(rec)) for _, t, get in _columns(EvaluationRecord))
 
 
 def export_trace(trace: SearchTrace, format: str) -> bytes:
@@ -98,29 +94,13 @@ def export_trace(trace: SearchTrace, format: str) -> bytes:
         raise ValueError("trace has no records")
     if format == "csv":
         lines = [CSV_HEADER]
-        lines.extend(",".join(_record_fields(r)) for r in trace.records)
+        lines.extend(_csv_row(r) for r in trace.records)
         return ("\n".join(lines) + "\n").encode("utf-8")
     if format == "json":
-        iv = trace.incumbent_value
         obj = {
-            "config": {
-                "initial_step": trace.config.initial_step,
-                "shrink": trace.config.shrink,
-                "expand": trace.config.expand,
-                "min_step": trace.config.min_step,
-                "max_evals": trace.config.max_evals,
-            },
-            "records": [_record_dict(r) for r in trace.records],
-            "incumbent": {
-                "kp": trace.incumbent.kp,
-                "ki": trace.incumbent.ki,
-                "kd": trace.incumbent.kd,
-                "total": iv.total,
-                "rise_time": iv.rise_time,
-                "rise_term": iv.rise_term,
-                "deviation": iv.deviation,
-                "rose": iv.rose,
-            },
+            "config": _flat_dict(trace.config),
+            "records": [_flat_dict(r) for r in trace.records],
+            "incumbent": {**_flat_dict(trace.incumbent), **_flat_dict(trace.incumbent_value)},
             "termination": trace.termination,
         }
         return (json.dumps(obj, indent=2) + "\n").encode("utf-8")

@@ -5,7 +5,7 @@ import struct
 from dataclasses import dataclass
 from typing import Callable
 
-from .errors import GainOverflow, NonFiniteStart
+from .errors import GainOverflow, InvalidInput, NonFiniteStart
 from .lti import PidGains
 from .objective import ObjectiveValue
 
@@ -36,13 +36,13 @@ class SearchConfig:
 
     def __post_init__(self):
         if not (0.0 < self.shrink < 1.0 <= self.expand):
-            raise ValueError(f"need 0 < shrink < 1 <= expand, got {self.shrink}, {self.expand}")
+            raise InvalidInput(f"need 0 < shrink < 1 <= expand, got {self.shrink}, {self.expand}")
         if not (0.0 < self.min_step < self.initial_step):
-            raise ValueError(
+            raise InvalidInput(
                 f"need 0 < min_step < initial_step, got {self.min_step}, {self.initial_step}"
             )
         if self.max_evals < 1:
-            raise ValueError(f"max_evals must be >= 1, got {self.max_evals}")
+            raise InvalidInput(f"max_evals must be >= 1, got {self.max_evals}")
 
 
 @dataclass(frozen=True)

@@ -6,7 +6,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import NoUltimateGain
+from .errors import InvalidInput, NoUltimateGain
 from .lti import PidGains, TransferFunction
 
 K_SEARCH_MAX = 1e6
@@ -23,7 +23,7 @@ class UltimatePoint:
 
     def __post_init__(self):
         if not (self.ku > 0 and self.tu > 0):
-            raise ValueError(f"ku and tu must be positive, got {self.ku}, {self.tu}")
+            raise InvalidInput(f"ku and tu must be positive, got {self.ku}, {self.tu}")
 
 
 @dataclass(frozen=True)
@@ -35,8 +35,10 @@ class RandomStartConfig:
     high: float = 10.0
 
     def __post_init__(self):
+        if not self.seed >= 0:
+            raise InvalidInput(f"seed must be >= 0, got {self.seed}")
         if not self.low < self.high:
-            raise ValueError(f"need low < high, got {self.low}, {self.high}")
+            raise InvalidInput(f"need low < high, got {self.low}, {self.high}")
 
 
 def _char_poly(plant: TransferFunction, k: float) -> np.ndarray:
@@ -50,9 +52,22 @@ def _char_poly(plant: TransferFunction, k: float) -> np.ndarray:
     return out
 
 
+def _closed_loop_roots(plant: TransferFunction, k: float) -> np.ndarray:
+    """Roots of den + k*num. Raises NoUltimateGain where the polynomial or
+    np.roots' normalization overflows, since stability is undecidable there."""
+    with np.errstate(all="ignore"):
+        poly = _char_poly(plant, k)
+        try:
+            if np.all(np.isfinite(poly)):
+                return np.roots(poly)
+        except np.linalg.LinAlgError:
+            pass
+    raise NoUltimateGain(f"closed-loop roots at k={k:g} overflow floating point")
+
+
 def _stability_margin(plant: TransferFunction, k: float) -> float:
     """Max real part of the proportional closed-loop roots; negative = stable."""
-    roots = np.roots(_char_poly(plant, k))
+    roots = _closed_loop_roots(plant, k)
     if roots.size == 0:
         return -math.inf
     return float(np.max(roots.real))
@@ -67,11 +82,12 @@ def ultimate_point(
     The bracket hunt doubles upward from the largest stable gain (halving
     below 1 first if the loop is already unstable there). Raises
     NoUltimateGain when the stability indicator never changes sign for
-    k in (0, k_search_max], or when the boundary crossing is through a real
-    root, which has no oscillation period.
+    k in (0, k_search_max], when the roots at a probed k overflow floating
+    point, or when the boundary crossing is through a real root, which has
+    no oscillation period.
     """
     if not plant.is_proper:
-        raise ValueError("plant must be proper")
+        raise InvalidInput("plant must be proper")
     k_lo = None
     k = 1.0
     while k >= _K_SEARCH_MIN:
@@ -103,7 +119,7 @@ def ultimate_point(
         else:
             k_hi = mid
     ku = k_hi
-    roots = np.roots(_char_poly(plant, ku))
+    roots = _closed_loop_roots(plant, ku)
     boundary = roots[np.argmax(roots.real)]
     omega = float(abs(boundary.imag))
     if omega <= 1e-9:
@@ -129,9 +145,3 @@ def draw_gains(rng: "np.random.Generator", low: float, high: float) -> PidGains:
     kp, ki, kd = rng.uniform(low, high, size=3)
     return PidGains(kp=float(kp), ki=float(ki), kd=float(kd))
 
-
-def random_gains(cfg: RandomStartConfig) -> PidGains:
-    """Three independent uniform draws in [low, high] from numpy's PCG64
-    generator seeded with cfg.seed; identical seeds give identical gains on
-    every platform."""
-    return draw_gains(np.random.default_rng(cfg.seed), cfg.low, cfg.high)

@@ -19,8 +19,8 @@ def src_on_subprocess_path():
 
 @pytest.fixture(scope="session", autouse=True)
 def warm_kernel():
-    # Compile the jitted scan once up front so timed tests measure the
-    # steady-state cost, not JIT compilation.
+    # Run one evaluation up front so timed tests measure the steady-state
+    # cost, not first-call imports and allocations.
     evaluate(
         PidGains(1.0, 0.0, 0.0),
         TransferFunction((1.0,), (1.0, 0.0)),

@@ -28,6 +28,56 @@ def loop_response(gains: PidGains, plant: TransferFunction, cfg: SimConfig) -> S
     return simulate_step(tf_to_state_space(loop), cfg)
 
 
+def sequential_scan(step_mat, step_vec, c_row, feed, n_samples, limit):
+    """The scan rule of pidtune._kernels.scan with scalar loops: every state
+    update, output sum and divergence test written out one element at a
+    time. Returns (values, diverged)."""
+    n = step_mat.shape[0]
+    out = np.empty(n_samples)
+    x = np.zeros(n)
+    xn = np.zeros(n)
+    diverged = False
+    clamp = limit
+    z = feed
+    if not (abs(z) <= limit):
+        diverged = True
+        clamp = -limit if z < 0.0 else limit
+        out[0] = clamp
+    else:
+        out[0] = z
+    for k in range(1, n_samples):
+        if diverged:
+            out[k] = clamp
+            continue
+        for i in range(n):
+            acc = step_vec[i]
+            for j in range(n):
+                acc += step_mat[i, j] * x[j]
+            xn[i] = acc
+        z = feed
+        bad = False
+        trigger = 0.0
+        for i in range(n):
+            xi = xn[i]
+            z += c_row[i] * xi
+            if not bad and not (abs(xi) <= limit):
+                bad = True
+                trigger = xi
+        z_bad = not (abs(z) <= limit)
+        if z_bad:
+            bad = True
+            trigger = z
+        if bad:
+            diverged = True
+            clamp = -limit if trigger < 0.0 else limit
+            out[k] = clamp if z_bad else z
+        else:
+            out[k] = z
+        for i in range(n):
+            x[i] = xn[i]
+    return out, diverged
+
+
 def film_finished(trace, responses, band, **kwargs) -> int:
     """render_animation over a search that has already run: replays the
     trace's records, handing record k the k-th response as evaluate would.

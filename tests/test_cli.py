@@ -1,12 +1,19 @@
 import argparse
+import io
 import json
+import re
 import subprocess
 import sys
+import warnings
 import weakref
+from contextlib import redirect_stderr, redirect_stdout
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from pidtune import (
+    PidTuneError,
     PlantParseError,
     SearchConfig,
     SettlingBand,
@@ -15,7 +22,7 @@ from pidtune import (
     export_trace,
     optimize,
 )
-from pidtune import cli
+from pidtune import cli, errors
 from pidtune.cli import _starting_gains, parse_plant
 
 from helpers import BENCH3, film_finished, loop_response
@@ -112,6 +119,26 @@ class TestSimulateCommand:
         assert "OutputUnwritable" in r.stderr
         assert "Traceback" not in r.stderr
 
+    @pytest.mark.parametrize("argv, message", [
+        # den 1e-300 s^3 + ... overflows the monic normalization to inf, and
+        # the state-space check rejects it
+        (["--plant", "num: 1 / den: 1e-300 1 1 1", "--tmax", "1", "--kp=-1", "--ki", "1e300"],
+         "state-space entries must be finite"),
+        # den_C*den_G + num_C*num_G overflows to inf, and TransferFunction
+        # rejects it
+        (["--plant", "num: 1 / den: 1e308 1e308 1e308 1e308", "--tmax", "2", "--kd", "1e308"],
+         "den coefficients must be finite"),
+    ], ids=["realization", "closure"])
+    def test_overflow_prints_no_warnings(self, argv, message):
+        # numpy must not warn on the way to the typed error
+        with warnings.catch_warnings(record=True) as caught, \
+                redirect_stderr(io.StringIO()) as err:
+            warnings.simplefilter("always")
+            rc = cli.main(["simulate", *argv])
+        assert [str(w.message) for w in caught] == []
+        assert rc == 2
+        assert err.getvalue().startswith(f"error: InvalidInput: {message}")
+
     def test_sample_cap_exits_2(self):
         r = run_cli("simulate", "--dt", "1e-9", "--tmax", "1e9")
         assert r.returncode == 2
@@ -181,6 +208,19 @@ class TestTuneCommand:
                     "--seed", "42", "--max-evals", "5")
         assert r.returncode == 0
         assert "seed=42" in r.stdout
+
+    def test_negative_seed_is_invalid_input(self):
+        r = run_cli("tune", "--start", "random", "--seed", "-1", "--max-evals", "5")
+        assert r.returncode == 2
+        assert r.stderr == "error: InvalidInput: seed must be >= 0, got -1\n"
+        assert r.stdout == ""
+
+    def test_overflowing_zn_hunt_is_no_ultimate_gain(self):
+        # k=1 is stable; at k=2 the characteristic polynomial overflows
+        r = run_cli("tune", "--plant", "num: 1e308 / den: 1 1", "--max-evals", "2")
+        assert r.returncode == 2
+        assert r.stderr.startswith("error: NoUltimateGain: closed-loop roots at k=2 overflow")
+        assert r.stdout == ""
 
     def test_ensure_unstable_start(self):
         r = run_cli("tune", "--plant", "benchmark3", "--start", "random", "--seed", "4",
@@ -339,3 +379,70 @@ class TestFrameStreaming:
         assert sorted(p.name for p in frames.iterdir()) == [
             "film_1.svg", "film_2.svg", "film_3.svg", "film_4.svg"
         ]
+
+
+# Inputs for the fuzz test. Each draw is an ordinary value or an edge case
+# with even odds, so most runs get past input checks to the simulation and
+# the search: plants with extreme coefficients, unparsable and improper
+# plants, and option values at the edges of floats.
+def _ordinary_or_edge(ordinary, edge) -> st.SearchStrategy:
+    return st.booleans().flatmap(lambda is_edge: edge if is_edge else ordinary)
+
+
+EDGE_VALUES = st.sampled_from(("0", "-1", "1e-300", "1e308", "-1e308", "nan", "inf", "-inf"))
+FUZZ_PLANTS = _ordinary_or_edge(
+    st.sampled_from(("benchmark3", "num: 1 / den: 1 1", "num: 1 / den: 1 0 0",
+                     "num: 2 1 / den: 1 2")),
+    st.sampled_from(("num: 1e308 / den: 1 3 3 1", "num: 1 / den: 1e-300 1 1 1",
+                     "num: 1 / den: 1e308 1e308 1e308 1e308", "num: 1 0 0 / den: 1 1",
+                     "num: nan / den: 1 1", "num: 1 x / den: 1", "num: 1e308 / den: 1 1",
+                     "num: 1 / den: 1e-300 1e10 1")),
+)
+FUZZ_VALUES = _ordinary_or_edge(st.sampled_from(("1", "2.5", "-2", "0.1")), EDGE_VALUES)
+FUZZ_DT = _ordinary_or_edge(st.sampled_from(("0.01", "0.1", "0.5")), EDGE_VALUES)
+FUZZ_TMAX = _ordinary_or_edge(st.sampled_from(("2", "1", "0.5")), EDGE_VALUES)
+FUZZ_MAX_EVALS = _ordinary_or_edge(st.integers(1, 4), st.integers(-2, 0))
+
+
+def _maybe(option: str, values) -> st.SearchStrategy:
+    # --name=value, so a negative value is not read as an option
+    return st.one_of(st.just([]), values.map(lambda v: [f"--{option}={v}"]))
+
+
+@st.composite
+def cli_argv(draw) -> list[str]:
+    """argparse-valid simulate or tune argv whose responses have at most 201
+    samples (or that SimConfig rejects) and budgets of at most 4 evaluations."""
+    command = draw(st.sampled_from(("simulate", "tune")))
+    argv = [command, f"--plant={draw(FUZZ_PLANTS)}", f"--tmax={draw(FUZZ_TMAX)}"]
+    argv += draw(_maybe("dt", FUZZ_DT))
+    if command == "simulate":
+        for option in ("kp", "ki", "kd"):
+            argv += draw(_maybe(option, FUZZ_VALUES))
+        return argv
+    argv.append(f"--start={draw(st.sampled_from(('zn', 'random')))}")
+    argv.append(f"--max-evals={draw(FUZZ_MAX_EVALS)}")
+    argv += draw(_maybe("seed", st.integers(-5, 2**70)))
+    argv += draw(_maybe("step", FUZZ_VALUES))
+    argv += draw(_maybe("min-step", FUZZ_VALUES))
+    if draw(st.booleans()):
+        argv.append("--ensure-unstable")
+    return argv
+
+
+@settings(max_examples=500, deadline=None)
+@given(argv=cli_argv())
+def test_any_input_gives_a_result_or_a_typed_error(argv):
+    with warnings.catch_warnings(record=True) as caught, \
+            redirect_stdout(io.StringIO()), redirect_stderr(io.StringIO()) as err:
+        warnings.simplefilter("always")
+        rc = cli.main(argv)
+    assert [str(w.message) for w in caught] == []
+    stderr = err.getvalue()
+    if rc == 0:
+        assert stderr == ""
+        return
+    assert rc == 2
+    named = re.match(r"error: ([A-Z]\w+): ", stderr)
+    assert named, stderr
+    assert issubclass(getattr(errors, named[1]), PidTuneError)

@@ -101,6 +101,20 @@ class TestExportCsv:
             assert row["rose"] == ("true" if rec.objective.rose else "false")
             assert float(row["best_so_far"]) == rec.best_so_far
 
+    def test_cells_follow_declared_types(self):
+        # a gain passed as an int prints as the float it stands for (1e+20,
+        # not 100000000000000000000), and the int index stays an int
+        trace = make_trace([0.5])
+        rec = trace.records[0]
+        int_rec = EvaluationRecord(
+            index=rec.index, gains=PidGains(10**20, 3, 0), objective=rec.objective,
+            improved=rec.improved, best_so_far=rec.best_so_far,
+        )
+        int_trace = SearchTrace((int_rec,), int_rec.gains, rec.objective,
+                                trace.termination, trace.config)
+        row = export_trace(int_trace, "csv").decode().splitlines()[1].split(",")
+        assert row[:4] == ["1", "1e+20", "3", "0"]
+
     def test_deterministic_bytes(self):
         trace = make_trace([0.9, 0.3, 0.3])
         assert export_trace(trace, "csv") == export_trace(trace, "csv")

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -6,11 +7,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from pidtune import (
+    InvalidInput,
     NoUltimateGain,
     RandomStartConfig,
     TransferFunction,
     UltimatePoint,
-    random_gains,
     ultimate_point,
     zn_pid_gains,
 )
@@ -55,6 +56,18 @@ class TestUltimatePoint:
         up = ultimate_point(plant)
         assert abs(up.ku - 0.08) < 1e-5
 
+    @pytest.mark.parametrize("plant", [
+        # k=1 is stable; the doubling hunt overflows den + 2*num to [1, inf]
+        TransferFunction((1e308,), (1.0, 1.0)),
+        # finite polynomial, but np.roots' normalization 1e10 / 1e-300 overflows
+        TransferFunction((1.0,), (1e-300, 1e10, 1.0)),
+    ])
+    def test_overflowing_roots_are_no_ultimate_gain(self, plant):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(NoUltimateGain, match="overflow floating point"):
+                ultimate_point(plant)
+
     def test_validation(self):
         with pytest.raises(ValueError):
             UltimatePoint(ku=-1.0, tu=1.0)
@@ -87,25 +100,31 @@ class TestZnPidGains:
             assert (g2.kp, g2.ki, g2.kd) == (2 * g1.kp, 2 * g1.ki, 2 * g1.kd)
 
 
+def first_draw(cfg: RandomStartConfig):
+    return draw_gains(np.random.default_rng(cfg.seed), cfg.low, cfg.high)
+
+
 class TestRandomGains:
     def test_same_seed_same_gains(self):
         cfg = RandomStartConfig(seed=1234)
-        assert random_gains(cfg) == random_gains(cfg)
+        assert first_draw(cfg) == first_draw(cfg)
 
     def test_stream_first_draw_matches_single_draw(self):
-        cfg = RandomStartConfig(seed=99)
+        # the first draw of a longer stream is the single draw of its seed
         rng = np.random.default_rng(99)
-        assert draw_gains(rng, cfg.low, cfg.high) == random_gains(cfg)
+        first = draw_gains(rng, -10.0, 10.0)
+        assert draw_gains(rng, -10.0, 10.0) != first
+        assert first == first_draw(RandomStartConfig(seed=99))
 
     @settings(max_examples=40, deadline=None)
     @given(seed=st.integers(min_value=0, max_value=2**63 - 1))
     def test_in_box(self, seed):
-        g = random_gains(RandomStartConfig(seed=seed))
+        g = first_draw(RandomStartConfig(seed=seed))
         for v in (g.kp, g.ki, g.kd):
             assert -10.0 <= v <= 10.0
 
     def test_tight_box(self):
-        g = random_gains(RandomStartConfig(seed=5, low=0.5, high=0.5 + 1e-9))
+        g = first_draw(RandomStartConfig(seed=5, low=0.5, high=0.5 + 1e-9))
         for v in (g.kp, g.ki, g.kd):
             assert 0.5 <= v <= 0.5 + 1e-9
 
@@ -113,7 +132,7 @@ class TestRandomGains:
         draws = np.array(
             [
                 [g.kp, g.ki, g.kd]
-                for g in (random_gains(RandomStartConfig(seed=s)) for s in range(1000))
+                for g in (first_draw(RandomStartConfig(seed=s)) for s in range(1000))
             ]
         )
         assert np.all(np.abs(draws.mean(axis=0)) < 0.5)
@@ -121,3 +140,5 @@ class TestRandomGains:
     def test_validation(self):
         with pytest.raises(ValueError):
             RandomStartConfig(seed=1, low=2.0, high=1.0)
+        with pytest.raises(InvalidInput):
+            RandomStartConfig(seed=-1)
