@@ -21,6 +21,7 @@ from .lti import (
 from .objective import SettlingBand, evaluate
 from .render import (
     FrameStyle,
+    check_frame_horizon,
     export_trace,
     make_output_dir,
     render_animation,
@@ -144,6 +145,8 @@ def cmd_tune(args) -> int:
         raise PidTuneError("--frames requires --out")
     plant = parse_plant(args.plant)
     cfg = SimConfig(t_max=args.tmax, dt=args.dt)
+    if args.frames:
+        check_frame_horizon((cfg.n_samples - 1) * cfg.dt)
     band = SettlingBand()
     search = SearchConfig(
         initial_step=args.step, min_step=args.min_step, max_evals=args.max_evals
@@ -173,8 +176,8 @@ def cmd_tune(args) -> int:
 
     # With --frames, evaluate hands each response to render_animation, which
     # writes its frame and drops it before the next evaluation runs; a poll
-    # that repeats a scored point is not evaluated again, so its frame's
-    # response is re-simulated.
+    # that repeats a scored point is not evaluated again, and its frame is
+    # made from the first frame at that point.
     responses = [] if args.frames else None
 
     def run(on_record=None):
@@ -183,10 +186,7 @@ def cmd_tune(args) -> int:
         )
 
     if args.frames:
-        trace = render_animation(
-            run, responses, band, FrameStyle(), out / "frames", plant=plant,
-            resimulate=lambda g: _loop_response(g, plant, cfg),
-        )
+        trace = render_animation(run, responses, band, FrameStyle(), out / "frames", plant=plant)
     else:
         trace = run()
 
@@ -233,8 +233,10 @@ def build_parser() -> argparse.ArgumentParser:
     tune.add_argument("--out", help="directory for trace.csv / trace.json / frames")
     tune.add_argument("--frames", action="store_true",
                       help="also write one SVG frame per evaluation to OUT/frames, "
-                           "each as its evaluation happens; OUT/frames/index.json "
-                           "is written last, when the film is complete")
+                           "each as its evaluation happens (a repeated point's frame "
+                           "is its first frame with a new title and colour); "
+                           "OUT/frames/index.json is written last, when the film "
+                           "is complete")
     tune.add_argument("--max-evals", type=int, default=5000)
     tune.add_argument("--step", type=float, default=1.0, help="initial poll step")
     tune.add_argument("--min-step", type=float, default=1e-6, help="termination step")

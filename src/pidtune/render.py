@@ -5,12 +5,16 @@ evaluation improved on the best value found so far and red otherwise, with
 the settling range marked by horizontal black dashed lines. Frames are
 standalone SVG files named film_1.svg, film_2.svg, ... plus an index.json.
 render_animation writes each frame as its evaluation happens, during the
-search, and writes index.json last, so index.json marks a complete film.
-Assembling the frames into a video is left to external tools.
+search, and writes index.json last, so index.json marks a complete film. A
+record that repeats a point the search has already scored is drawn from the
+frame already on disk for the first record at that point: the two differ
+only in the title line and the curve's colour. Assembling the frames into a
+video is left to external tools.
 """
 
 import functools
 import json
+import math
 from dataclasses import dataclass, fields, is_dataclass
 from operator import attrgetter
 from pathlib import Path
@@ -19,9 +23,9 @@ from typing import Callable
 import numpy as np
 
 from .errors import InvalidInput, OutputUnwritable
-from .lti import PidGains, StepResponse, TransferFunction
+from .lti import StepResponse, TransferFunction
 from .objective import SettlingBand
-from .search import EvaluationRecord, SearchTrace
+from .search import EvaluationRecord, SearchTrace, _key
 
 _SVG_WIDTH = 640
 _SVG_HEIGHT = 480
@@ -117,6 +121,17 @@ def _plot_x(t, t_end: float):
     return x0 + (x1 - x0) * t / t_end
 
 
+def check_frame_horizon(t_end: float) -> None:
+    """Raise InvalidInput when a frame over [0, t_end] cannot be drawn: the
+    pixel column of t_end (and of every tick) overflows to inf in _plot_x."""
+    x0, _, x1, _ = _PLOT
+    if not math.isfinite((x1 - x0) * t_end):
+        raise InvalidInput(
+            f"a frame cannot draw a response ending at t={t_end:.6g}: its time axis "
+            f"overflows floating point"
+        )
+
+
 @functools.lru_cache(maxsize=1)
 def _curve_grid(n_samples: int, dt: float, max_points: int):
     """The sample indices a curve keeps, their x coordinates already printed,
@@ -144,12 +159,14 @@ def render_frame(
     The y-range auto-fits to [min(0, min z), max(1.1, max z)] plus a 5%
     margin, so the settling band is always inside the viewport. Long
     responses are decimated to at most max_curve_points polyline vertices.
+    Raises InvalidInput when the time axis overflows (check_frame_horizon).
     """
     style = style if style is not None else FrameStyle()
     vals = response.values
     if len(vals) < 2:
         raise ValueError("response must have at least 2 samples")
     t_end = response.t_end
+    check_frame_horizon(t_end)
     y_lo = min(0.0, float(np.min(vals)))
     y_hi = max(1.1, float(np.max(vals)))
     margin = 0.05 * (y_hi - y_lo)
@@ -170,14 +187,12 @@ def render_frame(
     vertices[0::2] = x_text
     vertices[1::2] = sy(vals[idx]).tolist()
     points = points_format % tuple(vertices)
-    color = style.improved_color if record.improved else style.rejected_color
 
     parts = [
         f'<svg xmlns="http://www.w3.org/2000/svg" width="{_SVG_WIDTH}" '
         f'height="{_SVG_HEIGHT}" viewBox="0 0 {_SVG_WIDTH} {_SVG_HEIGHT}">',
         f'<rect width="{_SVG_WIDTH}" height="{_SVG_HEIGHT}" fill="white"/>',
-        f'<text x="{x0:.2f}" y="{y0 - 5:.2f}" font-family="sans-serif" font-size="12">'
-        f"evaluation {record.index}   f = {record.objective.total:.6g}</text>",
+        _title(record),
     ]
     # axes
     parts.append(
@@ -212,16 +227,43 @@ def render_frame(
             f'y2="{py:.2f}" stroke="{style.band_color}" '
             f'stroke-dasharray="{style.band_dash}"/>'
         )
-    parts.append(
-        f'<polyline class="response-curve" fill="none" stroke="{color}" '
-        f'stroke-width="1.5" points="{points}"/>'
-    )
+    parts.append(f'{_curve_head(record, style)}{points}"/>')
     parts.append(
         f'<text x="{(x0 + x1) / 2:.2f}" y="{_SVG_HEIGHT - 8}" font-family="sans-serif" '
         f'font-size="13" text-anchor="middle">{style.axis_label}</text>'
     )
     parts.append("</svg>")
     return "\n".join(parts) + "\n"
+
+
+# The two parts of a frame that differ between two records at one point; the
+# rest depends only on the response, which the point fixes. A repeated
+# point's frame is the first frame at that point with these re-emitted.
+def _title(record: EvaluationRecord) -> str:
+    x0, y0, _, _ = _PLOT
+    return (
+        f'<text x="{x0:.2f}" y="{y0 - 5:.2f}" font-family="sans-serif" font-size="12">'
+        f"evaluation {record.index}   f = {record.objective.total:.6g}</text>"
+    )
+
+
+def _curve_head(record: EvaluationRecord, style: FrameStyle) -> str:
+    """The response curve's polyline up to its points, coloured by record.improved."""
+    color = style.improved_color if record.improved else style.rejected_color
+    return (
+        f'<polyline class="response-curve" fill="none" stroke="{color}" '
+        f'stroke-width="1.5" points="'
+    )
+
+
+def _repeat_frame(svg: bytes, first: EvaluationRecord, record: EvaluationRecord,
+            style: FrameStyle) -> bytes:
+    """The frame render_frame draws for record, given svg, the frame it drew
+    for first, an earlier record at the same point (so the same response)."""
+    for old, new in ((_title(first), _title(record)),
+                     (_curve_head(first, style), _curve_head(record, style))):
+        svg = svg.replace(old.encode("utf-8"), new.encode("utf-8"), 1)
+    return svg
 
 
 def make_output_dir(path: Path) -> None:
@@ -240,6 +282,14 @@ def write_output(path: Path, data: bytes) -> None:
         raise OutputUnwritable(f"cannot write {path}: {exc}") from exc
 
 
+def read_output(path: Path) -> bytes:
+    """Read back a file this run wrote; raises OutputUnwritable when that fails."""
+    try:
+        return path.read_bytes()
+    except OSError as exc:
+        raise OutputUnwritable(f"cannot read back {path}: {exc}") from exc
+
+
 def render_animation(
     run: Callable[[Callable[[EvaluationRecord], None]], SearchTrace],
     responses: list[StepResponse],
@@ -247,24 +297,27 @@ def render_animation(
     style: FrameStyle | None = None,
     out_dir: str | Path = ".",
     plant: TransferFunction | None = None,
-    resimulate: Callable[[PidGains], StepResponse] | None = None,
 ) -> SearchTrace:
     """Film a search as it runs; returns the trace that run returns.
 
     run(on_record) runs the search and calls on_record with each evaluation
     record as it is made (search.optimize's on_record hook). The scored
-    response of that record must be the one response waiting in responses,
-    where objective.evaluate appends it. A record that repeats a point the
-    search has already scored has no response waiting, because the search
-    reuses the first score; its response is re-simulated with
-    resimulate(record.gains), which is required once such a record arrives.
-    Each record's frame, film_<index>.svg, is written at once and its
-    response dropped, so the film holds one response at a time, not one per
-    evaluation. index.json lists the frame files in order with the playback
-    rate hint (12 frames per second) and is written last, so it exists only
-    for a complete film. The film_*.svg files and index.json of an earlier
-    film in out_dir are removed before the search starts, and a search that
-    raises leaves the frames of its records so far and no index.json.
+    response of the first record at a point must be the one response waiting
+    in responses, where objective.evaluate appends it. A record that repeats
+    a point, keyed on the exact bits of its gains as search.optimize keys its
+    repeat cache, has no response waiting, because the search reuses the
+    first score; its frame is the first frame at that point, read back from
+    out_dir, with the title (evaluation index) and the curve colour (improved
+    flag) of the repeat. Each record's frame, film_<index>.svg, is written at
+    once and its response dropped, so the film holds one response at a time
+    plus the first record at each distinct point, not one response or frame
+    per evaluation. index.json lists the frame files in order with the
+    playback rate hint (12 frames per second) and is written last, so it
+    exists only for a complete film. The film_*.svg files and index.json of
+    an earlier film in out_dir are removed before the search starts, and a
+    search that raises leaves the frames of its records so far and no
+    index.json. Raises OutputUnwritable when a first frame cannot be read
+    back for its repeat.
     """
     style = style if style is not None else FrameStyle()
     out = Path(out_dir)
@@ -277,19 +330,22 @@ def render_animation(
         except OSError as exc:
             raise OutputUnwritable(f"cannot remove {stale}: {exc}") from exc
     names = []
+    firsts = {}  # gains bits -> the first record at that point
 
     def on_record(rec: EvaluationRecord):
-        if not responses and resimulate is not None:
-            response = resimulate(rec.gains)
-        elif len(responses) == 1:
-            response = responses.pop()
-        else:
+        first = firsts.setdefault(_key(rec.gains.kp, rec.gains.ki, rec.gains.kd), rec)
+        expected = 1 if first is rec else 0
+        if len(responses) != expected:
             raise ValueError(
-                f"{len(responses)} responses waiting for record {rec.index}; expected 1"
+                f"{len(responses)} responses waiting for record {rec.index}; "
+                f"expected {expected}"
             )
         name = f"film_{rec.index}.svg"
-        svg = render_frame(rec, response, band, style)
-        write_output(out / name, svg.encode("utf-8"))
+        if first is rec:
+            svg = render_frame(rec, responses.pop(), band, style).encode("utf-8")
+        else:
+            svg = _repeat_frame(read_output(out / f"film_{first.index}.svg"), first, rec, style)
+        write_output(out / name, svg)
         names.append(name)
 
     trace = run(on_record)

@@ -37,9 +37,10 @@ class SearchConfig:
     def __post_init__(self):
         if not (0.0 < self.shrink < 1.0 <= self.expand):
             raise InvalidInput(f"need 0 < shrink < 1 <= expand, got {self.shrink}, {self.expand}")
-        if not (0.0 < self.min_step < self.initial_step):
+        if not (0.0 < self.min_step < self.initial_step < math.inf):
             raise InvalidInput(
-                f"need 0 < min_step < initial_step, got {self.min_step}, {self.initial_step}"
+                f"need 0 < min_step < initial_step < inf, got {self.min_step}, "
+                f"{self.initial_step}"
             )
         if self.max_evals < 1:
             raise InvalidInput(f"max_evals must be >= 1, got {self.max_evals}")

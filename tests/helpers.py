@@ -19,6 +19,7 @@ from pidtune.lti import (
     simulate_step,
     tf_to_state_space,
 )
+from pidtune.search import _key
 
 BENCH3 = TransferFunction((1.0,), (1.0, 3.0, 3.0, 1.0))
 
@@ -81,14 +82,21 @@ def sequential_scan(step_mat, step_vec, c_row, feed, n_samples, limit):
 def film_finished(trace, responses, band, **kwargs) -> int:
     """render_animation over a search that has already run: replays the
     trace's records, handing record k the k-th response as evaluate would.
-    Responses beyond the last record are left unclaimed. Returns the number
-    of records in the trace render_animation returns."""
+    A record at a point an earlier record had gets none, as the search
+    reuses the first score there, and its response is dropped. Responses
+    beyond the last record are left unclaimed. Returns the number of records
+    in the trace render_animation returns."""
     pending = []
     feed = iter(responses)
+    seen = set()
 
     def run(on_record):
         for rec in trace.records:
-            pending.extend(itertools.islice(feed, 1))
+            response = list(itertools.islice(feed, 1))
+            key = _key(rec.gains.kp, rec.gains.ki, rec.gains.kd)
+            if key not in seen:
+                seen.add(key)
+                pending.extend(response)
             on_record(rec)
         pending.extend(feed)
         return trace

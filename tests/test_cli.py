@@ -4,9 +4,11 @@ import json
 import re
 import subprocess
 import sys
+import tempfile
 import warnings
 import weakref
 from contextlib import redirect_stderr, redirect_stdout
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -21,11 +23,12 @@ from pidtune import (
     evaluate,
     export_trace,
     optimize,
+    render_frame,
 )
 from pidtune import cli, errors
 from pidtune.cli import _starting_gains, parse_plant
 
-from helpers import BENCH3, film_finished, loop_response
+from helpers import BENCH3, loop_response
 
 
 def run_cli(*args):
@@ -215,6 +218,25 @@ class TestTuneCommand:
         assert r.stderr == "error: InvalidInput: seed must be >= 0, got -1\n"
         assert r.stdout == ""
 
+    def test_infinite_step_is_invalid_input(self):
+        r = run_cli("tune", "--step", "inf", "--max-evals", "4", "--tmax", "2")
+        assert r.returncode == 2
+        assert r.stderr.startswith("error: InvalidInput: need 0 < min_step < initial_step < inf")
+        assert r.stdout == ""  # refused before the header
+
+    def test_frame_time_axis_overflow_is_invalid_input(self, tmp_path):
+        # 562 px * 1e308 s overflows: the frames would draw to x=inf
+        argv = ["tune", "--tmax", "1e308", "--dt", "1e308", "--max-evals", "4",
+                "--out", str(tmp_path / "run"), "--frames"]
+        with warnings.catch_warnings(), redirect_stdout(io.StringIO()) as out, \
+                redirect_stderr(io.StringIO()) as err:
+            warnings.simplefilter("error")
+            rc = cli.main(argv)
+        assert rc == 2
+        assert err.getvalue().startswith("error: InvalidInput: a frame cannot draw")
+        assert out.getvalue() == ""  # refused before the search runs
+        assert not (tmp_path / "run").exists()
+
     def test_overflowing_zn_hunt_is_no_ultimate_gain(self):
         # k=1 is stable; at k=2 the characteristic polynomial overflows
         r = run_cli("tune", "--plant", "num: 1e308 / den: 1 1", "--max-evals", "2")
@@ -246,24 +268,36 @@ class TestTuneCommand:
         assert "step=0.5 min_step=0.0001" in r.stdout
         assert "max_evals=5" in r.stdout
 
-    def test_frames_match_resimulated_responses(self, tmp_path):
+    @pytest.mark.parametrize("start, seed, tmax, max_evals", [
+        ("random", 7, 100.0, 25),
+        # 260 records, 35 of them repeats, one reaching back past 47
+        # distinct points
+        ("zn", None, 5.0, 5000),
+    ], ids=["random", "zn"])
+    def test_frames_match_resimulated_responses(self, tmp_path, start, seed, tmax, max_evals):
         out = tmp_path / "cli"
-        r = run_cli("tune", "--plant", "benchmark3", "--start", "random",
-                    "--seed", "7", "--out", str(out), "--frames", "--max-evals", "25")
+        r = run_cli("tune", "--plant", "benchmark3", "--start", start,
+                    *(["--seed", str(seed)] if seed is not None else []), "--tmax", str(tmax),
+                    "--out", str(out), "--frames", "--max-evals", str(max_evals))
         assert r.returncode == 0
-        cfg, band = SimConfig(), SettlingBand()
-        start_args = argparse.Namespace(start="random", seed=7, ensure_unstable=False)
+        cfg, band = SimConfig(t_max=tmax), SettlingBand()
+        start_args = argparse.Namespace(start=start, seed=seed, ensure_unstable=False)
         start, _ = _starting_gains(start_args, BENCH3, cfg)
         trace = optimize(start, lambda g: evaluate(g, BENCH3, cfg, band),
-                         SearchConfig(max_evals=25))
+                         SearchConfig(max_evals=max_evals))
         assert (out / "trace.csv").read_bytes() == export_trace(trace, "csv")
-        responses = [loop_response(rec.gains, BENCH3, cfg) for rec in trace.records]
-        ref = tmp_path / "ref"
-        film_finished(trace, responses, band, out_dir=ref, plant=BENCH3)
-        names = sorted(p.name for p in ref.iterdir())
-        assert sorted(p.name for p in (out / "frames").iterdir()) == names
-        for name in names:
-            assert (out / "frames" / name).read_bytes() == (ref / name).read_bytes()
+        names = [f"film_{rec.index}.svg" for rec in trace.records]
+        assert json.loads((out / "frames" / "index.json").read_text()) == {
+            "frames": names, "fps": 12, "band": {"upper": band.upper, "lower": band.lower},
+            "plant": BENCH3.to_text(),
+        }
+        assert sorted(p.name for p in (out / "frames").iterdir()) == sorted(
+            [*names, "index.json"]
+        )
+        for rec in trace.records:
+            # every frame, a repeat's too, drawn from its own record's response
+            want = render_frame(rec, loop_response(rec.gains, BENCH3, cfg), band)
+            assert (out / "frames" / f"film_{rec.index}.svg").read_bytes() == want.encode()
 
     @pytest.mark.parametrize("target,frames", [
         ("blocker", False),  # --out names an existing regular file
@@ -326,9 +360,9 @@ class TestFrameStreaming:
 
     def test_frame_on_disk_before_next_evaluation(self, tmp_path, monkeypatch):
         frames = tmp_path / "run" / "frames"
-        inner, inner_resimulate = cli.evaluate, cli._loop_response
+        inner = cli.evaluate
         produced = []  # weak references to every response evaluate appended
-        resimulated = []  # and to every response re-simulated for a repeated point
+        resimulated = []  # gains of every response simulated outside evaluate
 
         def evaluate(gains, plant, cfg, band, responses):
             names = sorted(p.name for p in frames.iterdir())
@@ -338,25 +372,21 @@ class TestFrameStreaming:
             assert names == sorted(f"film_{i}.svg" for i in range(1, len(names) + 1))
             assert not responses
             # none is held any more
-            assert all(ref() is None for ref in produced + resimulated)
+            assert all(ref() is None for ref in produced)
             value = inner(gains, plant, cfg, band, responses)
             (resp,) = responses
             produced.append(weakref.ref(resp))
             return value
 
-        def loop_response(gains, plant, cfg):
-            assert all(ref() is None for ref in produced + resimulated)
-            resp = inner_resimulate(gains, plant, cfg)
-            resimulated.append(weakref.ref(resp))
-            return resp
-
         monkeypatch.setattr(cli, "evaluate", evaluate)
-        monkeypatch.setattr(cli, "_loop_response", loop_response)
+        monkeypatch.setattr(cli, "_loop_response", lambda g, *_: resimulated.append(g))
         assert cli.main([*self.ARGS, "--out", str(tmp_path / "run"), "--frames"]) == 0
+        assert all(ref() is None for ref in produced)
         records = json.loads((tmp_path / "run" / "trace.json").read_text())["records"]
         distinct = {(r["kp"], r["ki"], r["kd"]) for r in records}
+        # one simulation per distinct point; the 6 repeats simulate nothing
         assert len(produced) == len(distinct) == 19
-        assert len(resimulated) == 25 - 19
+        assert resimulated == []
         index = json.loads((frames / "index.json").read_text())
         assert index["frames"] == [f"film_{i}.svg" for i in range(1, 26)]
 
@@ -380,6 +410,28 @@ class TestFrameStreaming:
             "film_1.svg", "film_2.svg", "film_3.svg", "film_4.svg"
         ]
 
+    def test_first_frame_removed_mid_run_exits_2(self, tmp_path, monkeypatch):
+        frames = tmp_path / "run" / "frames"
+        inner = cli.evaluate
+        calls = 0
+
+        def evaluate(*args):
+            nonlocal calls
+            calls += 1
+            if calls == 3:
+                # record 4 repeats the start, and is drawn from film_1.svg
+                (frames / "film_1.svg").unlink()
+            return inner(*args)
+
+        monkeypatch.setattr(cli, "evaluate", evaluate)
+        with redirect_stdout(io.StringIO()), redirect_stderr(io.StringIO()) as err:
+            rc = cli.main([*self.ARGS, "--out", str(tmp_path / "run"), "--frames"])
+        assert rc == 2
+        assert err.getvalue().startswith("error: OutputUnwritable: cannot read back ")
+        assert "film_1.svg" in err.getvalue()
+        assert "Traceback" not in err.getvalue()
+        assert sorted(p.name for p in frames.iterdir()) == ["film_2.svg", "film_3.svg"]
+
 
 # Inputs for the fuzz test. Each draw is an ordinary value or an edge case
 # with even odds, so most runs get past input checks to the simulation and
@@ -401,6 +453,11 @@ FUZZ_PLANTS = _ordinary_or_edge(
 FUZZ_VALUES = _ordinary_or_edge(st.sampled_from(("1", "2.5", "-2", "0.1")), EDGE_VALUES)
 FUZZ_DT = _ordinary_or_edge(st.sampled_from(("0.01", "0.1", "0.5")), EDGE_VALUES)
 FUZZ_TMAX = _ordinary_or_edge(st.sampled_from(("2", "1", "0.5")), EDGE_VALUES)
+# A long horizon with a step of at least tmax/1000, so the grid stays small.
+FUZZ_LONG_HORIZON = st.tuples(
+    st.one_of(st.floats(2.0, 1e308), st.sampled_from((3e305, 3.2e305, 1e308, 1.7e308))),
+    st.integers(1, 1000),
+).map(lambda h: [f"--tmax={h[0]!r}", f"--dt={h[0] / h[1]!r}"])
 FUZZ_MAX_EVALS = _ordinary_or_edge(st.integers(1, 4), st.integers(-2, 0))
 
 
@@ -411,11 +468,14 @@ def _maybe(option: str, values) -> st.SearchStrategy:
 
 @st.composite
 def cli_argv(draw) -> list[str]:
-    """argparse-valid simulate or tune argv whose responses have at most 201
+    """argparse-valid simulate or tune argv whose responses have at most 1,001
     samples (or that SimConfig rejects) and budgets of at most 4 evaluations."""
     command = draw(st.sampled_from(("simulate", "tune")))
-    argv = [command, f"--plant={draw(FUZZ_PLANTS)}", f"--tmax={draw(FUZZ_TMAX)}"]
-    argv += draw(_maybe("dt", FUZZ_DT))
+    argv = [command, f"--plant={draw(FUZZ_PLANTS)}"]
+    if draw(st.booleans()):
+        argv += [f"--tmax={draw(FUZZ_TMAX)}", *draw(_maybe("dt", FUZZ_DT))]
+    else:
+        argv += draw(FUZZ_LONG_HORIZON)
     if command == "simulate":
         for option in ("kp", "ki", "kd"):
             argv += draw(_maybe(option, FUZZ_VALUES))
@@ -431,13 +491,17 @@ def cli_argv(draw) -> list[str]:
 
 
 @settings(max_examples=500, deadline=None)
-@given(argv=cli_argv())
-def test_any_input_gives_a_result_or_a_typed_error(argv):
-    with warnings.catch_warnings(record=True) as caught, \
+@given(argv=cli_argv(), film=st.booleans())
+def test_any_input_gives_a_result_or_a_typed_error(argv, film):
+    with tempfile.TemporaryDirectory() as out, warnings.catch_warnings(record=True) as caught, \
             redirect_stdout(io.StringIO()), redirect_stderr(io.StringIO()) as err:
         warnings.simplefilter("always")
+        if film and argv[0] == "tune":
+            argv = [*argv, f"--out={out}", "--frames"]
         rc = cli.main(argv)
+        frames = [p.read_text() for p in Path(out, "frames").glob("film_*.svg")]
     assert [str(w.message) for w in caught] == []
+    assert not [svg for svg in frames if "inf" in svg or "nan" in svg]
     stderr = err.getvalue()
     if rc == 0:
         assert stderr == ""

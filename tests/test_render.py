@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 from pidtune import (
     EvaluationRecord,
     FrameStyle,
+    InvalidInput,
     ObjectiveValue,
     OutputUnwritable,
     PidGains,
@@ -23,6 +24,7 @@ from pidtune import (
     render_frame,
 )
 from pidtune.render import CSV_HEADER, export_trace
+from pidtune.search import _key
 
 from helpers import film_finished, polyline_points
 
@@ -61,6 +63,10 @@ def make_trace(totals):
         termination="step-converged",
         config=SearchConfig(),
     )
+
+
+def key(gains):
+    return _key(gains.kp, gains.ki, gains.kd)
 
 
 def make_resp(values, dt=0.5):
@@ -212,6 +218,12 @@ class TestRenderFrame:
         with pytest.raises(ValueError):
             render_frame(make_trace([0.5]).records[0], make_resp([1.0]), BAND)
 
+    def test_time_axis_overflow_rejected(self):
+        # 562 px * t_end overflows: the curve would end at x=inf
+        with pytest.raises(InvalidInput, match="time axis overflows"):
+            render_frame(make_trace([0.5]).records[0], make_resp([0.0, 1.0], dt=1e308), BAND)
+        render_frame(make_trace([0.5]).records[0], make_resp([0.0, 1.0], dt=3e305), BAND)
+
     @settings(max_examples=200, deadline=None)
     @given(
         head=st.lists(
@@ -333,32 +345,83 @@ class TestRenderAnimation:
             render_animation(run, pending, BAND, out_dir=tmp_path)
         assert sorted(p.name for p in tmp_path.iterdir()) == ["film_1.svg", "film_2.svg"]
 
-    def test_repeated_point_is_resimulated(self, tmp_path):
-        # records 2 and 4 repeat scored points: no response waits for them
-        trace = make_trace([0.5, 0.7, 0.4, 0.6])
-        waiting = {1: [0.0, 0.5, 1.0], 3: [0.0, 1.2, 1.0]}
-        resimulated = {2: [0.0, 0.9, 0.99], 4: [0.0, 0.3, 0.6]}
-        pending = []
-        asked = []
-
-        def resimulate(gains):
-            (rec,) = [r for r in trace.records if r.gains is gains]
-            asked.append(rec.index)
-            return make_resp(resimulated[rec.index])
+    @staticmethod
+    def film_points(tmp_path, points, style=None):
+        """Film a search that visits points (one gain vector each, in record
+        order) with records flagged as optimize flags them, where a repeat
+        reuses the first total at its point. Only a point's first record has
+        a response waiting, as evaluate leaves them. Returns the records and
+        the response of each record's point."""
+        records, first_resp, best = [], {}, float("inf")
+        for i, gains in enumerate(points, start=1):
+            k = key(gains)
+            if k not in first_resp:
+                first_resp[k] = make_resp([0.0, 0.1 * (i % 13), 1.0 - 0.01 * i])
+            total = 0.3 + abs(gains.kp - 1.0) + abs(gains.ki) + abs(gains.kd)
+            improved = total < best
+            best = min(best, total)
+            records.append(EvaluationRecord(i, gains, make_value(total), improved, best))
+        pending, seen = [], set()
 
         def run(on_record):
-            for rec in trace.records:
-                if rec.index in waiting:
-                    pending.append(make_resp(waiting[rec.index]))
+            for rec in records:
+                if key(rec.gains) not in seen:
+                    seen.add(key(rec.gains))
+                    pending.append(first_resp[key(rec.gains)])
                 on_record(rec)
             return trace
 
-        render_animation(run, pending, BAND, out_dir=tmp_path, resimulate=resimulate)
-        assert asked == [2, 4]
-        for rec in trace.records:
-            values = {**waiting, **resimulated}[rec.index]
-            want = render_frame(rec, make_resp(values), BAND)
+        trace = SearchTrace(tuple(records), records[0].gains, records[0].objective,
+                            "step-converged", SearchConfig())
+        render_animation(run, pending, BAND, style, out_dir=tmp_path)
+        return records, [first_resp[key(rec.gains)] for rec in records]
+
+    @pytest.mark.parametrize("style", [None, FrameStyle("#00aa00", "#cc0000")],
+                             ids=["default", "custom"])
+    def test_repeated_point_is_its_first_frame_redrawn(self, tmp_path, style):
+        a, b, c, d, e = (PidGains(kp, 0.0, 0.0) for kp in (1.5, 1.2, 0.9, 1.4, 1.6))
+        # record 4 repeats a green first record (1); record 7 reaches back
+        # past the later distinct points c and e to a red first record (3),
+        # and record 8 past d, c and e to a green one (2)
+        records, responses = self.film_points(tmp_path, [a, b, d, a, c, e, d, b], style)
+        assert [r.improved for r in records] == [True, True, False, False, True, False, False,
+                                                 False]
+        for rec, resp in zip(records, responses):
+            want = render_frame(rec, resp, BAND, style)
             assert (tmp_path / f"film_{rec.index}.svg").read_text() == want
+
+    def test_repeat_reaches_back_past_many_points(self, tmp_path):
+        # on the frames workload a repeat reaches back past about 40 distinct
+        # points; here past 60
+        start = PidGains(1.0, 0.0, 0.0)
+        points = [start, *(PidGains(1.0, 0.0, 0.01 * i) for i in range(1, 61)), start]
+        records, responses = self.film_points(tmp_path, points)
+        assert records[0].improved and not records[-1].improved
+        want = render_frame(records[-1], responses[0], BAND)
+        assert (tmp_path / "film_62.svg").read_text() == want
+
+    def test_signed_zero_gains_are_distinct_points(self, tmp_path):
+        # 0.0 == -0.0, but the search scores them as two points, and each
+        # frame draws its own response
+        points = [PidGains(1.0, -0.0, 0.0), PidGains(1.0, 0.0, 0.0), PidGains(1.0, -0.0, 0.0)]
+        records, responses = self.film_points(tmp_path, points)
+        assert responses[0] is not responses[1]
+        for rec, resp in zip(records, responses):
+            want = render_frame(rec, resp, BAND)
+            assert (tmp_path / f"film_{rec.index}.svg").read_text() == want
+
+    def test_response_waiting_for_a_repeat_rejected(self, tmp_path):
+        first = make_trace([0.5]).records[0]
+        repeat = EvaluationRecord(2, first.gains, first.objective, False, first.best_so_far)
+        pending = []
+
+        def run(on_record):
+            for rec in (first, repeat):
+                pending.append(make_resp([0.0, 1.0]))
+                on_record(rec)
+
+        with pytest.raises(ValueError, match="waiting for record 2; expected 0"):
+            render_animation(run, pending, BAND, out_dir=tmp_path)
 
     def test_earlier_longer_film_leaves_no_frames(self, tmp_path):
         film_finished(make_trace([0.5 + 0.01 * i for i in range(12)]),

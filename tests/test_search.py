@@ -11,6 +11,7 @@ from pidtune import (
     BUDGET_EXHAUSTED,
     STEP_CONVERGED,
     GainOverflow,
+    InvalidInput,
     NonFiniteStart,
     ObjectiveValue,
     PidGains,
@@ -202,6 +203,13 @@ class TestOptimize:
             SearchConfig(min_step=2.0, initial_step=1.0)
         with pytest.raises(ValueError):
             SearchConfig(max_evals=0)
+
+    @pytest.mark.parametrize("step", [math.inf, math.nan])
+    def test_non_finite_initial_step_is_invalid_input(self, step):
+        # an infinite step passed 0 < min_step < initial_step and overflowed
+        # the gains at the first poll
+        with pytest.raises(InvalidInput, match="initial_step < inf"):
+            SearchConfig(initial_step=step)
 
 
 class TestRepeatCache:
