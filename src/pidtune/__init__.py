@@ -26,7 +26,7 @@ from .lti import (
     tf_to_state_space,
 )
 from .objective import ObjectiveValue, SettlingBand, band_deviation, evaluate, rise_time
-from .render import FrameStyle, export_trace, render_animation, render_frame
+from .render import export_trace, render_animation, render_frame
 from .search import (
     BUDGET_EXHAUSTED,
     STEP_CONVERGED,
@@ -35,12 +35,7 @@ from .search import (
     SearchTrace,
     optimize,
 )
-from .tuning import (
-    RandomStartConfig,
-    UltimatePoint,
-    ultimate_point,
-    zn_pid_gains,
-)
+from .tuning import UltimatePoint, ultimate_point, zn_pid_gains
 
 __version__ = "0.1.0"
 
@@ -48,7 +43,6 @@ __all__ = [
     "BUDGET_EXHAUSTED",
     "STEP_CONVERGED",
     "EvaluationRecord",
-    "FrameStyle",
     "GainOverflow",
     "ImproperLoop",
     "ImproperSystem",
@@ -60,7 +54,6 @@ __all__ = [
     "PidGains",
     "PidTuneError",
     "PlantParseError",
-    "RandomStartConfig",
     "ResampleExhausted",
     "SearchConfig",
     "SearchTrace",

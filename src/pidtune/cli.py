@@ -20,7 +20,6 @@ from .lti import (
 )
 from .objective import SettlingBand, evaluate
 from .render import (
-    FrameStyle,
     check_frame_horizon,
     export_trace,
     make_output_dir,
@@ -28,7 +27,7 @@ from .render import (
     write_output,
 )
 from .search import SearchConfig, optimize
-from .tuning import RandomStartConfig, draw_gains, ultimate_point, zn_pid_gains
+from .tuning import draw_gains, ultimate_point, zn_pid_gains
 
 PLANT_PRESETS = {
     # classic third-order lag: relative degree 3 keeps the ideal-PID loop
@@ -127,12 +126,13 @@ def _starting_gains(args, plant, cfg):
         import secrets
 
         seed = secrets.randbits(63)
-    rs = RandomStartConfig(seed=seed)
-    rng = np.random.default_rng(rs.seed)
+    if seed < 0:
+        raise InvalidInput(f"seed must be >= 0, got {seed}")
+    rng = np.random.default_rng(seed)
     if not args.ensure_unstable:
-        return draw_gains(rng, rs.low, rs.high), f"start=random seed={seed}"
+        return draw_gains(rng), f"start=random seed={seed}"
     for attempt in range(1, MAX_RESAMPLE_ATTEMPTS + 1):
-        gains = draw_gains(rng, rs.low, rs.high)
+        gains = draw_gains(rng)
         if _loop_response(gains, plant, cfg).diverged:
             return gains, f"start=random seed={seed} unstable-after={attempt} draws"
     raise ResampleExhausted(
@@ -186,7 +186,7 @@ def cmd_tune(args) -> int:
         )
 
     if args.frames:
-        trace = render_animation(run, responses, band, FrameStyle(), out / "frames", plant=plant)
+        trace = render_animation(run, responses, band, out / "frames", plant=plant)
     else:
         trace = run()
 

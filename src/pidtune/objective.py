@@ -113,7 +113,7 @@ def evaluate(
     """Score a gain vector on a plant: close the loop, simulate, decompose.
 
     Always finite: divergent responses are clamped by the simulator, so the
-    deviation term is bounded by blow_up_limit and the search landscape stays
+    deviation term is bounded by BLOW_UP_LIMIT and the search landscape stays
     total even for destabilizing gains. Raises ImproperLoop (propagated from
     loop closure) when kd makes the loop improper. When responses is given,
     the simulated step response is appended to it, so callers that also need

@@ -2,7 +2,8 @@
 
 Frames follow the animation convention: the response curve is green when the
 evaluation improved on the best value found so far and red otherwise, with
-the settling range marked by horizontal black dashed lines. Frames are
+the settling range marked by horizontal black dashed lines, and a long
+response is drawn with at most 1,200 polyline vertices. Frames are
 standalone SVG files named film_1.svg, film_2.svg, ... plus an index.json.
 render_animation writes each frame as its evaluation happens, during the
 search, and writes index.json last, so index.json marks a complete film. A
@@ -15,7 +16,7 @@ video is left to external tools.
 import functools
 import json
 import math
-from dataclasses import dataclass, fields, is_dataclass
+from dataclasses import fields, is_dataclass
 from operator import attrgetter
 from pathlib import Path
 from typing import Callable
@@ -30,22 +31,7 @@ from .search import EvaluationRecord, SearchTrace, _key
 _SVG_WIDTH = 640
 _SVG_HEIGHT = 480
 _PLOT = (62.0, 18.0, 624.0, 434.0)  # left, top, right, bottom in px
-
-
-@dataclass(frozen=True)
-class FrameStyle:
-    improved_color: str = "green"
-    rejected_color: str = "red"
-    band_color: str = "black"
-    band_dash: str = "6,4"
-    axis_label: str = "time [s]"
-    max_curve_points: int = 1200
-
-    def __post_init__(self):
-        if self.improved_color == self.rejected_color:
-            raise InvalidInput("improved_color and rejected_color must differ")
-        if self.max_curve_points < 2:
-            raise InvalidInput("max_curve_points must be at least 2")
+_MAX_CURVE_POINTS = 1200
 
 
 def _num(x: float) -> str:
@@ -133,13 +119,13 @@ def check_frame_horizon(t_end: float) -> None:
 
 
 @functools.lru_cache(maxsize=1)
-def _curve_grid(n_samples: int, dt: float, max_points: int):
+def _curve_grid(n_samples: int, dt: float):
     """The sample indices a curve keeps, their x coordinates already printed,
     and the points format. They depend on the sample grid alone, so every
     frame of a film shares one copy; printing the x half of the vertices
     once per film instead of once per frame saves about 40% of a frame."""
-    if n_samples > max_points:
-        idx = np.linspace(0, n_samples - 1, max_points).round().astype(int)
+    if n_samples > _MAX_CURVE_POINTS:
+        idx = np.linspace(0, n_samples - 1, _MAX_CURVE_POINTS).round().astype(int)
     else:
         idx = np.arange(n_samples)
     idx.setflags(write=False)
@@ -147,21 +133,17 @@ def _curve_grid(n_samples: int, dt: float, max_points: int):
     return idx, x_text, " ".join(["%s,%.2f"] * len(idx))
 
 
-def render_frame(
-    record: EvaluationRecord,
-    response: StepResponse,
-    band: SettlingBand,
-    style: FrameStyle | None = None,
-) -> str:
-    """One standalone SVG frame: the response curve over [0, t_end], colored
-    by the improved flag, with dashed settling-range guides.
+def render_frame(record: EvaluationRecord, response: StepResponse, band: SettlingBand) -> str:
+    """One standalone SVG frame: the response curve over [0, t_end], green
+    when the record improved and red otherwise, with black dashed
+    settling-range guides.
 
     The y-range auto-fits to [min(0, min z), max(1.1, max z)] plus a 5%
-    margin, so the settling band is always inside the viewport. Long
-    responses are decimated to at most max_curve_points polyline vertices.
-    Raises InvalidInput when the time axis overflows (check_frame_horizon).
+    margin, so the settling band is always inside the viewport. Responses
+    longer than 1,200 samples are decimated to 1,200 evenly spaced polyline
+    vertices. Raises InvalidInput when the time axis overflows
+    (check_frame_horizon).
     """
-    style = style if style is not None else FrameStyle()
     vals = response.values
     if len(vals) < 2:
         raise ValueError("response must have at least 2 samples")
@@ -182,7 +164,7 @@ def render_frame(
     def sy(z):
         return y1 - (y1 - y0) * (z - y_lo) / (y_hi - y_lo)
 
-    idx, x_text, points_format = _curve_grid(len(vals), response.dt, style.max_curve_points)
+    idx, x_text, points_format = _curve_grid(len(vals), response.dt)
     vertices = [None] * (2 * len(idx))
     vertices[0::2] = x_text
     vertices[1::2] = sy(vals[idx]).tolist()
@@ -224,13 +206,12 @@ def render_frame(
         py = sy(level)
         parts.append(
             f'<line class="band-line" x1="{x0:.2f}" y1="{py:.2f}" x2="{x1:.2f}" '
-            f'y2="{py:.2f}" stroke="{style.band_color}" '
-            f'stroke-dasharray="{style.band_dash}"/>'
+            f'y2="{py:.2f}" stroke="black" stroke-dasharray="6,4"/>'
         )
-    parts.append(f'{_curve_head(record, style)}{points}"/>')
+    parts.append(f'{_curve_head(record)}{points}"/>')
     parts.append(
         f'<text x="{(x0 + x1) / 2:.2f}" y="{_SVG_HEIGHT - 8}" font-family="sans-serif" '
-        f'font-size="13" text-anchor="middle">{style.axis_label}</text>'
+        f'font-size="13" text-anchor="middle">time [s]</text>'
     )
     parts.append("</svg>")
     return "\n".join(parts) + "\n"
@@ -247,21 +228,20 @@ def _title(record: EvaluationRecord) -> str:
     )
 
 
-def _curve_head(record: EvaluationRecord, style: FrameStyle) -> str:
+def _curve_head(record: EvaluationRecord) -> str:
     """The response curve's polyline up to its points, coloured by record.improved."""
-    color = style.improved_color if record.improved else style.rejected_color
+    color = "green" if record.improved else "red"
     return (
         f'<polyline class="response-curve" fill="none" stroke="{color}" '
         f'stroke-width="1.5" points="'
     )
 
 
-def _repeat_frame(svg: bytes, first: EvaluationRecord, record: EvaluationRecord,
-            style: FrameStyle) -> bytes:
+def _repeat_frame(svg: bytes, first: EvaluationRecord, record: EvaluationRecord) -> bytes:
     """The frame render_frame draws for record, given svg, the frame it drew
     for first, an earlier record at the same point (so the same response)."""
     for old, new in ((_title(first), _title(record)),
-                     (_curve_head(first, style), _curve_head(record, style))):
+                     (_curve_head(first), _curve_head(record))):
         svg = svg.replace(old.encode("utf-8"), new.encode("utf-8"), 1)
     return svg
 
@@ -294,7 +274,6 @@ def render_animation(
     run: Callable[[Callable[[EvaluationRecord], None]], SearchTrace],
     responses: list[StepResponse],
     band: SettlingBand,
-    style: FrameStyle | None = None,
     out_dir: str | Path = ".",
     plant: TransferFunction | None = None,
 ) -> SearchTrace:
@@ -319,7 +298,6 @@ def render_animation(
     index.json. Raises OutputUnwritable when a first frame cannot be read
     back for its repeat.
     """
-    style = style if style is not None else FrameStyle()
     out = Path(out_dir)
     make_output_dir(out)
     # an earlier film's index would mark this one complete, and its frames
@@ -342,9 +320,9 @@ def render_animation(
             )
         name = f"film_{rec.index}.svg"
         if first is rec:
-            svg = render_frame(rec, responses.pop(), band, style).encode("utf-8")
+            svg = render_frame(rec, responses.pop(), band).encode("utf-8")
         else:
-            svg = _repeat_frame(read_output(out / f"film_{first.index}.svg"), first, rec, style)
+            svg = _repeat_frame(read_output(out / f"film_{first.index}.svg"), first, rec)
         write_output(out / name, svg)
         names.append(name)
 

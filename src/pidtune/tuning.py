@@ -7,7 +7,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InvalidInput, NoUltimateGain
-from .lti import PidGains, TransferFunction
+from .lti import PidGains, TransferFunction, _poly_add
 
 K_SEARCH_MAX = 1e6
 _K_SEARCH_MIN = 1e-12
@@ -26,37 +26,12 @@ class UltimatePoint:
             raise InvalidInput(f"ku and tu must be positive, got {self.ku}, {self.tu}")
 
 
-@dataclass(frozen=True)
-class RandomStartConfig:
-    """Seeded uniform box for random starting gains."""
-
-    seed: int
-    low: float = -10.0
-    high: float = 10.0
-
-    def __post_init__(self):
-        if not self.seed >= 0:
-            raise InvalidInput(f"seed must be >= 0, got {self.seed}")
-        if not self.low < self.high:
-            raise InvalidInput(f"need low < high, got {self.low}, {self.high}")
-
-
-def _char_poly(plant: TransferFunction, k: float) -> np.ndarray:
-    """Characteristic polynomial den + k*num of the proportional loop."""
-    den = np.asarray(plant.den, dtype=float)
-    num = np.asarray(plant.num, dtype=float)
-    width = max(len(den), len(num))
-    out = np.zeros(width)
-    out[width - len(den) :] += den
-    out[width - len(num) :] += k * num
-    return out
-
-
 def _closed_loop_roots(plant: TransferFunction, k: float) -> np.ndarray:
-    """Roots of den + k*num. Raises NoUltimateGain where the polynomial or
-    np.roots' normalization overflows, since stability is undecidable there."""
+    """Roots of the characteristic polynomial den + k*num of the proportional
+    loop. Raises NoUltimateGain where the polynomial or np.roots'
+    normalization overflows, since stability is undecidable there."""
     with np.errstate(all="ignore"):
-        poly = _char_poly(plant, k)
+        poly = _poly_add(plant.den, [k * c for c in plant.num])
         try:
             if np.all(np.isfinite(poly)):
                 return np.roots(poly)
@@ -73,16 +48,14 @@ def _stability_margin(plant: TransferFunction, k: float) -> float:
     return float(np.max(roots.real))
 
 
-def ultimate_point(
-    plant: TransferFunction, k_search_max: float = K_SEARCH_MAX
-) -> UltimatePoint:
+def ultimate_point(plant: TransferFunction) -> UltimatePoint:
     """Locate the proportional-only stability boundary by bisection on the
     max real part of the closed-loop roots (companion-matrix eigenvalues).
 
     The bracket hunt doubles upward from the largest stable gain (halving
     below 1 first if the loop is already unstable there). Raises
     NoUltimateGain when the stability indicator never changes sign for
-    k in (0, k_search_max], when the roots at a probed k overflow floating
+    k in (0, K_SEARCH_MAX], when the roots at a probed k overflow floating
     point, or when the boundary crossing is through a real root, which has
     no oscillation period.
     """
@@ -102,7 +75,7 @@ def ultimate_point(
         )
     k_hi = None
     k = k_lo * 2.0
-    while k <= k_search_max:
+    while k <= K_SEARCH_MAX:
         if _stability_margin(plant, k) >= 0.0:
             k_hi = k
             break
@@ -110,7 +83,7 @@ def ultimate_point(
         k *= 2.0
     if k_hi is None:
         raise NoUltimateGain(
-            f"stability indicator never changes sign for k in (0, {k_search_max:g}]"
+            f"stability indicator never changes sign for k in (0, {K_SEARCH_MAX:g}]"
         )
     while (k_hi - k_lo) > _BISECT_RTOL * k_hi:
         mid = 0.5 * (k_lo + k_hi)
@@ -140,8 +113,9 @@ def zn_pid_gains(up: UltimatePoint) -> PidGains:
     )
 
 
-def draw_gains(rng: "np.random.Generator", low: float, high: float) -> PidGains:
-    """One (kp, ki, kd) triple of independent uniforms from an existing stream."""
-    kp, ki, kd = rng.uniform(low, high, size=3)
+def draw_gains(rng: "np.random.Generator") -> PidGains:
+    """One (kp, ki, kd) triple of independent uniforms on [-10, 10) from an
+    existing stream."""
+    kp, ki, kd = rng.uniform(-10.0, 10.0, size=3)
     return PidGains(kp=float(kp), ki=float(ki), kd=float(kd))
 

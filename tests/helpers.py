@@ -132,9 +132,10 @@ def compass_search_records(start, score, cfg) -> list[EvaluationRecord]:
     return records
 
 
-def polyline_points(resp: StepResponse, max_curve_points: int) -> str:
+def polyline_points(resp: StepResponse) -> str:
     """The points attribute of a frame's response curve, one vertex at a
-    time: the scalar form of render_frame's plot mapping."""
+    time: the scalar form of render_frame's plot mapping and its 1,200-vertex
+    cap."""
     vals = resp.values
     y_lo = min(0.0, float(np.min(vals)))
     y_hi = max(1.1, float(np.max(vals)))
@@ -142,8 +143,8 @@ def polyline_points(resp: StepResponse, max_curve_points: int) -> str:
     y_lo -= margin
     y_hi += margin
     x0, y0, x1, y1 = 62.0, 18.0, 624.0, 434.0
-    if len(vals) > max_curve_points:
-        idx = np.linspace(0, len(vals) - 1, max_curve_points).round().astype(int)
+    if len(vals) > 1200:
+        idx = np.linspace(0, len(vals) - 1, 1200).round().astype(int)
     else:
         idx = np.arange(len(vals))
     vertices = []

@@ -66,7 +66,7 @@ def random_experiment(search_cfg):
     for seed in range(1, 11):
         rng = np.random.default_rng(seed)
         while True:
-            gains = draw_gains(rng, -10.0, 10.0)
+            gains = draw_gains(rng)
             initial = loop_response(gains, BENCH3, cfg)
             if initial.diverged:
                 break

@@ -490,18 +490,26 @@ def cli_argv(draw) -> list[str]:
     return argv
 
 
-@settings(max_examples=500, deadline=None)
-@given(argv=cli_argv(), film=st.booleans())
-def test_any_input_gives_a_result_or_a_typed_error(argv, film):
+def check_cli_run(argv: list[str], film: bool) -> None:
+    """Run the CLI on argv, filming into a fresh directory when film is set
+    and argv is a tune, and check that it gives a result or a typed error:
+    no warnings and no inf or nan in any frame; then either exit 0 with
+    nothing on stderr (for a film, one frame per trace record, listed in
+    order by index.json) or exit 2 naming a PidTuneError."""
+    film = film and argv[0] == "tune"
     with tempfile.TemporaryDirectory() as out, warnings.catch_warnings(record=True) as caught, \
             redirect_stdout(io.StringIO()), redirect_stderr(io.StringIO()) as err:
         warnings.simplefilter("always")
-        if film and argv[0] == "tune":
-            argv = [*argv, f"--out={out}", "--frames"]
-        rc = cli.main(argv)
-        frames = [p.read_text() for p in Path(out, "frames").glob("film_*.svg")]
+        rc = cli.main([*argv, f"--out={out}", "--frames"] if film else argv)
+        frames = Path(out, "frames")
+        svgs = [p.read_text() for p in frames.glob("film_*.svg")]
+        if rc == 0 and film:
+            n_records = len(Path(out, "trace.csv").read_text().splitlines()) - 1
+            names = [f"film_{i}.svg" for i in range(1, n_records + 1)]
+            assert json.loads((frames / "index.json").read_text())["frames"] == names
+            assert sorted(p.name for p in frames.iterdir()) == sorted([*names, "index.json"])
     assert [str(w.message) for w in caught] == []
-    assert not [svg for svg in frames if "inf" in svg or "nan" in svg]
+    assert not [svg for svg in svgs if "inf" in svg or "nan" in svg]
     stderr = err.getvalue()
     if rc == 0:
         assert stderr == ""
@@ -510,3 +518,37 @@ def test_any_input_gives_a_result_or_a_typed_error(argv, film):
     named = re.match(r"error: ([A-Z]\w+): ", stderr)
     assert named, stderr
     assert issubclass(getattr(errors, named[1]), PidTuneError)
+
+
+@settings(max_examples=500, deadline=None)
+@given(argv=cli_argv(), film=st.booleans())
+def test_any_input_gives_a_result_or_a_typed_error(argv, film):
+    check_cli_run(argv, film)
+
+
+# Filmed runs of ordinary plants, most of which exit 0: the fuzz test above
+# reaches a written film in few of its draws, since most are refused at
+# input checks.
+FILM_PLANTS = st.sampled_from(("benchmark3", "num: 1 / den: 1 1", "num: 1 / den: 1 0 0",
+                               "num: 1 / den: 1 3 2 0"))
+
+
+@st.composite
+def filmed_tune_argv(draw) -> list[str]:
+    """tune argv over a short horizon (at most 201 samples a response) with
+    5 to 30 evaluations, so the search runs long enough to poll points it
+    has already scored."""
+    argv = ["tune", f"--plant={draw(FILM_PLANTS)}",
+            f"--tmax={draw(st.floats(0.5, 2.0))!r}",
+            f"--dt={draw(st.sampled_from((0.01, 0.02, 0.05, 0.1)))!r}",
+            f"--max-evals={draw(st.integers(5, 30))}",
+            f"--step={draw(st.sampled_from((0.1, 0.5, 1.0, 2.0)))!r}"]
+    if draw(st.booleans()):
+        argv += ["--start=random", f"--seed={draw(st.integers(0, 2**63 - 1))}"]
+    return argv
+
+
+@settings(max_examples=300, deadline=None)
+@given(argv=filmed_tune_argv())
+def test_filmed_run_writes_one_frame_per_record(argv):
+    check_cli_run(argv, film=True)

@@ -18,7 +18,7 @@ from pidtune import (
     tf_to_state_space,
 )
 from pidtune import _kernels
-from pidtune.lti import MAX_SAMPLES, _rk4_step_map
+from pidtune.lti import BLOW_UP_LIMIT, MAX_SAMPLES, _rk4_step_map
 
 from helpers import BENCH3, loop_response, random_proper_tf, sequential_scan
 
@@ -263,8 +263,6 @@ class TestSimConfig:
             SimConfig(dt=0.0)
         with pytest.raises(ValueError):
             SimConfig(t_max=1.0, dt=2.0)
-        with pytest.raises(ValueError):
-            SimConfig(blow_up_limit=1.5)
 
     def test_sample_cap(self):
         assert SimConfig(t_max=float(MAX_SAMPLES - 1), dt=1.0).n_samples == MAX_SAMPLES
@@ -279,7 +277,7 @@ class TestSimConfig:
         cfg = SimConfig()
         assert cfg.t_max == 100.0
         assert cfg.dt == 0.01
-        assert cfg.blow_up_limit == 1e6
+        assert BLOW_UP_LIMIT == 1e6
         assert cfg.n_samples == 10001
 
 

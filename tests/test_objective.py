@@ -13,6 +13,7 @@ from pidtune import (
     evaluate,
     rise_time,
 )
+from pidtune.lti import BLOW_UP_LIMIT
 
 from helpers import (
     BENCH3,
@@ -224,7 +225,7 @@ class TestEvaluate:
         cfg = SimConfig()
         v = evaluate(PidGains(-8.0, -5.0, 6.0), BENCH3, cfg)
         assert np.isfinite(v.total)
-        assert v.total <= 1.0 + (cfg.blow_up_limit - BAND.lower)
+        assert v.total <= 1.0 + (BLOW_UP_LIMIT - BAND.lower)
 
     def test_oracle_equivalence_on_random_stable_loops(self):
         rng = np.random.default_rng(20240522)

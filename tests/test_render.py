@@ -5,12 +5,11 @@ import xml.etree.ElementTree as ET
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from pidtune import (
     EvaluationRecord,
-    FrameStyle,
     InvalidInput,
     ObjectiveValue,
     OutputUnwritable,
@@ -196,18 +195,13 @@ class TestRenderFrame:
         svg = render_frame(make_trace([0.5]).records[0], make_resp([0.0, 1.0]), BAND)
         assert "time [s]" in svg
 
-    def test_custom_style_colors(self):
-        style = FrameStyle(improved_color="#00aa00", rejected_color="#cc0000")
-        svg = render_frame(make_trace([0.5]).records[0], make_resp([0.0, 1.0]), BAND, style)
-        assert 'stroke="#00aa00"' in svg
-
     def test_long_response_is_decimated(self):
         resp = make_resp(np.linspace(0, 1, 20001), dt=0.01)
         svg = render_frame(make_trace([0.5]).records[0], resp, BAND)
         root = ET.fromstring(svg)
         curve = [e for e in root.iter(f"{SVG_NS}polyline") if e.get("class") == "response-curve"][0]
         n_points = len(curve.get("points").split())
-        assert n_points == FrameStyle().max_curve_points
+        assert n_points == 1200
 
     def test_deterministic(self):
         rec = make_trace([0.5]).records[0]
@@ -235,18 +229,21 @@ class TestRenderFrame:
             min_size=1,
             max_size=50,
         ),
-        n=st.integers(2, 2500),
+        n=st.integers(2, 2500),  # below and above the 1,200-vertex cap
         # the CLI's round steps put many x coordinates exactly on a .xx5
         # rounding boundary, where one ulp changes the printed digits
         dt=st.one_of(st.sampled_from([0.01, 0.02, 0.05, 0.1]), st.floats(1e-4, 10.0)),
-        max_points=st.integers(2, 1500),  # above and below the sample count
     )
-    def test_curve_matches_scalar_reference(self, head, n, dt, max_points):
+    # the last length drawn whole, the first decimated, and the CLI's
+    # default grid (--tmax 100 --dt 0.01)
+    @example(head=[0.0, 0.4, 1.05, 0.99], n=1200, dt=0.01)
+    @example(head=[0.0, 0.4, 1.05, 0.99], n=1201, dt=0.01)
+    @example(head=[0.0, 0.4, 1.05, 0.99, 1e6], n=10001, dt=0.01)
+    def test_curve_matches_scalar_reference(self, head, n, dt):
         resp = make_resp(np.resize(head, n), dt=dt)
-        style = FrameStyle(max_curve_points=max_points)
-        root = ET.fromstring(render_frame(make_trace([0.5]).records[0], resp, BAND, style))
+        root = ET.fromstring(render_frame(make_trace([0.5]).records[0], resp, BAND))
         curve = [e for e in root.iter(f"{SVG_NS}polyline") if e.get("class") == "response-curve"][0]
-        assert curve.get("points") == polyline_points(resp, max_points)
+        assert curve.get("points") == polyline_points(resp)
 
     def test_frames_on_different_grids_keep_their_own_x(self):
         # at 2,001 samples, 31 x coordinates print differently for dt 0.01
@@ -258,11 +255,7 @@ class TestRenderFrame:
             curve = [
                 e for e in root.iter(f"{SVG_NS}polyline") if e.get("class") == "response-curve"
             ][0]
-            assert curve.get("points") == polyline_points(resp, FrameStyle().max_curve_points)
-
-    def test_style_validation(self):
-        with pytest.raises(ValueError):
-            FrameStyle(improved_color="red", rejected_color="red")
+            assert curve.get("points") == polyline_points(resp)
 
 
 class TestRenderAnimation:
@@ -346,7 +339,7 @@ class TestRenderAnimation:
         assert sorted(p.name for p in tmp_path.iterdir()) == ["film_1.svg", "film_2.svg"]
 
     @staticmethod
-    def film_points(tmp_path, points, style=None):
+    def film_points(tmp_path, points):
         """Film a search that visits points (one gain vector each, in record
         order) with records flagged as optimize flags them, where a repeat
         reuses the first total at its point. Only a point's first record has
@@ -373,21 +366,19 @@ class TestRenderAnimation:
 
         trace = SearchTrace(tuple(records), records[0].gains, records[0].objective,
                             "step-converged", SearchConfig())
-        render_animation(run, pending, BAND, style, out_dir=tmp_path)
+        render_animation(run, pending, BAND, out_dir=tmp_path)
         return records, [first_resp[key(rec.gains)] for rec in records]
 
-    @pytest.mark.parametrize("style", [None, FrameStyle("#00aa00", "#cc0000")],
-                             ids=["default", "custom"])
-    def test_repeated_point_is_its_first_frame_redrawn(self, tmp_path, style):
+    def test_repeated_point_is_its_first_frame_redrawn(self, tmp_path):
         a, b, c, d, e = (PidGains(kp, 0.0, 0.0) for kp in (1.5, 1.2, 0.9, 1.4, 1.6))
         # record 4 repeats a green first record (1); record 7 reaches back
         # past the later distinct points c and e to a red first record (3),
         # and record 8 past d, c and e to a green one (2)
-        records, responses = self.film_points(tmp_path, [a, b, d, a, c, e, d, b], style)
+        records, responses = self.film_points(tmp_path, [a, b, d, a, c, e, d, b])
         assert [r.improved for r in records] == [True, True, False, False, True, False, False,
                                                  False]
         for rec, resp in zip(records, responses):
-            want = render_frame(rec, resp, BAND, style)
+            want = render_frame(rec, resp, BAND)
             assert (tmp_path / f"film_{rec.index}.svg").read_text() == want
 
     def test_repeat_reaches_back_past_many_points(self, tmp_path):

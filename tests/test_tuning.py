@@ -1,3 +1,4 @@
+import argparse
 import math
 import warnings
 
@@ -9,12 +10,13 @@ from hypothesis import strategies as st
 from pidtune import (
     InvalidInput,
     NoUltimateGain,
-    RandomStartConfig,
+    SimConfig,
     TransferFunction,
     UltimatePoint,
     ultimate_point,
     zn_pid_gains,
 )
+from pidtune.cli import _starting_gains
 from pidtune.tuning import _stability_margin, draw_gains
 
 from helpers import BENCH3
@@ -100,45 +102,39 @@ class TestZnPidGains:
             assert (g2.kp, g2.ki, g2.kd) == (2 * g1.kp, 2 * g1.ki, 2 * g1.kd)
 
 
-def first_draw(cfg: RandomStartConfig):
-    return draw_gains(np.random.default_rng(cfg.seed), cfg.low, cfg.high)
+def first_draw(seed: int):
+    return draw_gains(np.random.default_rng(seed))
 
 
 class TestRandomGains:
     def test_same_seed_same_gains(self):
-        cfg = RandomStartConfig(seed=1234)
-        assert first_draw(cfg) == first_draw(cfg)
+        assert first_draw(1234) == first_draw(1234)
 
     def test_stream_first_draw_matches_single_draw(self):
         # the first draw of a longer stream is the single draw of its seed
         rng = np.random.default_rng(99)
-        first = draw_gains(rng, -10.0, 10.0)
-        assert draw_gains(rng, -10.0, 10.0) != first
-        assert first == first_draw(RandomStartConfig(seed=99))
+        first = draw_gains(rng)
+        assert draw_gains(rng) != first
+        assert first == first_draw(99)
 
     @settings(max_examples=40, deadline=None)
     @given(seed=st.integers(min_value=0, max_value=2**63 - 1))
     def test_in_box(self, seed):
-        g = first_draw(RandomStartConfig(seed=seed))
+        g = first_draw(seed)
         for v in (g.kp, g.ki, g.kd):
             assert -10.0 <= v <= 10.0
-
-    def test_tight_box(self):
-        g = first_draw(RandomStartConfig(seed=5, low=0.5, high=0.5 + 1e-9))
-        for v in (g.kp, g.ki, g.kd):
-            assert 0.5 <= v <= 0.5 + 1e-9
 
     def test_seed_sweep_mean_near_midpoint(self):
         draws = np.array(
             [
                 [g.kp, g.ki, g.kd]
-                for g in (first_draw(RandomStartConfig(seed=s)) for s in range(1000))
+                for g in (first_draw(s) for s in range(1000))
             ]
         )
         assert np.all(np.abs(draws.mean(axis=0)) < 0.5)
 
     def test_validation(self):
-        with pytest.raises(ValueError):
-            RandomStartConfig(seed=1, low=2.0, high=1.0)
-        with pytest.raises(InvalidInput):
-            RandomStartConfig(seed=-1)
+        # a random start refuses a negative seed before drawing
+        args = argparse.Namespace(start="random", seed=-1, ensure_unstable=False)
+        with pytest.raises(InvalidInput, match="seed must be >= 0, got -1"):
+            _starting_gains(args, BENCH3, SimConfig())
