@@ -25,7 +25,7 @@ from .lti import (
     simulate_step,
     tf_to_state_space,
 )
-from .objective import ObjectiveValue, SettlingBand, band_deviation, evaluate, rise_time
+from .objective import ObjectiveValue, band_deviation, evaluate, rise_time
 from .render import export_trace, render_animation, render_frame
 from .search import (
     BUDGET_EXHAUSTED,
@@ -57,7 +57,6 @@ __all__ = [
     "ResampleExhausted",
     "SearchConfig",
     "SearchTrace",
-    "SettlingBand",
     "SimConfig",
     "StateSpace",
     "StepResponse",

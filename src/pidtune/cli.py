@@ -18,7 +18,7 @@ from .lti import (
     simulate_step,
     tf_to_state_space,
 )
-from .objective import SettlingBand, evaluate
+from .objective import BAND_LOWER, BAND_UPPER, RISE_LEVEL, evaluate
 from .render import (
     check_frame_horizon,
     export_trace,
@@ -94,10 +94,9 @@ def _gain_line(label: str, gains: PidGains, value) -> str:
 def cmd_simulate(args) -> int:
     plant = parse_plant(args.plant)
     cfg = SimConfig(t_max=args.tmax, dt=args.dt)
-    band = SettlingBand()
     gains = PidGains(kp=args.kp, ki=args.ki, kd=args.kd)
     responses = []
-    value = evaluate(gains, plant, cfg, band, responses)
+    value = evaluate(gains, plant, cfg, responses)
     print(
         f"total={value.total:.6g} rise_time={value.rise_time:.6g} "
         f"deviation={value.deviation:.6g} rose={'true' if value.rose else 'false'}"
@@ -142,12 +141,11 @@ def _starting_gains(args, plant, cfg):
 
 def cmd_tune(args) -> int:
     if args.frames and not args.out:
-        raise PidTuneError("--frames requires --out")
+        raise InvalidInput("--frames requires --out")
     plant = parse_plant(args.plant)
     cfg = SimConfig(t_max=args.tmax, dt=args.dt)
     if args.frames:
         check_frame_horizon((cfg.n_samples - 1) * cfg.dt)
-    band = SettlingBand()
     search = SearchConfig(
         initial_step=args.step, min_step=args.min_step, max_evals=args.max_evals
     )
@@ -166,7 +164,7 @@ def cmd_tune(args) -> int:
     print(f"plant: {plant.to_text()}")
     print(
         f"dt={cfg.dt:.6g} tmax={cfg.t_max:.6g} "
-        f"band=[{band.lower:.6g},{band.upper:.6g}] rise_level={band.rise_level:.6g}"
+        f"band=[{BAND_LOWER:.6g},{BAND_UPPER:.6g}] rise_level={RISE_LEVEL:.6g}"
     )
     print(
         f"search: step={search.initial_step:.6g} min_step={search.min_step:.6g} "
@@ -182,11 +180,11 @@ def cmd_tune(args) -> int:
 
     def run(on_record=None):
         return optimize(
-            gains, lambda g: evaluate(g, plant, cfg, band, responses), search, on_record
+            gains, lambda g: evaluate(g, plant, cfg, responses), search, on_record
         )
 
     if args.frames:
-        trace = render_animation(run, responses, band, out / "frames", plant=plant)
+        trace = render_animation(run, responses, out / "frames", plant)
     else:
         trace = run()
 

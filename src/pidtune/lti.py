@@ -27,7 +27,8 @@ def poly_degree(coeffs) -> int:
     return -1
 
 
-def _poly_add(a, b) -> tuple[float, ...]:
+def poly_add(a, b) -> tuple[float, ...]:
+    """Sum of two highest-first coefficient sequences, aligned at the constant term."""
     n = max(len(a), len(b))
     out = [0.0] * n
     for i, c in enumerate(a):
@@ -204,7 +205,7 @@ def close_unity_feedback(
     # An overflowing sum is left to TransferFunction, which rejects
     # non-finite coefficients, so numpy has nothing to warn about.
     with np.errstate(all="ignore"):
-        den = _poly_add(den_open, num)
+        den = poly_add(den_open, num)
     lead = next((i for i, c in enumerate(den) if c != 0.0), None)
     if lead is None or poly_degree(num) > len(den) - 1 - lead:
         raise ImproperLoop(
@@ -227,7 +228,6 @@ def tf_to_state_space(tf: TransferFunction) -> StateSpace:
             f"numerator degree {tf.num_degree} exceeds denominator degree {n}"
         )
     den = np.asarray(tf.den, dtype=float)
-    den = den[len(den) - 1 - n :]  # strip leading zeros (none unless constructed oddly)
     lead = den[0]
     num = np.zeros(n + 1)
     src = np.asarray(tf.num, dtype=float)

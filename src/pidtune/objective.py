@@ -1,11 +1,15 @@
 """Step-response scoring: rise time over the horizon plus the worst
-settling-band violation."""
+settling-band violation.
+
+The band is the paper's and fixed: the response has risen at its first
+crossing of RISE_LEVEL, it must stay at or below BAND_UPPER for all t > 0,
+and at or above BAND_LOWER after the rise time.
+"""
 
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InvalidInput
 from .lti import (
     PidGains,
     SimConfig,
@@ -18,21 +22,9 @@ from .lti import (
 )
 
 
-@dataclass(frozen=True)
-class SettlingBand:
-    """Settling range: the upper level binds for all t > 0, the lower level
-    only after the rise time."""
-
-    upper: float = 1.02
-    lower: float = 0.98
-    rise_level: float = 0.98
-
-    def __post_init__(self):
-        if not (self.lower <= self.rise_level < self.upper):
-            raise InvalidInput(
-                f"need lower <= rise_level < upper, got {self.lower}, "
-                f"{self.rise_level}, {self.upper}"
-            )
+BAND_UPPER = 1.02
+BAND_LOWER = 0.98
+RISE_LEVEL = 0.98
 
 
 @dataclass(frozen=True)
@@ -46,27 +38,25 @@ class ObjectiveValue:
     rose: bool
 
 
-def rise_time(resp: StepResponse, band: SettlingBand) -> tuple[float, bool]:
-    """Time of the first crossing of band.rise_level, linearly interpolated.
+def rise_time(resp: StepResponse) -> tuple[float, bool]:
+    """Time of the first crossing of RISE_LEVEL, linearly interpolated.
 
     Returns (t_end, False) when no sample reaches the rise level; the flag
     distinguishes that sentinel from a genuine last-sample crossing.
     """
     vals = resp.values
-    hit = int(np.argmax(vals >= band.rise_level))
-    if vals[hit] < band.rise_level:  # argmax of all-False is 0
+    hit = int(np.argmax(vals >= RISE_LEVEL))
+    if vals[hit] < RISE_LEVEL:  # argmax of all-False is 0
         return resp.t_end, False
     if hit == 0:
         return 0.0, True
     v0 = float(vals[hit - 1])
     v1 = float(vals[hit])
-    frac = (band.rise_level - v0) / (v1 - v0)
+    frac = (RISE_LEVEL - v0) / (v1 - v0)
     return (hit - 1 + frac) * resp.dt, True
 
 
-def band_deviation(
-    resp: StepResponse, band: SettlingBand, rise: float, rose: bool
-) -> float:
+def band_deviation(resp: StepResponse, rise: float, rose: bool) -> float:
     """Largest settling-range violation.
 
     Over-deviation is measured on every sample with t > 0; under-deviation
@@ -76,12 +66,12 @@ def band_deviation(
     vals = resp.values
     over = 0.0
     if len(vals) > 1:
-        over = max(0.0, float(np.max(vals[1:])) - band.upper)
+        over = max(0.0, float(np.max(vals[1:])) - BAND_UPPER)
     under = 0.0
     if rose:
         k = _first_sample_after(rise, resp.dt, len(vals))
         if k < len(vals):
-            under = max(0.0, band.lower - float(np.min(vals[k:])))
+            under = max(0.0, BAND_LOWER - float(np.min(vals[k:])))
     return max(over, under)
 
 
@@ -107,10 +97,11 @@ def evaluate(
     gains: PidGains,
     plant: TransferFunction,
     cfg: SimConfig | None = None,
-    band: SettlingBand | None = None,
     responses: list[StepResponse] | None = None,
 ) -> ObjectiveValue:
-    """Score a gain vector on a plant: close the loop, simulate, decompose.
+    """Score a gain vector on a plant: close the loop, simulate, decompose
+    into the rise term and the deviation from the fixed band (BAND_LOWER,
+    BAND_UPPER, RISE_LEVEL).
 
     Always finite: divergent responses are clamped by the simulator, so the
     deviation term is bounded by BLOW_UP_LIMIT and the search landscape stays
@@ -120,16 +111,15 @@ def evaluate(
     the samples (frames, CSV output) do not simulate a second time.
     """
     cfg = cfg if cfg is not None else SimConfig()
-    band = band if band is not None else SettlingBand()
     loop = close_unity_feedback(pid_transfer_function(gains), plant)
     resp = simulate_step(tf_to_state_space(loop), cfg)
     if responses is not None:
         responses.append(resp)
-    rt, rose = rise_time(resp, band)
+    rt, rose = rise_time(resp)
     if not rose:
         rt = cfg.t_max
     rise_term = rt / cfg.t_max
-    deviation = band_deviation(resp, band, rt, rose)
+    deviation = band_deviation(resp, rt, rose)
     return ObjectiveValue(
         total=rise_term + deviation,
         rise_time=rt,

@@ -2,15 +2,15 @@
 
 Frames follow the animation convention: the response curve is green when the
 evaluation improved on the best value found so far and red otherwise, with
-the settling range marked by horizontal black dashed lines, and a long
-response is drawn with at most 1,200 polyline vertices. Frames are
-standalone SVG files named film_1.svg, film_2.svg, ... plus an index.json.
-render_animation writes each frame as its evaluation happens, during the
-search, and writes index.json last, so index.json marks a complete film. A
-record that repeats a point the search has already scored is drawn from the
-frame already on disk for the first record at that point: the two differ
-only in the title line and the curve's colour. Assembling the frames into a
-video is left to external tools.
+the fixed settling band (objective.BAND_UPPER and BAND_LOWER) marked by
+horizontal black dashed lines, and a long response is drawn with at most
+1,200 polyline vertices. Frames are standalone SVG files named film_1.svg,
+film_2.svg, ... plus an index.json. render_animation writes each frame as its
+evaluation happens, during the search, and writes index.json last, so
+index.json marks a complete film. The search says which record first scored
+each point; a record that repeats a point is drawn from the frame already on
+disk for that first record: the two differ only in the title line and the
+curve's colour. Assembling the frames into a video is left to external tools.
 """
 
 import functools
@@ -25,8 +25,8 @@ import numpy as np
 
 from .errors import InvalidInput, OutputUnwritable
 from .lti import StepResponse, TransferFunction
-from .objective import SettlingBand
-from .search import EvaluationRecord, SearchTrace, _key
+from .objective import BAND_LOWER, BAND_UPPER
+from .search import EvaluationRecord, SearchTrace
 
 _SVG_WIDTH = 640
 _SVG_HEIGHT = 480
@@ -133,10 +133,10 @@ def _curve_grid(n_samples: int, dt: float):
     return idx, x_text, " ".join(["%s,%.2f"] * len(idx))
 
 
-def render_frame(record: EvaluationRecord, response: StepResponse, band: SettlingBand) -> str:
+def render_frame(record: EvaluationRecord, response: StepResponse) -> str:
     """One standalone SVG frame: the response curve over [0, t_end], green
     when the record improved and red otherwise, with black dashed
-    settling-range guides.
+    guides at BAND_UPPER and BAND_LOWER.
 
     The y-range auto-fits to [min(0, min z), max(1.1, max z)] plus a 5%
     margin, so the settling band is always inside the viewport. Responses
@@ -202,7 +202,7 @@ def render_frame(record: EvaluationRecord, response: StepResponse, band: Settlin
             f'font-size="11" text-anchor="end">{z:.4g}</text>'
         )
     # settling range guides
-    for level in (band.upper, band.lower):
+    for level in (BAND_UPPER, BAND_LOWER):
         py = sy(level)
         parts.append(
             f'<line class="band-line" x1="{x0:.2f}" y1="{py:.2f}" x2="{x1:.2f}" '
@@ -271,32 +271,30 @@ def read_output(path: Path) -> bytes:
 
 
 def render_animation(
-    run: Callable[[Callable[[EvaluationRecord], None]], SearchTrace],
+    run: Callable[[Callable[[EvaluationRecord, EvaluationRecord], None]], SearchTrace],
     responses: list[StepResponse],
-    band: SettlingBand,
-    out_dir: str | Path = ".",
-    plant: TransferFunction | None = None,
+    out_dir: str | Path,
+    plant: TransferFunction,
 ) -> SearchTrace:
     """Film a search as it runs; returns the trace that run returns.
 
-    run(on_record) runs the search and calls on_record with each evaluation
-    record as it is made (search.optimize's on_record hook). The scored
-    response of the first record at a point must be the one response waiting
-    in responses, where objective.evaluate appends it. A record that repeats
-    a point, keyed on the exact bits of its gains as search.optimize keys its
-    repeat cache, has no response waiting, because the search reuses the
-    first score; its frame is the first frame at that point, read back from
-    out_dir, with the title (evaluation index) and the curve colour (improved
-    flag) of the repeat. Each record's frame, film_<index>.svg, is written at
-    once and its response dropped, so the film holds one response at a time
-    plus the first record at each distinct point, not one response or frame
-    per evaluation. index.json lists the frame files in order with the
-    playback rate hint (12 frames per second) and is written last, so it
-    exists only for a complete film. The film_*.svg files and index.json of
-    an earlier film in out_dir are removed before the search starts, and a
-    search that raises leaves the frames of its records so far and no
-    index.json. Raises OutputUnwritable when a first frame cannot be read
-    back for its repeat.
+    run(on_record) runs the search and calls on_record(record, first) with
+    each evaluation record as it is made, and the first record at its point
+    (search.optimize's on_record hook). For a new point, first is record,
+    and its scored response must be the one response waiting in responses,
+    where objective.evaluate appends it. A repeat (first is not record) has
+    no response waiting, because the search reuses the first score; its
+    frame is the first frame at that point, read back from out_dir, with the
+    title (evaluation index) and the curve colour (improved flag) of the
+    repeat. Each record's frame, film_<index>.svg, is written at once and its
+    response dropped, so the film holds one response at a time, not one
+    response or frame per evaluation. index.json lists the frame files in
+    order with the playback rate hint (12 frames per second), the band levels
+    and the plant, and is written last, so it exists only for a complete
+    film. The film_*.svg files and index.json of an earlier film in out_dir
+    are removed before the search starts, and a search that raises leaves
+    the frames of its records so far and no index.json. Raises
+    OutputUnwritable when a first frame cannot be read back for its repeat.
     """
     out = Path(out_dir)
     make_output_dir(out)
@@ -308,10 +306,8 @@ def render_animation(
         except OSError as exc:
             raise OutputUnwritable(f"cannot remove {stale}: {exc}") from exc
     names = []
-    firsts = {}  # gains bits -> the first record at that point
 
-    def on_record(rec: EvaluationRecord):
-        first = firsts.setdefault(_key(rec.gains.kp, rec.gains.ki, rec.gains.kd), rec)
+    def on_record(rec: EvaluationRecord, first: EvaluationRecord):
         expected = 1 if first is rec else 0
         if len(responses) != expected:
             raise ValueError(
@@ -320,7 +316,7 @@ def render_animation(
             )
         name = f"film_{rec.index}.svg"
         if first is rec:
-            svg = render_frame(rec, responses.pop(), band).encode("utf-8")
+            svg = render_frame(rec, responses.pop()).encode("utf-8")
         else:
             svg = _repeat_frame(read_output(out / f"film_{first.index}.svg"), first, rec)
         write_output(out / name, svg)
@@ -335,8 +331,8 @@ def render_animation(
     index = {
         "frames": names,
         "fps": 12,
-        "band": {"upper": band.upper, "lower": band.lower},
-        "plant": plant.to_text() if plant is not None else None,
+        "band": {"upper": BAND_UPPER, "lower": BAND_LOWER},
+        "plant": plant.to_text(),
     }
     write_output(out / "index.json", (json.dumps(index, indent=2) + "\n").encode("utf-8"))
     return trace

@@ -2,7 +2,7 @@
 
 import math
 import struct
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Callable
 
 from .errors import GainOverflow, InvalidInput, NonFiniteStart
@@ -29,14 +29,14 @@ _key = struct.Struct("<3d").pack
 @dataclass(frozen=True)
 class SearchConfig:
     initial_step: float = 1.0
-    shrink: float = 0.5
-    expand: float = 2.0
+    # the paper's fixed step ratios after a failed poll cycle and after a
+    # success; fields so that the trace's config block lists them
+    shrink: float = field(default=0.5, init=False)
+    expand: float = field(default=2.0, init=False)
     min_step: float = 1e-6
     max_evals: int = 5000
 
     def __post_init__(self):
-        if not (0.0 < self.shrink < 1.0 <= self.expand):
-            raise InvalidInput(f"need 0 < shrink < 1 <= expand, got {self.shrink}, {self.expand}")
         if not (0.0 < self.min_step < self.initial_step < math.inf):
             raise InvalidInput(
                 f"need 0 < min_step < initial_step < inf, got {self.min_step}, "
@@ -71,51 +71,51 @@ def optimize(
     start: PidGains,
     score: Callable[[PidGains], ObjectiveValue],
     cfg: SearchConfig | None = None,
-    on_record: Callable[[EvaluationRecord], None] | None = None,
+    on_record: Callable[[EvaluationRecord, EvaluationRecord], None] | None = None,
 ) -> SearchTrace:
     """Minimize score by coordinate compass search with opportunistic polling.
 
     Polls +/- each coordinate in fixed order around the incumbent; the first
-    strictly improving point is accepted immediately, the step expands (capped
+    strictly improving point is accepted immediately, the step doubles (capped
     at initial_step) and the poll restarts there. A full cycle without
-    improvement shrinks the step. Stops when the step falls below min_step or
+    improvement halves the step. Stops when the step falls below min_step or
     the evaluation budget is spent. Every evaluation lands in the trace,
     rejected polls included. Polls often return to a point already scored
-    (most often the previous incumbent); such a repeat reuses the first
-    score at that point, keyed on the exact bits of the gains, instead of
-    calling score again, and still gets its own record. The cache lives for
-    this call only. When on_record is given it is called with each record
-    right after the record is appended, in poll order, so a caller can act
-    on an evaluation (write its frame) before the next one runs. Raises
-    GainOverflow when a poll's gains overflow to a non-finite value.
+    (most often the previous incumbent); such a repeat reuses the score of
+    the first record at that point, keyed on the exact bits of the gains (so
+    0.0 and -0.0 differ), instead of calling score again, and still gets its
+    own record. The cache lives for this call only. When on_record is given
+    it is called as on_record(record, first) right after each record is
+    appended, in poll order, where first is the first record at the same
+    point: record itself for a new point, so score has just run for it, and
+    an earlier record for a repeat. A caller can so act on an evaluation
+    (write its frame) before the next one runs. Raises NonFiniteStart, before
+    any record, when the start scores non-finite, and GainOverflow when a
+    poll's gains overflow to a non-finite value.
     """
     cfg = cfg if cfg is not None else SearchConfig()
-    scored = {}
-
-    def score_once(gains):
-        key = _key(gains.kp, gains.ki, gains.kd)
-        value = scored.get(key)
-        if value is None:
-            value = scored[key] = score(gains)
-        return value
-
-    first = score_once(start)
-    if not math.isfinite(first.total):
-        raise NonFiniteStart(f"score at the starting gains is {first.total}")
     records = []
+    firsts = {}  # gains bits -> the first record at that point
 
-    def append(record):
-        records.append(record)
-        if on_record is not None:
-            on_record(record)
-
-    append(
-        EvaluationRecord(
-            index=1, gains=start, objective=first, improved=True, best_so_far=first.total
+    def poll(gains, best):
+        """Record an evaluation at gains; it improves when its total is
+        strictly below best, the incumbent's total."""
+        key = _key(gains.kp, gains.ki, gains.kd)
+        first = firsts.get(key)
+        value = score(gains) if first is None else first.objective
+        if not records and not math.isfinite(value.total):
+            raise NonFiniteStart(f"score at the starting gains is {value.total}")
+        improved = bool(value.total < best)
+        rec = EvaluationRecord(
+            len(records) + 1, gains, value, improved, value.total if improved else best
         )
-    )
-    best_gains = start
-    best_value = first
+        first = firsts.setdefault(key, rec)
+        records.append(rec)
+        if on_record is not None:
+            on_record(rec, first)
+        return rec
+
+    best = poll(start, math.inf)
     step = cfg.initial_step
     termination = None
     while termination is None:
@@ -128,31 +128,18 @@ def optimize(
                 termination = BUDGET_EXHAUSTED
                 break
             coords = (
-                best_gains.kp + step * dkp,
-                best_gains.ki + step * dki,
-                best_gains.kd + step * dkd,
+                best.gains.kp + step * dkp,
+                best.gains.ki + step * dki,
+                best.gains.kd + step * dkd,
             )
             if not all(map(math.isfinite, coords)):
                 raise GainOverflow(
                     f"poll {len(records) + 1} at step {step:.6g} overflows the gains "
                     f"(kp, ki, kd) to {coords}"
                 )
-            cand = PidGains(*coords)
-            value = score_once(cand)
-            improved = bool(value.total < best_value.total)
-            if improved:
-                best_gains = cand
-                best_value = value
-            append(
-                EvaluationRecord(
-                    index=len(records) + 1,
-                    gains=cand,
-                    objective=value,
-                    improved=improved,
-                    best_so_far=best_value.total,
-                )
-            )
-            if improved:
+            rec = poll(PidGains(*coords), best.objective.total)
+            if rec.improved:
+                best = rec
                 step = min(step * cfg.expand, cfg.initial_step)
                 moved = True
                 break
@@ -160,8 +147,8 @@ def optimize(
             step *= cfg.shrink
     return SearchTrace(
         records=tuple(records),
-        incumbent=best_gains,
-        incumbent_value=best_value,
+        incumbent=best.gains,
+        incumbent_value=best.objective,
         termination=termination,
         config=cfg,
     )

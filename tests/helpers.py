@@ -2,6 +2,7 @@
 the library's fast paths, plus generators for randomized cases."""
 
 import itertools
+import struct
 
 import numpy as np
 
@@ -19,9 +20,13 @@ from pidtune.lti import (
     simulate_step,
     tf_to_state_space,
 )
-from pidtune.search import _key
 
 BENCH3 = TransferFunction((1.0,), (1.0, 3.0, 3.0, 1.0))
+
+
+def gain_bits(gains: PidGains) -> bytes:
+    """The exact bits of a gain vector, so that 0.0 and -0.0 differ."""
+    return struct.pack("<3d", gains.kp, gains.ki, gains.kd)
 
 
 def loop_response(gains: PidGains, plant: TransferFunction, cfg: SimConfig) -> StepResponse:
@@ -79,29 +84,29 @@ def sequential_scan(step_mat, step_vec, c_row, feed, n_samples, limit):
     return out, diverged
 
 
-def film_finished(trace, responses, band, **kwargs) -> int:
+def film_finished(trace, responses, out_dir, plant=BENCH3) -> int:
     """render_animation over a search that has already run: replays the
-    trace's records, handing record k the k-th response as evaluate would.
-    A record at a point an earlier record had gets none, as the search
-    reuses the first score there, and its response is dropped. Responses
-    beyond the last record are left unclaimed. Returns the number of records
-    in the trace render_animation returns."""
+    trace's records, handing record k the k-th response as evaluate would,
+    and the first record at its point as optimize would. A record at a point
+    an earlier record had gets no response, as the search reuses the first
+    score there, and its response is dropped. Responses beyond the last
+    record are left unclaimed. Returns the number of records in the trace
+    render_animation returns."""
     pending = []
     feed = iter(responses)
-    seen = set()
+    firsts = {}
 
     def run(on_record):
         for rec in trace.records:
             response = list(itertools.islice(feed, 1))
-            key = _key(rec.gains.kp, rec.gains.ki, rec.gains.kd)
-            if key not in seen:
-                seen.add(key)
+            first = firsts.setdefault(gain_bits(rec.gains), rec)
+            if first is rec:
                 pending.extend(response)
-            on_record(rec)
+            on_record(rec, first)
         pending.extend(feed)
         return trace
 
-    return len(render_animation(run, pending, band, **kwargs).records)
+    return len(render_animation(run, pending, out_dir, plant).records)
 
 
 def compass_search_records(start, score, cfg) -> list[EvaluationRecord]:
@@ -155,38 +160,39 @@ def polyline_points(resp: StepResponse) -> str:
     return " ".join(vertices)
 
 
-def brute_force_score(values, dt, t_max, band):
-    """Objective by direct scan over the samples: first rise-level crossing
-    with linear interpolation, max violation above the band for t > 0, max
-    violation below the band for t > rise. Returns (total, rise, dev, rose)."""
+def brute_force_score(values, dt, t_max):
+    """Objective by direct scan over the samples: first crossing of the rise
+    level 0.98 with linear interpolation, max violation above the band
+    [0.98, 1.02] for t > 0, max violation below it for t > rise. Returns
+    (total, rise, dev, rose)."""
     rise = None
     for k in range(len(values)):
-        if values[k] >= band.rise_level:
+        if values[k] >= 0.98:
             if k == 0:
                 rise = 0.0
             else:
                 v0 = float(values[k - 1])
                 v1 = float(values[k])
-                rise = (k - 1 + (band.rise_level - v0) / (v1 - v0)) * dt
+                rise = (k - 1 + (0.98 - v0) / (v1 - v0)) * dt
             break
     rose = rise is not None
     rt = rise if rose else t_max
-    deviation = brute_force_deviation(values, dt, rt, rose, band)
+    deviation = brute_force_deviation(values, dt, rt, rose)
     return rt / t_max + deviation, rt, deviation, rose
 
 
-def brute_force_deviation(values, dt, rise, rose, band):
-    """Band deviation by direct scan: max violation above the band for t > 0,
-    below it for t = k * dt > rise (only when the response rose)."""
+def brute_force_deviation(values, dt, rise, rose):
+    """Band deviation by direct scan: max violation above 1.02 for t > 0,
+    below 0.98 for t = k * dt > rise (only when the response rose)."""
     over = 0.0
     for k in range(1, len(values)):
-        over = max(over, float(values[k]) - band.upper)
+        over = max(over, float(values[k]) - 1.02)
     over = max(over, 0.0)
     under = 0.0
     if rose:
         for k in range(len(values)):
             if k * dt > rise:
-                under = max(under, band.lower - float(values[k]))
+                under = max(under, 0.98 - float(values[k]))
         under = max(under, 0.0)
     return max(over, under)
 

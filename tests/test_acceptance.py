@@ -27,7 +27,6 @@ from pidtune import (
     ObjectiveValue,
     PidGains,
     SearchConfig,
-    SettlingBand,
     SimConfig,
     TransferFunction,
     evaluate,
@@ -47,9 +46,6 @@ from helpers import (
     loop_response,
     random_stable_cases,
 )
-
-BAND = SettlingBand()
-
 
 @pytest.fixture(scope="module")
 def zn_run():
@@ -184,7 +180,7 @@ def test_trace_flag_correctness_and_frame_colors(zn_run, tmp_path):
         assert rec.best_so_far == best
     cfg = SimConfig()
     responses = [loop_response(r.gains, BENCH3, cfg) for r in trace.records]
-    n = film_finished(trace, responses, BAND, out_dir=tmp_path)
+    n = film_finished(trace, responses, tmp_path)
     assert n == len(trace.records)
     greens = set()
     for rec in trace.records:
@@ -236,7 +232,7 @@ def test_objective_oracle_equivalence():
     for gains, plant in random_stable_cases(rng, 100):
         v = evaluate(gains, plant, cfg)
         resp = loop_response(gains, plant, cfg)
-        total, rt, dev, rose = brute_force_score(resp.values, resp.dt, cfg.t_max, BAND)
+        total, rt, dev, rose = brute_force_score(resp.values, resp.dt, cfg.t_max)
         assert rose == v.rose
         worst = max(worst, abs(v.total - total), abs(v.rise_time - rt),
                     abs(v.deviation - dev))

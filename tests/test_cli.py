@@ -18,7 +18,6 @@ from pidtune import (
     PidTuneError,
     PlantParseError,
     SearchConfig,
-    SettlingBand,
     SimConfig,
     evaluate,
     export_trace,
@@ -255,8 +254,8 @@ class TestTuneCommand:
     def test_frames_require_out(self):
         r = run_cli("tune", "--plant", "benchmark3", "--start", "zn",
                     "--frames", "--max-evals", "5")
-        assert r.returncode != 0
-        assert "--frames requires --out" in r.stderr
+        assert r.returncode == 2
+        assert r.stderr == "error: InvalidInput: --frames requires --out\n"
         assert r.stdout == ""  # refused before the search runs
 
     def test_effective_config_echoed(self, tmp_path):
@@ -267,6 +266,25 @@ class TestTuneCommand:
         assert "dt=0.02 tmax=50" in r.stdout
         assert "step=0.5 min_step=0.0001" in r.stdout
         assert "max_evals=5" in r.stdout
+
+    def test_fixed_band_and_step_ratios_in_outputs(self, tmp_path):
+        # the settling band and the step ratios are constants, and every
+        # output that showed them as settings still shows their values
+        with pytest.raises(TypeError):
+            SearchConfig(shrink=0.4)
+        out = tmp_path / "run"
+        with redirect_stdout(io.StringIO()) as stdout:
+            rc = cli.main(["tune", "--max-evals", "5", "--tmax", "5", "--out", str(out),
+                           "--frames"])
+        assert rc == 0
+        assert "dt=0.01 tmax=5 band=[0.98,1.02] rise_level=0.98\n" in stdout.getvalue()
+        assert "step=1 min_step=1e-06 shrink=0.5 expand=2 max_evals=5\n" in stdout.getvalue()
+        config = json.loads((out / "trace.json").read_text())["config"]
+        assert list(config.items()) == [("initial_step", 1.0), ("shrink", 0.5),
+                                        ("expand", 2.0), ("min_step", 1e-06),
+                                        ("max_evals", 5)]
+        index = json.loads((out / "frames" / "index.json").read_text())
+        assert index["band"] == {"upper": 1.02, "lower": 0.98}
 
     @pytest.mark.parametrize("start, seed, tmax, max_evals", [
         ("random", 7, 100.0, 25),
@@ -280,15 +298,15 @@ class TestTuneCommand:
                     *(["--seed", str(seed)] if seed is not None else []), "--tmax", str(tmax),
                     "--out", str(out), "--frames", "--max-evals", str(max_evals))
         assert r.returncode == 0
-        cfg, band = SimConfig(t_max=tmax), SettlingBand()
+        cfg = SimConfig(t_max=tmax)
         start_args = argparse.Namespace(start=start, seed=seed, ensure_unstable=False)
         start, _ = _starting_gains(start_args, BENCH3, cfg)
-        trace = optimize(start, lambda g: evaluate(g, BENCH3, cfg, band),
+        trace = optimize(start, lambda g: evaluate(g, BENCH3, cfg),
                          SearchConfig(max_evals=max_evals))
         assert (out / "trace.csv").read_bytes() == export_trace(trace, "csv")
         names = [f"film_{rec.index}.svg" for rec in trace.records]
         assert json.loads((out / "frames" / "index.json").read_text()) == {
-            "frames": names, "fps": 12, "band": {"upper": band.upper, "lower": band.lower},
+            "frames": names, "fps": 12, "band": {"upper": 1.02, "lower": 0.98},
             "plant": BENCH3.to_text(),
         }
         assert sorted(p.name for p in (out / "frames").iterdir()) == sorted(
@@ -296,7 +314,7 @@ class TestTuneCommand:
         )
         for rec in trace.records:
             # every frame, a repeat's too, drawn from its own record's response
-            want = render_frame(rec, loop_response(rec.gains, BENCH3, cfg), band)
+            want = render_frame(rec, loop_response(rec.gains, BENCH3, cfg))
             assert (out / "frames" / f"film_{rec.index}.svg").read_bytes() == want.encode()
 
     @pytest.mark.parametrize("target,frames", [
@@ -338,7 +356,7 @@ class TestTuneCommand:
         cfg = SimConfig(t_max=5.0)
         start_args = argparse.Namespace(start="zn", seed=None, ensure_unstable=False)
         start, _ = _starting_gains(start_args, BENCH3, cfg)
-        trace = optimize(start, lambda g: evaluate(g, BENCH3, cfg, SettlingBand()),
+        trace = optimize(start, lambda g: evaluate(g, BENCH3, cfg),
                          SearchConfig(initial_step=1e308, max_evals=20))
         assert (out / "trace.csv").read_bytes() == export_trace(trace, "csv")
 
@@ -364,7 +382,7 @@ class TestFrameStreaming:
         produced = []  # weak references to every response evaluate appended
         resimulated = []  # gains of every response simulated outside evaluate
 
-        def evaluate(gains, plant, cfg, band, responses):
+        def evaluate(gains, plant, cfg, responses):
             names = sorted(p.name for p in frames.iterdir())
             # every record so far is filmed: one frame per evaluation, plus
             # one per repeated point, which evaluate does not see
@@ -373,7 +391,7 @@ class TestFrameStreaming:
             assert not responses
             # none is held any more
             assert all(ref() is None for ref in produced)
-            value = inner(gains, plant, cfg, band, responses)
+            value = inner(gains, plant, cfg, responses)
             (resp,) = responses
             produced.append(weakref.ref(resp))
             return value
@@ -517,7 +535,9 @@ def check_cli_run(argv: list[str], film: bool) -> None:
     assert rc == 2
     named = re.match(r"error: ([A-Z]\w+): ", stderr)
     assert named, stderr
-    assert issubclass(getattr(errors, named[1]), PidTuneError)
+    # a subclass, never the bare base class, so the message names the kind
+    error = getattr(errors, named[1])
+    assert issubclass(error, PidTuneError) and error is not PidTuneError
 
 
 @settings(max_examples=500, deadline=None)

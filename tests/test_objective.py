@@ -5,7 +5,6 @@ from hypothesis import strategies as st
 
 from pidtune import (
     PidGains,
-    SettlingBand,
     SimConfig,
     StepResponse,
     TransferFunction,
@@ -14,6 +13,7 @@ from pidtune import (
     rise_time,
 )
 from pidtune.lti import BLOW_UP_LIMIT
+from pidtune.objective import BAND_LOWER, RISE_LEVEL
 
 from helpers import (
     BENCH3,
@@ -28,8 +28,6 @@ def make_resp(values, dt=1.0, diverged=False):
     return StepResponse(dt=dt, values=np.asarray(values, dtype=float), diverged=diverged)
 
 
-BAND = SettlingBand()
-
 # the CLI's round steps, whose multiples k * dt often round off k's decimal
 # value, plus arbitrary ones
 STEPS = st.one_of(
@@ -38,37 +36,26 @@ STEPS = st.one_of(
 )
 
 
-class TestSettlingBand:
-    def test_defaults(self):
-        assert (BAND.upper, BAND.lower, BAND.rise_level) == (1.02, 0.98, 0.98)
-
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            SettlingBand(upper=0.9, lower=0.98, rise_level=0.98)
-        with pytest.raises(ValueError):
-            SettlingBand(lower=0.99, rise_level=0.98)
-
-
 class TestRiseTime:
     def test_exponential_crossing(self):
         t = np.arange(0.0, 100.0 + 1e-9, 0.01)
         resp = make_resp(1 - np.exp(-t), dt=0.01)
-        rt, rose = rise_time(resp, BAND)
+        rt, rose = rise_time(resp)
         assert rose
         assert abs(rt - (-np.log(0.02))) < 0.01
 
     def test_immediate_crossing(self):
-        rt, rose = rise_time(make_resp([1.0, 1.0, 1.0]), BAND)
+        rt, rose = rise_time(make_resp([1.0, 1.0, 1.0]))
         assert (rt, rose) == (0.0, True)
 
     def test_never_crosses(self):
-        rt, rose = rise_time(make_resp([0.5] * 11, dt=0.1), BAND)
+        rt, rose = rise_time(make_resp([0.5] * 11, dt=0.1))
         assert not rose
         assert rt == pytest.approx(1.0)
 
     def test_interpolation_between_samples(self):
         # crosses 0.98 between samples 1 and 2: 0.5 + frac * 0.6 = 0.98
-        rt, rose = rise_time(make_resp([0.0, 0.5, 1.1]), BAND)
+        rt, rose = rise_time(make_resp([0.0, 0.5, 1.1]))
         assert rose
         assert rt == pytest.approx(1.0 + 0.48 / 0.6)
 
@@ -79,9 +66,9 @@ class TestRiseTime:
             vals = np.cumsum(rng.uniform(0.0, 0.2, n))
             dt = float(rng.uniform(0.01, 1.0))
             resp = make_resp(vals, dt=dt)
-            rt, rose = rise_time(resp, BAND)
+            rt, rose = rise_time(resp)
             if rose:
-                k = int(np.argmax(vals >= BAND.rise_level))
+                k = int(np.argmax(vals >= RISE_LEVEL))
                 assert abs(rt - k * dt) < dt
 
 
@@ -89,47 +76,46 @@ class TestBandDeviation:
     def test_monotone_exponential_has_none(self):
         t = np.arange(0.0, 100.0 + 1e-9, 0.01)
         resp = make_resp(1 - np.exp(-t), dt=0.01)
-        rt, rose = rise_time(resp, BAND)
-        assert band_deviation(resp, BAND, rt, rose) == 0.0
+        rt, rose = rise_time(resp)
+        assert band_deviation(resp, rt, rose) == 0.0
 
     def test_overshoot(self):
         resp = make_resp([0.0, 0.5, 0.99, 1.30, 1.0, 1.0])
-        rt, rose = rise_time(resp, BAND)
-        dev = band_deviation(resp, BAND, rt, rose)
+        rt, rose = rise_time(resp)
+        dev = band_deviation(resp, rt, rose)
         assert dev == pytest.approx(1.30 - 1.02, abs=1e-15)
 
     def test_undershoot_after_rise(self):
         resp = make_resp([0.0, 0.99, 0.90, 0.95, 1.0, 1.0])
-        rt, rose = rise_time(resp, BAND)
-        dev = band_deviation(resp, BAND, rt, rose)
+        rt, rose = rise_time(resp)
+        dev = band_deviation(resp, rt, rose)
         assert dev == pytest.approx(0.98 - 0.90, abs=1e-15)
 
     def test_no_under_window_when_never_rose(self):
         # dips far below but never reached the rise level: only over counts
         resp = make_resp([0.0, 0.5, -5.0, 0.5, 0.5])
-        rt, rose = rise_time(resp, BAND)
+        rt, rose = rise_time(resp)
         assert not rose
-        assert band_deviation(resp, BAND, rt, rose) == 0.0
+        assert band_deviation(resp, rt, rose) == 0.0
 
     def test_t0_sample_excluded_from_over(self):
         resp = make_resp([5.0, 1.0, 1.0, 1.0])
-        rt, rose = rise_time(resp, BAND)
+        rt, rose = rise_time(resp)
         assert (rt, rose) == (0.0, True)
-        assert band_deviation(resp, BAND, rt, rose) == 0.0
+        assert band_deviation(resp, rt, rose) == 0.0
 
     def test_horizon_exclusion_isolates_each_term(self):
-        resp = make_resp([0.0, 0.99, 1.50, 0.90, 1.0, 1.0])
-        rt, rose = rise_time(resp, BAND)
-        full = band_deviation(resp, BAND, rt, rose)
-        over_only = band_deviation(
-            resp, SettlingBand(upper=1.02, lower=-1e9, rise_level=0.98), rt, rose
+        # one response only overshoots, one only undershoots after its rise,
+        # and one that does both scores the larger violation
+        over_only = make_resp([0.0, 0.99, 1.50, 1.0, 1.0, 1.0])
+        under_only = make_resp([0.0, 0.99, 1.0, 0.90, 1.0, 1.0])
+        both = make_resp([0.0, 0.99, 1.50, 0.90, 1.0, 1.0])
+        over, under, full = (
+            band_deviation(r, *rise_time(r)) for r in (over_only, under_only, both)
         )
-        under_only = band_deviation(
-            resp, SettlingBand(upper=1e9, lower=0.98, rise_level=0.98), rt, rose
-        )
-        assert over_only == pytest.approx(1.50 - 1.02, abs=1e-15)
-        assert under_only == pytest.approx(0.98 - 0.90, abs=1e-15)
-        assert full == max(over_only, under_only)
+        assert over == pytest.approx(1.50 - 1.02, abs=1e-15)
+        assert under == pytest.approx(0.98 - 0.90, abs=1e-15)
+        assert full == max(over, under)
 
     @settings(max_examples=300, deadline=None)
     @given(
@@ -147,8 +133,8 @@ class TestBandDeviation:
         if nudge:
             rise = float(np.nextafter(rise, nudge * np.inf))
         resp = make_resp(values, dt=dt)
-        got = band_deviation(resp, BAND, rise, True)
-        assert got == brute_force_deviation(values, dt, rise, True, BAND)
+        got = band_deviation(resp, rise, True)
+        assert got == brute_force_deviation(values, dt, rise, True)
 
     @settings(max_examples=300, deadline=None)
     @given(
@@ -160,20 +146,20 @@ class TestBandDeviation:
     def test_score_matches_brute_force_on_grid_crossings(self, head, tail, dt, on_grid):
         # with a sample exactly at the rise level the interpolated rise time
         # is that sample's own k * dt
-        values = [*head, BAND.rise_level if on_grid else 0.99, *tail]
+        values = [*head, RISE_LEVEL if on_grid else 0.99, *tail]
         resp = make_resp(values, dt=dt)
-        rt, rose = rise_time(resp, BAND)
+        rt, rose = rise_time(resp)
         if on_grid:
             assert rt == len(head) * dt
         t_max = resp.t_end if len(values) > 1 else dt
-        want_total, want_rt, want_dev, want_rose = brute_force_score(values, dt, t_max, BAND)
+        want_total, want_rt, want_dev, want_rose = brute_force_score(values, dt, t_max)
         assert (rt, rose) == (want_rt, want_rose)
-        assert band_deviation(resp, BAND, rt, rose) == want_dev
+        assert band_deviation(resp, rt, rose) == want_dev
 
     def test_under_window_for_a_rise_off_the_grid(self):
         resp = make_resp([0.0, 0.99, 0.5, 1.0], dt=0.1)
         for rise, want in ((0.1, 0.48), (0.2, 0.0), (float("inf"), 0.0), (float("nan"), 0.0)):
-            assert band_deviation(resp, BAND, rise, True) == pytest.approx(want, abs=1e-15)
+            assert band_deviation(resp, rise, True) == pytest.approx(want, abs=1e-15)
 
 
 class TestEvaluate:
@@ -225,7 +211,7 @@ class TestEvaluate:
         cfg = SimConfig()
         v = evaluate(PidGains(-8.0, -5.0, 6.0), BENCH3, cfg)
         assert np.isfinite(v.total)
-        assert v.total <= 1.0 + (BLOW_UP_LIMIT - BAND.lower)
+        assert v.total <= 1.0 + (BLOW_UP_LIMIT - BAND_LOWER)
 
     def test_oracle_equivalence_on_random_stable_loops(self):
         rng = np.random.default_rng(20240522)
@@ -233,9 +219,7 @@ class TestEvaluate:
         for gains, plant in random_stable_cases(rng, 100):
             v = evaluate(gains, plant, cfg)
             resp = loop_response(gains, plant, cfg)
-            total, rt, dev, rose = brute_force_score(
-                resp.values, resp.dt, cfg.t_max, BAND
-            )
+            total, rt, dev, rose = brute_force_score(resp.values, resp.dt, cfg.t_max)
             assert rose == v.rose
             assert abs(v.total - total) <= 1e-12
             assert abs(v.rise_time - rt) <= 1e-12

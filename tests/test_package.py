@@ -1,4 +1,9 @@
+import ast
+from pathlib import Path
+
 import pidtune
+
+SOURCES = sorted(Path(pidtune.__file__).parent.glob("*.py"))
 
 
 def test_star_import_resolves_every_export():
@@ -7,3 +12,19 @@ def test_star_import_resolves_every_export():
     exec("from pidtune import *", namespace)
     missing = [name for name in pidtune.__all__ if name not in namespace]
     assert missing == []
+
+
+def test_no_module_imports_another_modules_private_names():
+    # a private name is its module's own business; importing the module
+    # _kernels itself (from . import _kernels) stays allowed
+    leaks = []
+    for path in SOURCES:
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+            if isinstance(node, ast.ImportFrom) and node.level > 0 and node.module:
+                leaks.extend(
+                    f"{path.name}: from .{node.module} import {alias.name}"
+                    for alias in node.names
+                    if alias.name.startswith("_")
+                )
+    assert SOURCES
+    assert leaks == []

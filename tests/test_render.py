@@ -16,19 +16,16 @@ from pidtune import (
     PidGains,
     SearchConfig,
     SearchTrace,
-    SettlingBand,
     StepResponse,
     TransferFunction,
     render_animation,
     render_frame,
 )
 from pidtune.render import CSV_HEADER, export_trace
-from pidtune.search import _key
 
-from helpers import film_finished, polyline_points
+from helpers import BENCH3, film_finished, gain_bits, polyline_points
 
 SVG_NS = "{http://www.w3.org/2000/svg}"
-BAND = SettlingBand()
 
 
 def make_value(total, rise=2.0, rose=True):
@@ -62,10 +59,6 @@ def make_trace(totals):
         termination="step-converged",
         config=SearchConfig(),
     )
-
-
-def key(gains):
-    return _key(gains.kp, gains.ki, gains.kd)
 
 
 def make_resp(values, dt=0.5):
@@ -160,7 +153,7 @@ class TestExportJson:
 class TestRenderFrame:
     def test_improving_record_is_green(self):
         trace = make_trace([0.5])
-        svg = render_frame(trace.records[0], make_resp([0.0, 0.5, 1.0]), BAND)
+        svg = render_frame(trace.records[0], make_resp([0.0, 0.5, 1.0]))
         root = ET.fromstring(svg)
         curves = [e for e in root.iter(f"{SVG_NS}polyline") if e.get("class") == "response-curve"]
         assert len(curves) == 1
@@ -168,14 +161,14 @@ class TestRenderFrame:
 
     def test_rejected_record_is_red(self):
         trace = make_trace([0.5, 0.7])
-        svg = render_frame(trace.records[1], make_resp([0.0, 0.5, 1.0]), BAND)
+        svg = render_frame(trace.records[1], make_resp([0.0, 0.5, 1.0]))
         root = ET.fromstring(svg)
         curve = [e for e in root.iter(f"{SVG_NS}polyline") if e.get("class") == "response-curve"][0]
         assert curve.get("stroke") == "red"
 
     def test_two_dashed_band_lines_at_levels(self):
         resp = make_resp([0.0, 0.5, 1.0, 1.0])
-        svg = render_frame(make_trace([0.5]).records[0], resp, BAND)
+        svg = render_frame(make_trace([0.5]).records[0], resp)
         root = ET.fromstring(svg)
         bands = [e for e in root.iter(f"{SVG_NS}line") if e.get("class") == "band-line"]
         assert len(bands) == 2
@@ -187,17 +180,17 @@ class TestRenderFrame:
         y_lo, y_hi = 0.0, 1.1
         m = 0.05 * (y_hi - y_lo)
         y_lo, y_hi = y_lo - m, y_hi + m
-        for e, level in zip(bands, (BAND.upper, BAND.lower)):
+        for e, level in zip(bands, (1.02, 0.98)):
             expect = 434.0 - (434.0 - 18.0) * (level - y_lo) / (y_hi - y_lo)
             assert float(e.get("y1")) == pytest.approx(expect, abs=0.01)
 
     def test_axis_label_present(self):
-        svg = render_frame(make_trace([0.5]).records[0], make_resp([0.0, 1.0]), BAND)
+        svg = render_frame(make_trace([0.5]).records[0], make_resp([0.0, 1.0]))
         assert "time [s]" in svg
 
     def test_long_response_is_decimated(self):
         resp = make_resp(np.linspace(0, 1, 20001), dt=0.01)
-        svg = render_frame(make_trace([0.5]).records[0], resp, BAND)
+        svg = render_frame(make_trace([0.5]).records[0], resp)
         root = ET.fromstring(svg)
         curve = [e for e in root.iter(f"{SVG_NS}polyline") if e.get("class") == "response-curve"][0]
         n_points = len(curve.get("points").split())
@@ -206,17 +199,17 @@ class TestRenderFrame:
     def test_deterministic(self):
         rec = make_trace([0.5]).records[0]
         resp = make_resp([0.0, 0.3, 0.9, 1.01])
-        assert render_frame(rec, resp, BAND) == render_frame(rec, resp, BAND)
+        assert render_frame(rec, resp) == render_frame(rec, resp)
 
     def test_requires_two_samples(self):
         with pytest.raises(ValueError):
-            render_frame(make_trace([0.5]).records[0], make_resp([1.0]), BAND)
+            render_frame(make_trace([0.5]).records[0], make_resp([1.0]))
 
     def test_time_axis_overflow_rejected(self):
         # 562 px * t_end overflows: the curve would end at x=inf
         with pytest.raises(InvalidInput, match="time axis overflows"):
-            render_frame(make_trace([0.5]).records[0], make_resp([0.0, 1.0], dt=1e308), BAND)
-        render_frame(make_trace([0.5]).records[0], make_resp([0.0, 1.0], dt=3e305), BAND)
+            render_frame(make_trace([0.5]).records[0], make_resp([0.0, 1.0], dt=1e308))
+        render_frame(make_trace([0.5]).records[0], make_resp([0.0, 1.0], dt=3e305))
 
     @settings(max_examples=200, deadline=None)
     @given(
@@ -241,7 +234,7 @@ class TestRenderFrame:
     @example(head=[0.0, 0.4, 1.05, 0.99, 1e6], n=10001, dt=0.01)
     def test_curve_matches_scalar_reference(self, head, n, dt):
         resp = make_resp(np.resize(head, n), dt=dt)
-        root = ET.fromstring(render_frame(make_trace([0.5]).records[0], resp, BAND))
+        root = ET.fromstring(render_frame(make_trace([0.5]).records[0], resp))
         curve = [e for e in root.iter(f"{SVG_NS}polyline") if e.get("class") == "response-curve"][0]
         assert curve.get("points") == polyline_points(resp)
 
@@ -251,7 +244,7 @@ class TestRenderFrame:
         rec = make_trace([0.5]).records[0]
         for dt in (0.01, 0.05, 0.01, 0.1):
             resp = make_resp(np.linspace(0.0, 1.0, 2001), dt=dt)
-            root = ET.fromstring(render_frame(rec, resp, BAND))
+            root = ET.fromstring(render_frame(rec, resp))
             curve = [
                 e for e in root.iter(f"{SVG_NS}polyline") if e.get("class") == "response-curve"
             ][0]
@@ -263,7 +256,7 @@ class TestRenderAnimation:
         trace = make_trace([0.5, 0.7, 0.4, 0.4, 0.2])
         responses = [make_resp([0.0, 0.5, 1.0])] * 5
         plant = TransferFunction((1.0,), (1.0, 3.0, 3.0, 1.0))
-        n = film_finished(trace, responses, BAND, out_dir=tmp_path / "frames", plant=plant)
+        n = film_finished(trace, responses, tmp_path / "frames", plant)
         assert n == 5
         names = [f"film_{i}.svg" for i in range(1, 6)]
         for name in names:
@@ -278,7 +271,7 @@ class TestRenderAnimation:
         totals = [0.9, 0.5, 0.6, 0.4, 1.0, 0.1]
         trace = make_trace(totals)
         responses = [make_resp([0.0, 0.5, 1.0])] * len(totals)
-        film_finished(trace, responses, BAND, out_dir=tmp_path)
+        film_finished(trace, responses, tmp_path)
         for rec in trace.records:
             svg = (tmp_path / f"film_{rec.index}.svg").read_text()
             root = ET.fromstring(svg)
@@ -291,19 +284,19 @@ class TestRenderAnimation:
     def test_length_mismatch_rejected(self, tmp_path):
         trace = make_trace([0.5, 0.4])
         with pytest.raises(ValueError):
-            film_finished(trace, [make_resp([0.0, 1.0])], BAND, out_dir=tmp_path)
+            film_finished(trace, [make_resp([0.0, 1.0])], tmp_path)
 
     def test_unwritable_directory(self, tmp_path):
         blocker = tmp_path / "blocker"
         blocker.write_text("not a directory")
         trace = make_trace([0.5])
         with pytest.raises(OutputUnwritable):
-            film_finished(trace, [make_resp([0.0, 1.0])], BAND, out_dir=blocker / "frames")
+            film_finished(trace, [make_resp([0.0, 1.0])], blocker / "frames")
 
     def test_extra_response_rejected(self, tmp_path):
         trace = make_trace([0.5])
         with pytest.raises(ValueError):
-            film_finished(trace, [make_resp([0.0, 1.0])] * 2, BAND, out_dir=tmp_path)
+            film_finished(trace, [make_resp([0.0, 1.0])] * 2, tmp_path)
         assert not (tmp_path / "index.json").exists()
 
     def test_frame_written_as_record_arrives(self, tmp_path):
@@ -312,16 +305,16 @@ class TestRenderAnimation:
         (tmp_path / "index.json").write_text("{}")  # left by an earlier film
 
         def run(on_record):
-            for rec in trace.records:
+            for rec in trace.records:  # each at a new point
                 assert not (tmp_path / f"film_{rec.index}.svg").exists()
                 pending.append(make_resp([0.0, 0.5, 1.0]))
-                on_record(rec)
+                on_record(rec, rec)
                 assert pending == []  # the response is dropped once drawn
                 assert (tmp_path / f"film_{rec.index}.svg").exists()
                 assert not (tmp_path / "index.json").exists()
             return trace
 
-        assert render_animation(run, pending, BAND, out_dir=tmp_path) is trace
+        assert render_animation(run, pending, tmp_path, BENCH3) is trace
         assert (tmp_path / "index.json").exists()
 
     def test_search_error_leaves_frames_without_index(self, tmp_path):
@@ -331,11 +324,11 @@ class TestRenderAnimation:
         def run(on_record):
             for rec in trace.records[:2]:
                 pending.append(make_resp([0.0, 0.5, 1.0]))
-                on_record(rec)
+                on_record(rec, rec)
             raise RuntimeError("search failed")
 
         with pytest.raises(RuntimeError, match="search failed"):
-            render_animation(run, pending, BAND, out_dir=tmp_path)
+            render_animation(run, pending, tmp_path, BENCH3)
         assert sorted(p.name for p in tmp_path.iterdir()) == ["film_1.svg", "film_2.svg"]
 
     @staticmethod
@@ -347,27 +340,27 @@ class TestRenderAnimation:
         the response of each record's point."""
         records, first_resp, best = [], {}, float("inf")
         for i, gains in enumerate(points, start=1):
-            k = key(gains)
+            k = gain_bits(gains)
             if k not in first_resp:
                 first_resp[k] = make_resp([0.0, 0.1 * (i % 13), 1.0 - 0.01 * i])
             total = 0.3 + abs(gains.kp - 1.0) + abs(gains.ki) + abs(gains.kd)
             improved = total < best
             best = min(best, total)
             records.append(EvaluationRecord(i, gains, make_value(total), improved, best))
-        pending, seen = [], set()
+        pending, firsts = [], {}
 
         def run(on_record):
             for rec in records:
-                if key(rec.gains) not in seen:
-                    seen.add(key(rec.gains))
-                    pending.append(first_resp[key(rec.gains)])
-                on_record(rec)
+                first = firsts.setdefault(gain_bits(rec.gains), rec)
+                if first is rec:
+                    pending.append(first_resp[gain_bits(rec.gains)])
+                on_record(rec, first)
             return trace
 
         trace = SearchTrace(tuple(records), records[0].gains, records[0].objective,
                             "step-converged", SearchConfig())
-        render_animation(run, pending, BAND, out_dir=tmp_path)
-        return records, [first_resp[key(rec.gains)] for rec in records]
+        render_animation(run, pending, tmp_path, BENCH3)
+        return records, [first_resp[gain_bits(rec.gains)] for rec in records]
 
     def test_repeated_point_is_its_first_frame_redrawn(self, tmp_path):
         a, b, c, d, e = (PidGains(kp, 0.0, 0.0) for kp in (1.5, 1.2, 0.9, 1.4, 1.6))
@@ -378,7 +371,7 @@ class TestRenderAnimation:
         assert [r.improved for r in records] == [True, True, False, False, True, False, False,
                                                  False]
         for rec, resp in zip(records, responses):
-            want = render_frame(rec, resp, BAND)
+            want = render_frame(rec, resp)
             assert (tmp_path / f"film_{rec.index}.svg").read_text() == want
 
     def test_repeat_reaches_back_past_many_points(self, tmp_path):
@@ -388,7 +381,7 @@ class TestRenderAnimation:
         points = [start, *(PidGains(1.0, 0.0, 0.01 * i) for i in range(1, 61)), start]
         records, responses = self.film_points(tmp_path, points)
         assert records[0].improved and not records[-1].improved
-        want = render_frame(records[-1], responses[0], BAND)
+        want = render_frame(records[-1], responses[0])
         assert (tmp_path / "film_62.svg").read_text() == want
 
     def test_signed_zero_gains_are_distinct_points(self, tmp_path):
@@ -398,7 +391,7 @@ class TestRenderAnimation:
         records, responses = self.film_points(tmp_path, points)
         assert responses[0] is not responses[1]
         for rec, resp in zip(records, responses):
-            want = render_frame(rec, resp, BAND)
+            want = render_frame(rec, resp)
             assert (tmp_path / f"film_{rec.index}.svg").read_text() == want
 
     def test_response_waiting_for_a_repeat_rejected(self, tmp_path):
@@ -409,17 +402,17 @@ class TestRenderAnimation:
         def run(on_record):
             for rec in (first, repeat):
                 pending.append(make_resp([0.0, 1.0]))
-                on_record(rec)
+                on_record(rec, first)
 
         with pytest.raises(ValueError, match="waiting for record 2; expected 0"):
-            render_animation(run, pending, BAND, out_dir=tmp_path)
+            render_animation(run, pending, tmp_path, BENCH3)
 
     def test_earlier_longer_film_leaves_no_frames(self, tmp_path):
         film_finished(make_trace([0.5 + 0.01 * i for i in range(12)]),
-                      [make_resp([0.0, 0.5, 1.0])] * 12, BAND, out_dir=tmp_path)
+                      [make_resp([0.0, 0.5, 1.0])] * 12, tmp_path)
         (tmp_path / "notes.txt").write_text("not a frame")
         film_finished(make_trace([0.5, 0.4, 0.3, 0.2]),
-                      [make_resp([0.0, 0.5, 1.0])] * 4, BAND, out_dir=tmp_path)
+                      [make_resp([0.0, 0.5, 1.0])] * 4, tmp_path)
         names = [f"film_{i}.svg" for i in range(1, 5)]
         assert sorted(p.name for p in tmp_path.iterdir()) == sorted(
             [*names, "index.json", "notes.txt"]

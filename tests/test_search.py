@@ -1,5 +1,4 @@
 import math
-import struct
 from collections import Counter
 
 import numpy as np
@@ -19,7 +18,7 @@ from pidtune import (
     optimize,
 )
 
-from helpers import BENCH3, compass_search_records
+from helpers import BENCH3, compass_search_records, gain_bits
 from pidtune.objective import evaluate
 
 
@@ -31,11 +30,6 @@ def synth(total: float) -> ObjectiveValue:
 
 def sphere(g: PidGains) -> ObjectiveValue:
     return synth(g.kp**2 + g.ki**2 + g.kd**2)
-
-
-def key(g: PidGains) -> bytes:
-    """The exact bits of a gain vector, so that 0.0 and -0.0 differ."""
-    return struct.pack("<3d", g.kp, g.ki, g.kd)
 
 
 def rederive_flags(records):
@@ -114,11 +108,11 @@ class TestOptimize:
         calls = []
 
         def counting(g):
-            calls.append(key(g))
+            calls.append(gain_bits(g))
             return sphere(g)
 
         trace = optimize(PidGains(1.0, 1.0, 1.0), counting)
-        first_seen = list(dict.fromkeys(key(r.gains) for r in trace.records))
+        first_seen = list(dict.fromkeys(gain_bits(r.gains) for r in trace.records))
         assert calls == first_seen
         assert len(trace.records) > len(calls)  # the sphere search repeats points
 
@@ -129,11 +123,13 @@ class TestOptimize:
         def counting(g):
             # every record made so far was handed over before this call, and
             # this call scores a point none of them holds
-            assert {key(r.gains) for r in seen} == set(scored)
-            scored.append(key(g))
+            assert {gain_bits(r.gains) for r in seen} == set(scored)
+            scored.append(gain_bits(g))
             return sphere(g)
 
-        trace = optimize(PidGains(1.0, 1.0, 1.0), counting, on_record=seen.append)
+        trace = optimize(
+            PidGains(1.0, 1.0, 1.0), counting, on_record=lambda rec, first: seen.append(rec)
+        )
         assert tuple(seen) == trace.records
         assert trace.records == optimize(PidGains(1.0, 1.0, 1.0), sphere).records
 
@@ -191,14 +187,11 @@ class TestOptimize:
         cfg = SearchConfig(initial_step=1e308, max_evals=40)
         seen = []
         with pytest.raises(GainOverflow, match=r"poll 6 at step 1e\+308"):
-            optimize(start, lambda g: synth(1.0), cfg, on_record=seen.append)
+            optimize(start, lambda g: synth(1.0), cfg,
+                     on_record=lambda rec, first: seen.append(rec))
         assert [r.index for r in seen] == [1, 2, 3, 4, 5]  # no poll skipped
 
     def test_config_validation(self):
-        with pytest.raises(ValueError):
-            SearchConfig(shrink=1.0)
-        with pytest.raises(ValueError):
-            SearchConfig(expand=0.9)
         with pytest.raises(ValueError):
             SearchConfig(min_step=2.0, initial_step=1.0)
         with pytest.raises(ValueError):
@@ -219,13 +212,46 @@ class TestRepeatCache:
         seen = []
 
         def score(g):
-            seen.append(key(g))
+            seen.append(gain_bits(g))
             return synth(abs(g.kp + 9.0))
 
         trace = optimize(PidGains(-0.0, 0.0, 0.0), score, SearchConfig(max_evals=4))
-        assert [key(r.gains) for r in trace.records] == seen
-        assert key(trace.records[0].gains) != key(trace.records[3].gains)
+        assert [gain_bits(r.gains) for r in trace.records] == seen
+        assert gain_bits(trace.records[0].gains) != gain_bits(trace.records[3].gains)
         assert trace.records[0].gains == trace.records[3].gains
+
+    @pytest.mark.parametrize(
+        "start, want_firsts",
+        [
+            # record 11 is the third visit to the start: its first is record 1,
+            # not record 4, the repeat in between
+            (0.0, [1, 2, 3, 1, 5, 6, 7, 5, 9, 10, 1]),
+            # from -0.0, record 4 lands on 0.0, a new point, and record 11 on
+            # the same 0.0 again
+            (-0.0, [1, 2, 3, 4, 5, 6, 7, 5, 9, 10, 4]),
+        ],
+    )
+    def test_on_record_is_handed_the_first_record_at_the_point(self, start, want_firsts):
+        # the incumbent walks (0,0,0) -> (1,0,0) -> (1,1,0) -> (0,1,0), and
+        # each of the last three polls the start's point back
+        path = {(0.0, 0.0, 0.0): 4.0, (1.0, 0.0, 0.0): 3.0, (1.0, 1.0, 0.0): 2.0,
+                (0.0, 1.0, 0.0): 1.0}
+        scored = []
+
+        def score(g):
+            scored.append(gain_bits(g))
+            return synth(path.get((g.kp, g.ki, g.kd), 10.0))
+
+        pairs = []
+        trace = optimize(PidGains(start, 0.0, 0.0), score, SearchConfig(max_evals=11),
+                         on_record=lambda rec, first: pairs.append((rec, first)))
+        assert [rec for rec, _ in pairs] == list(trace.records)
+        assert [first.index for _, first in pairs] == want_firsts
+        for rec, first in pairs:
+            assert first is trace.records[first.index - 1]
+            assert gain_bits(first.gains) == gain_bits(rec.gains)
+            assert rec.objective is first.objective
+        assert scored == [gain_bits(rec.gains) for rec, first in pairs if first is rec]
 
     def test_cache_lives_for_one_call(self):
         calls = 0
@@ -262,12 +288,16 @@ class TestRepeatCache:
         calls = Counter()
 
         def counting(g):
-            calls[key(g)] += 1
+            calls[gain_bits(g)] += 1
             return quad(g)
 
         cfg = SearchConfig(initial_step=step, min_step=1e-3, max_evals=max_evals)
-        trace = optimize(PidGains(*start), counting, cfg)
-        assert set(calls) == {key(r.gains) for r in trace.records}
+        firsts = []
+        trace = optimize(PidGains(*start), counting, cfg,
+                         on_record=lambda rec, first: firsts.append(first))
+        want = {}
+        assert firsts == [want.setdefault(gain_bits(r.gains), r) for r in trace.records]
+        assert set(calls) == {gain_bits(r.gains) for r in trace.records}
         assert set(calls.values()) == {1}
         for rec in trace.records:
             assert rec.objective == quad(rec.gains)
