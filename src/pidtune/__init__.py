@@ -25,7 +25,7 @@ from .lti import (
     simulate_step,
     tf_to_state_space,
 )
-from .objective import ObjectiveValue, band_deviation, evaluate, rise_time
+from .objective import ObjectiveValue, band_deviation, evaluate, rise_time, step_response
 from .render import export_trace, render_animation, render_frame
 from .search import (
     BUDGET_EXHAUSTED,
@@ -72,6 +72,7 @@ __all__ = [
     "render_frame",
     "rise_time",
     "simulate_step",
+    "step_response",
     "tf_to_state_space",
     "ultimate_point",
     "zn_pid_gains",

@@ -8,17 +8,18 @@ from pathlib import Path
 import numpy as np
 
 from .errors import ImproperLoop, InvalidInput, PidTuneError, PlantParseError, ResampleExhausted
+# close_unity_feedback, tf_to_state_space and simulate_step are not called
+# here: perfbench/tracer.py still patches them on this module, until its
+# sites can follow a moved layer (ROADMAP item 1)
 from .lti import (
     PidGains,
     SimConfig,
-    StepResponse,
     TransferFunction,
     close_unity_feedback,
-    pid_transfer_function,
     simulate_step,
     tf_to_state_space,
 )
-from .objective import BAND_LOWER, BAND_UPPER, RISE_LEVEL, evaluate
+from .objective import BAND_LOWER, BAND_UPPER, RISE_LEVEL, evaluate, step_response
 from .render import (
     check_frame_horizon,
     export_trace,
@@ -79,11 +80,6 @@ def _parse_coeff_part(text: str, start: int, end: int, keyword: str) -> list[flo
     return coeffs
 
 
-def _loop_response(gains: PidGains, plant: TransferFunction, cfg: SimConfig) -> StepResponse:
-    loop = close_unity_feedback(pid_transfer_function(gains), plant)
-    return simulate_step(tf_to_state_space(loop), cfg)
-
-
 def _gain_line(label: str, gains: PidGains, value) -> str:
     return (
         f"{label}: kp={gains.kp:.6g} ki={gains.ki:.6g} kd={gains.kd:.6g} "
@@ -113,7 +109,8 @@ def cmd_simulate(args) -> int:
 
 
 def _starting_gains(args, plant, cfg):
-    """Resolve the start flag into gains plus a printable description."""
+    """Resolve the start flag into gains plus a printable description. With
+    --ensure-unstable, the start is the first draw whose step_response diverges."""
     if args.start == "zn":
         up = ultimate_point(plant)
         gains = zn_pid_gains(up)
@@ -132,7 +129,7 @@ def _starting_gains(args, plant, cfg):
         return draw_gains(rng), f"start=random seed={seed}"
     for attempt in range(1, MAX_RESAMPLE_ATTEMPTS + 1):
         gains = draw_gains(rng)
-        if _loop_response(gains, plant, cfg).diverged:
+        if step_response(gains, plant, cfg).diverged:
             return gains, f"start=random seed={seed} unstable-after={attempt} draws"
     raise ResampleExhausted(
         f"no destabilizing gains in {MAX_RESAMPLE_ATTEMPTS} draws (seed {seed})"
@@ -211,8 +208,8 @@ def build_parser() -> argparse.ArgumentParser:
     def add_common(p):
         p.add_argument("--plant", default="benchmark3",
                        help="preset name or 'num: ... / den: ...' text")
-        p.add_argument("--dt", type=float, default=0.01, help="integration step [s]")
-        p.add_argument("--tmax", type=float, default=100.0, help="horizon [s]")
+        p.add_argument("--dt", type=float, default=SimConfig.dt, help="integration step [s]")
+        p.add_argument("--tmax", type=float, default=SimConfig.t_max, help="horizon [s]")
 
     sim = sub.add_parser("simulate", help="score one gain vector")
     add_common(sim)
@@ -235,9 +232,11 @@ def build_parser() -> argparse.ArgumentParser:
                            "is its first frame with a new title and colour); "
                            "OUT/frames/index.json is written last, when the film "
                            "is complete")
-    tune.add_argument("--max-evals", type=int, default=5000)
-    tune.add_argument("--step", type=float, default=1.0, help="initial poll step")
-    tune.add_argument("--min-step", type=float, default=1e-6, help="termination step")
+    tune.add_argument("--max-evals", type=int, default=SearchConfig.max_evals)
+    tune.add_argument("--step", type=float, default=SearchConfig.initial_step,
+                      help="initial poll step")
+    tune.add_argument("--min-step", type=float, default=SearchConfig.min_step,
+                      help="termination step")
     tune.set_defaults(func=cmd_tune)
     return parser
 

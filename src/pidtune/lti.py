@@ -27,17 +27,6 @@ def poly_degree(coeffs) -> int:
     return -1
 
 
-def poly_add(a, b) -> tuple[float, ...]:
-    """Sum of two highest-first coefficient sequences, aligned at the constant term."""
-    n = max(len(a), len(b))
-    out = [0.0] * n
-    for i, c in enumerate(a):
-        out[n - len(a) + i] += c
-    for i, c in enumerate(b):
-        out[n - len(b) + i] += c
-    return tuple(out)
-
-
 @dataclass(frozen=True)
 class TransferFunction:
     """Ratio of real polynomials in the Laplace variable, highest degree first.
@@ -205,7 +194,7 @@ def close_unity_feedback(
     # An overflowing sum is left to TransferFunction, which rejects
     # non-finite coefficients, so numpy has nothing to warn about.
     with np.errstate(all="ignore"):
-        den = poly_add(den_open, num)
+        den = np.polyadd(den_open, num)
     lead = next((i for i, c in enumerate(den) if c != 0.0), None)
     if lead is None or poly_degree(num) > len(den) - 1 - lead:
         raise ImproperLoop(
@@ -302,13 +291,6 @@ def simulate_step(ss: StateSpace, cfg: SimConfig) -> StepResponse:
         # made the numpy scan about 1.5% slower (numpy 2.4, x86-64).
         with np.errstate(all="ignore"):
             m, v = _rk4_step_map(ss.a, ss.b, cfg.dt)
-            values, diverged = _kernels.scan(
-                np.ascontiguousarray(m),
-                np.ascontiguousarray(v),
-                np.ascontiguousarray(ss.c.ravel()),
-                float(ss.d),
-                n_samples,
-                limit,
-            )
+            values, diverged = _kernels.scan(m, v, ss.c.ravel(), float(ss.d), n_samples, limit)
     values.setflags(write=False)
-    return StepResponse(dt=cfg.dt, values=values, diverged=bool(diverged))
+    return StepResponse(dt=cfg.dt, values=values, diverged=diverged)

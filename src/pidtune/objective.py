@@ -82,15 +82,30 @@ def _first_sample_after(t: float, dt: float, n: int) -> int:
     times array: k * dt is the product times() computes, and it is
     non-decreasing in k (IEEE rounding is monotone), so the samples it
     selects are a suffix. t / dt only guesses k; the checks at k - 1 and k
-    make the answer exact (for any t: a NaN or infinite t selects nothing).
+    make the answer exact for any t: -inf selects every sample, and +inf
+    and NaN select none.
     """
     guess = t / dt
-    k = min(max(int(guess) + 1, 0), n) if guess < n else n
+    if 0.0 <= guess < n:
+        k = int(guess) + 1
+    else:  # off the grid on either side (infinite too), or NaN
+        k = 0 if guess < 0.0 else n
     while k > 0 and (k - 1) * dt > t:
         k -= 1
     while k < n and not k * dt > t:
         k += 1
     return k
+
+
+def step_response(
+    gains: PidGains, plant: TransferFunction, cfg: SimConfig | None = None
+) -> StepResponse:
+    """Unit-step response of the plant under the ideal PID in unity feedback:
+    the one place that closes the loop, realizes it and simulates it. Raises
+    ImproperLoop (from loop closure) when kd makes the loop improper."""
+    cfg = cfg if cfg is not None else SimConfig()
+    loop = close_unity_feedback(pid_transfer_function(gains), plant)
+    return simulate_step(tf_to_state_space(loop), cfg)
 
 
 def evaluate(
@@ -99,20 +114,19 @@ def evaluate(
     cfg: SimConfig | None = None,
     responses: list[StepResponse] | None = None,
 ) -> ObjectiveValue:
-    """Score a gain vector on a plant: close the loop, simulate, decompose
-    into the rise term and the deviation from the fixed band (BAND_LOWER,
+    """Score a gain vector on a plant: take its step_response and decompose
+    it into the rise term and the deviation from the fixed band (BAND_LOWER,
     BAND_UPPER, RISE_LEVEL).
 
     Always finite: divergent responses are clamped by the simulator, so the
     deviation term is bounded by BLOW_UP_LIMIT and the search landscape stays
-    total even for destabilizing gains. Raises ImproperLoop (propagated from
-    loop closure) when kd makes the loop improper. When responses is given,
-    the simulated step response is appended to it, so callers that also need
-    the samples (frames, CSV output) do not simulate a second time.
+    total even for destabilizing gains. Raises ImproperLoop as step_response
+    does. When responses is given, the simulated step response is appended
+    to it, so callers that also need the samples (frames, CSV output) do not
+    simulate a second time.
     """
     cfg = cfg if cfg is not None else SimConfig()
-    loop = close_unity_feedback(pid_transfer_function(gains), plant)
-    resp = simulate_step(tf_to_state_space(loop), cfg)
+    resp = step_response(gains, plant, cfg)
     if responses is not None:
         responses.append(resp)
     rt, rose = rise_time(resp)

@@ -7,7 +7,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InvalidInput, NoUltimateGain
-from .lti import PidGains, TransferFunction, poly_add
+from .lti import PidGains, TransferFunction
 
 K_SEARCH_MAX = 1e6
 _K_SEARCH_MIN = 1e-12
@@ -31,7 +31,7 @@ def _closed_loop_roots(plant: TransferFunction, k: float) -> np.ndarray:
     loop. Raises NoUltimateGain where the polynomial or np.roots'
     normalization overflows, since stability is undecidable there."""
     with np.errstate(all="ignore"):
-        poly = poly_add(plant.den, [k * c for c in plant.num])
+        poly = np.polyadd(plant.den, [k * c for c in plant.num])
         try:
             if np.all(np.isfinite(poly)):
                 return np.roots(poly)

@@ -13,12 +13,7 @@ from pidtune import (
     StepResponse,
     TransferFunction,
     render_animation,
-)
-from pidtune.lti import (
-    close_unity_feedback,
-    pid_transfer_function,
-    simulate_step,
-    tf_to_state_space,
+    step_response,
 )
 
 BENCH3 = TransferFunction((1.0,), (1.0, 3.0, 3.0, 1.0))
@@ -27,11 +22,6 @@ BENCH3 = TransferFunction((1.0,), (1.0, 3.0, 3.0, 1.0))
 def gain_bits(gains: PidGains) -> bytes:
     """The exact bits of a gain vector, so that 0.0 and -0.0 differ."""
     return struct.pack("<3d", gains.kp, gains.ki, gains.kd)
-
-
-def loop_response(gains: PidGains, plant: TransferFunction, cfg: SimConfig) -> StepResponse:
-    loop = close_unity_feedback(pid_transfer_function(gains), plant)
-    return simulate_step(tf_to_state_space(loop), cfg)
 
 
 def sequential_scan(step_mat, step_vec, c_row, feed, n_samples, limit):
@@ -222,6 +212,6 @@ def random_stable_cases(rng: np.random.Generator, count: int):
         plant = TransferFunction((float(rng.uniform(0.3, 3.0)),), tuple(np.poly(poles)))
         kp, ki, kd = rng.uniform(0.0, 2.0, 3)
         gains = PidGains(float(kp), float(ki), float(kd))
-        if not loop_response(gains, plant, cfg).diverged:
+        if not step_response(gains, plant, cfg).diverged:
             cases.append((gains, plant))
     return cases

@@ -33,6 +33,7 @@ from pidtune import (
     optimize,
     rise_time,
     simulate_step,
+    step_response,
     tf_to_state_space,
     ultimate_point,
     zn_pid_gains,
@@ -43,7 +44,6 @@ from helpers import (
     BENCH3,
     brute_force_score,
     film_finished,
-    loop_response,
     random_stable_cases,
 )
 
@@ -63,11 +63,11 @@ def random_experiment(search_cfg):
         rng = np.random.default_rng(seed)
         while True:
             gains = draw_gains(rng)
-            initial = loop_response(gains, BENCH3, cfg)
+            initial = step_response(gains, BENCH3, cfg)
             if initial.diverged:
                 break
         trace = optimize(gains, lambda g: evaluate(g, BENCH3, cfg), search_cfg)
-        final = loop_response(trace.incumbent, BENCH3, cfg)
+        final = step_response(trace.incumbent, BENCH3, cfg)
         runs.append((seed, initial, trace, final))
     return runs
 
@@ -179,7 +179,7 @@ def test_trace_flag_correctness_and_frame_colors(zn_run, tmp_path):
         best = min(best, rec.objective.total)
         assert rec.best_so_far == best
     cfg = SimConfig()
-    responses = [loop_response(r.gains, BENCH3, cfg) for r in trace.records]
+    responses = [step_response(r.gains, BENCH3, cfg) for r in trace.records]
     n = film_finished(trace, responses, tmp_path)
     assert n == len(trace.records)
     greens = set()
@@ -231,7 +231,7 @@ def test_objective_oracle_equivalence():
     worst = 0.0
     for gains, plant in random_stable_cases(rng, 100):
         v = evaluate(gains, plant, cfg)
-        resp = loop_response(gains, plant, cfg)
+        resp = step_response(gains, plant, cfg)
         total, rt, dev, rose = brute_force_score(resp.values, resp.dt, cfg.t_max)
         assert rose == v.rose
         worst = max(worst, abs(v.total - total), abs(v.rise_time - rt),

@@ -23,11 +23,12 @@ from pidtune import (
     export_trace,
     optimize,
     render_frame,
+    step_response,
 )
 from pidtune import cli, errors
 from pidtune.cli import _starting_gains, parse_plant
 
-from helpers import BENCH3, loop_response
+from helpers import BENCH3
 
 
 def run_cli(*args):
@@ -314,7 +315,7 @@ class TestTuneCommand:
         )
         for rec in trace.records:
             # every frame, a repeat's too, drawn from its own record's response
-            want = render_frame(rec, loop_response(rec.gains, BENCH3, cfg))
+            want = render_frame(rec, step_response(rec.gains, BENCH3, cfg))
             assert (out / "frames" / f"film_{rec.index}.svg").read_bytes() == want.encode()
 
     @pytest.mark.parametrize("target,frames", [
@@ -397,7 +398,7 @@ class TestFrameStreaming:
             return value
 
         monkeypatch.setattr(cli, "evaluate", evaluate)
-        monkeypatch.setattr(cli, "_loop_response", lambda g, *_: resimulated.append(g))
+        monkeypatch.setattr(cli, "step_response", lambda g, *_: resimulated.append(g))
         assert cli.main([*self.ARGS, "--out", str(tmp_path / "run"), "--frames"]) == 0
         assert all(ref() is None for ref in produced)
         records = json.loads((tmp_path / "run" / "trace.json").read_text())["records"]

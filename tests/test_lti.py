@@ -2,7 +2,7 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 from scipy import signal
 
@@ -15,12 +15,13 @@ from pidtune import (
     close_unity_feedback,
     pid_transfer_function,
     simulate_step,
+    step_response,
     tf_to_state_space,
 )
 from pidtune import _kernels
 from pidtune.lti import BLOW_UP_LIMIT, MAX_SAMPLES, _rk4_step_map
 
-from helpers import BENCH3, loop_response, random_proper_tf, sequential_scan
+from helpers import BENCH3, random_proper_tf, sequential_scan
 
 
 class TestTransferFunction:
@@ -184,6 +185,13 @@ class TestSimulateStep:
         assert not resp.diverged
         assert np.all(resp.values == 1.0)
 
+    @pytest.mark.parametrize("gain", [3e6, -3e6])
+    def test_pure_gain_beyond_the_limit_clamps_every_sample(self, gain):
+        ss = tf_to_state_space(TransferFunction((gain,), (1.0,)))
+        resp = simulate_step(ss, SimConfig(t_max=5.0, dt=0.1))
+        assert resp.diverged
+        assert np.all(resp.values == np.copysign(BLOW_UP_LIMIT, gain))
+
     def test_unstable_pole_clamps(self):
         # e^t - 1 passes 1e6 near t = 13.8
         ss = tf_to_state_space(TransferFunction((1.0,), (1.0, -1.0)))
@@ -205,7 +213,7 @@ class TestSimulateStep:
         # kp = 1e308 overflows the RK4 step map itself to inf and NaN
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            resp = loop_response(PidGains(1e308, 2.6, 2.2), BENCH3, SimConfig(t_max=5.0))
+            resp = step_response(PidGains(1e308, 2.6, 2.2), BENCH3, SimConfig(t_max=5.0))
         assert resp.diverged
         assert np.all(np.abs(resp.values) <= 1e6)
 
@@ -303,6 +311,8 @@ class TestScan:
         gains=st.tuples(*[st.floats(-10.0, 10.0)] * 3),
         limit=st.sampled_from((1e6, 10.0, 3.0)),
     )
+    # feedthrough kd / (1 + kd) = -4 against 1/(s + 1): out of band at sample 0
+    @example(plant=ORACLE_PLANTS[3], gains=(1.0, 1.0, -0.8), limit=3.0)
     def test_matches_sequential_oracle(self, plant, gains, limit):
         try:
             loop = close_unity_feedback(pid_transfer_function(PidGains(*gains)), plant)

@@ -9,8 +9,13 @@ from pidtune import (
     StepResponse,
     TransferFunction,
     band_deviation,
+    close_unity_feedback,
     evaluate,
+    pid_transfer_function,
     rise_time,
+    simulate_step,
+    step_response,
+    tf_to_state_space,
 )
 from pidtune.lti import BLOW_UP_LIMIT
 from pidtune.objective import BAND_LOWER, RISE_LEVEL
@@ -19,7 +24,6 @@ from helpers import (
     BENCH3,
     brute_force_deviation,
     brute_force_score,
-    loop_response,
     random_stable_cases,
 )
 
@@ -158,8 +162,34 @@ class TestBandDeviation:
 
     def test_under_window_for_a_rise_off_the_grid(self):
         resp = make_resp([0.0, 0.99, 0.5, 1.0], dt=0.1)
-        for rise, want in ((0.1, 0.48), (0.2, 0.0), (float("inf"), 0.0), (float("nan"), 0.0)):
+        cases = ((0.1, 0.48), (0.2, 0.0), (float("inf"), 0.0), (float("nan"), 0.0),
+                 (float("-inf"), 0.98))
+        for rise, want in cases:
             assert band_deviation(resp, rise, True) == pytest.approx(want, abs=1e-15)
+
+
+class TestStepResponse:
+    @pytest.mark.parametrize("gains,diverged", [
+        (PidGains(4.8, 2.64638, 2.17656), False),  # ZN-like, settles
+        (PidGains(-8.0, -5.0, 6.0), True),
+    ])
+    def test_is_the_loop_chain_and_what_evaluate_appends(self, gains, diverged):
+        cfg = SimConfig(t_max=20.0)
+        resp = step_response(gains, BENCH3, cfg)
+        loop = close_unity_feedback(pid_transfer_function(gains), BENCH3)
+        chain = simulate_step(tf_to_state_space(loop), cfg)
+        responses = []
+        evaluate(gains, BENCH3, cfg, responses)
+        assert resp.diverged == diverged
+        for other in (chain, *responses):
+            assert np.array_equal(resp.values, other.values)
+            assert (other.dt, other.diverged) == (resp.dt, resp.diverged)
+        assert len(responses) == 1
+
+    def test_default_grid_is_simconfig(self):
+        gains = PidGains(1.0, 0.5, 0.0)
+        want = step_response(gains, BENCH3, SimConfig())
+        assert np.array_equal(step_response(gains, BENCH3).values, want.values)
 
 
 class TestEvaluate:
@@ -218,7 +248,7 @@ class TestEvaluate:
         cfg = SimConfig()
         for gains, plant in random_stable_cases(rng, 100):
             v = evaluate(gains, plant, cfg)
-            resp = loop_response(gains, plant, cfg)
+            resp = step_response(gains, plant, cfg)
             total, rt, dev, rose = brute_force_score(resp.values, resp.dt, cfg.t_max)
             assert rose == v.rose
             assert abs(v.total - total) <= 1e-12
