@@ -286,9 +286,7 @@ def simulate_step(ss: StateSpace, cfg: SimConfig) -> StepResponse:
     else:
         # Huge gains overflow the step map and the states on the way to the
         # clamp: the defined divergent outcome, not a fault to warn of. Every
-        # kind is ignored (no division occurs here) because numpy then skips
-        # its floating-point status checks; ignoring only over and invalid
-        # made the numpy scan about 1.5% slower (numpy 2.4, x86-64).
+        # kind is ignored, since no division occurs here.
         with np.errstate(all="ignore"):
             m, v = _rk4_step_map(ss.a, ss.b, cfg.dt)
             values, diverged = _kernels.scan(m, v, ss.c.ravel(), float(ss.d), n_samples, limit)

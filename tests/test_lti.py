@@ -299,6 +299,21 @@ ORACLE_PLANTS = (
 )
 
 
+# Hand-built two-state maps whose arithmetic is exact in any order, so the
+# kernel must match the oracle bit for bit. Each case: step_mat, step_vec,
+# c_row, feed, limit, then the expected first clamped sample and clamp.
+RULE_CASES = {
+    "nan_state": ([[0, 0], [0, 0]], [np.nan, 0], [1, 1], 0.0, 1e6, 1, 1e6),
+    "nan_output_states_in_band": ([[0, 0], [0, 0]], [0, 1], [np.inf, 1], 0.0, 1e6, 1, 1e6),
+    "plus_inf_state": ([[0, 0], [0, 0]], [np.inf, 0], [1, 1], 0.0, 1e6, 1, 1e6),
+    "minus_inf_state": ([[0, 0], [0, 0]], [0, -np.inf], [1, 1], 0.0, 1e6, 1, -1e6),
+    "first_state_positive": ([[0, 0], [0, 0]], [20, -20], [0, 0], 0.5, 10.0, 2, 10.0),
+    "first_state_negative": ([[0, 0], [0, 0]], [-20, 20], [0, 0], 0.5, 10.0, 2, -10.0),
+    # x0 runs 0, 1, 3, 7: 3 is in band, 7 triggers at sample 3 with z = 2
+    "limit_3": ([[2, 0], [0, 0]], [1, 0.25], [0.25, 1], 0.0, 3.0, 4, 3.0),
+}
+
+
 def _first_clamped(values, limit) -> int:
     hits = np.flatnonzero(np.abs(values) == limit)
     return int(hits[0]) if hits.size else len(values)
@@ -313,6 +328,9 @@ class TestScan:
     )
     # feedthrough kd / (1 + kd) = -4 against 1/(s + 1): out of band at sample 0
     @example(plant=ORACLE_PLANTS[3], gains=(1.0, 1.0, -0.8), limit=3.0)
+    # subnormal gains: products underflow, so the orders differ by a subnormal step
+    @example(plant=ORACLE_PLANTS[1], gains=(0.0, 0.0, 2.225073858507e-311), limit=1e6)
+    @example(plant=ORACLE_PLANTS[1], gains=(0.0, 3e-320, 0.0), limit=1e6)
     def test_matches_sequential_oracle(self, plant, gains, limit):
         try:
             loop = close_unity_feedback(pid_transfer_function(PidGains(*gains)), plant)
@@ -335,6 +353,9 @@ class TestScan:
         # S_k is the largest |d| + sum_i |c_i x_i| up to step k; an error made
         # earlier grows with the trajectory, so k steps add at most k such
         # terms. Measured worst over 700 random loops: 0.32 of this bound.
+        # That term models relative rounding only; a product that underflows
+        # is off by up to 2^-1075 absolute (Higham, Accuracy and Stability of
+        # Numerical Algorithms, 2.1), so each step may add (n + 1) 2^-1075 more.
         x = np.zeros(len(c))
         magnitude = np.empty(k_clamp)
         for k in range(k_clamp):
@@ -342,4 +363,17 @@ class TestScan:
             x = m @ x + v
         steps = np.arange(1, k_clamp + 1)
         tol = steps * (len(c) + 1) * np.finfo(float).eps / 2 * np.maximum.accumulate(magnitude)
+        # 2^-1075 itself rounds to 0.0, so halve the count, not the subnormal.
+        tol += steps * (len(c) + 1) / 2 * np.finfo(float).smallest_subnormal
         assert np.all(np.abs(out[:k_clamp] - ref[:k_clamp]) <= tol)
+
+    @pytest.mark.parametrize("case", RULE_CASES.values(), ids=RULE_CASES.keys())
+    def test_divergence_rule_matches_oracle_exactly(self, case):
+        mat, vec, c, feed, limit, k_clamp, clamp = case
+        args = (np.array(mat, float), np.array(vec, float), np.array(c, float), feed, 6, limit)
+        with np.errstate(all="ignore"):
+            out, diverged = _kernels.scan(*args)
+            ref, ref_diverged = sequential_scan(*args)
+        assert diverged and ref_diverged
+        assert np.array_equal(out, ref)
+        assert np.all(out[k_clamp:] == clamp) and not np.any(np.abs(out[:k_clamp]) == limit)
