@@ -9,7 +9,8 @@ from x[0] = 0 with the divergence rule: at the first sample where any state
 or output magnitude leaves [-limit, limit] (NaN counts as leaving), that
 sample and all later ones are pinned to +limit or -limit with the sign of
 the triggering value, except that a triggering state leaves its sample's
-output as computed. Sample 0 is tested like any other.
+output as computed. Sample 0 is tested like any other, and a 0-state map
+(a pure gain) follows the same rule.
 
 The loop is bound by per-call overhead, not arithmetic: the state has a
 handful of elements. ``ndarray.dot`` gives the same bits as ``@`` on these

@@ -38,6 +38,9 @@ PLANT_PRESETS = {
 
 MAX_RESAMPLE_ATTEMPTS = 1000
 
+# Rows of `simulate --samples` formatted per write: about 0.4 MB of text.
+CSV_CHUNK_ROWS = 10_000
+
 
 def parse_plant(text: str) -> TransferFunction:
     """Parse a preset name or the grammar ``num: c_n ... c_0 / den: d_m ... d_0``."""
@@ -87,6 +90,17 @@ def _gain_line(label: str, gains: PidGains, value) -> str:
     )
 
 
+def _sample_rows(resp):
+    """The t,z CSV of a response as bytes, CSV_CHUNK_ROWS rows at a time, so
+    that no more than one chunk of text is held at once."""
+    yield b"t,z\n"
+    dt = resp.dt
+    for start in range(0, len(resp.values), CSV_CHUNK_ROWS):
+        chunk = resp.values[start : start + CSV_CHUNK_ROWS].tolist()
+        rows = "".join(f"{k * dt:.17g},{z:.17g}\n" for k, z in enumerate(chunk, start))
+        yield rows.encode("utf-8")
+
+
 def cmd_simulate(args) -> int:
     plant = parse_plant(args.plant)
     cfg = SimConfig(t_max=args.tmax, dt=args.dt)
@@ -99,11 +113,7 @@ def cmd_simulate(args) -> int:
     )
     if args.samples:
         (resp,) = responses
-        lines = ["t,z"]
-        lines.extend(
-            f"{k * resp.dt:.17g},{z:.17g}" for k, z in enumerate(resp.values)
-        )
-        write_output(Path(args.samples), ("\n".join(lines) + "\n").encode("utf-8"))
+        write_output(Path(args.samples), _sample_rows(resp))
         print(f"samples written to {args.samples}")
     return 0
 

@@ -223,20 +223,16 @@ def tf_to_state_space(tf: TransferFunction) -> StateSpace:
     deg = tf.num_degree
     # A tiny leading coefficient can overflow the normalization; StateSpace
     # rejects the non-finite result, so numpy has nothing to warn about.
+    # A zero numerator (degree -1) assigns an empty slice.
     with np.errstate(all="ignore"):
         den = den / lead
-        if deg >= 0:
-            num[n - deg :] = src[len(src) - 1 - deg :] / lead
+        num[n - deg :] = src[len(src) - 1 - deg :] / lead
         d = float(num[0])
         rem = num[1:] - d * den[1:]  # descending, length n
-    a = np.zeros((n, n))
-    if n > 1:
-        a[: n - 1, 1:] = np.eye(n - 1)
-    if n > 0:
-        a[n - 1, :] = -den[1:][::-1]
+    a = np.eye(n, k=1)
+    a[-1:] = -den[1:][::-1]
     b = np.zeros((n, 1))
-    if n > 0:
-        b[n - 1, 0] = 1.0
+    b[-1:] = 1.0
     c = rem[::-1].reshape(1, n)
     return StateSpace(a=a, b=b, c=c, d=d)
 
@@ -268,27 +264,19 @@ def simulate_step(ss: StateSpace, cfg: SimConfig) -> StepResponse:
     """Unit-step response on the fixed grid t = 0, dt, ..., floor(t_max/dt)*dt.
 
     Integrates with classical fixed-step RK4 (precomputed one-step map) from
-    x(0) = 0 under u(t) = 1. Divergence is never an error: once any state or
-    output magnitude exceeds BLOW_UP_LIMIT the remaining samples are
-    clamped to +/-BLOW_UP_LIMIT so downstream scoring stays total; numpy's
-    floating-point warnings on the way there are suppressed.
+    x(0) = 0 under u(t) = 1; every order, a pure gain's 0 states included,
+    goes through that map and _kernels.scan. Divergence is never an error:
+    once any state or output magnitude exceeds BLOW_UP_LIMIT the remaining
+    samples are clamped to +/-BLOW_UP_LIMIT so downstream scoring stays
+    total; numpy's floating-point warnings on the way there are suppressed.
     """
-    n_samples = cfg.n_samples
-    limit = BLOW_UP_LIMIT
-    if ss.order == 0:
-        z = ss.d
-        if abs(z) <= limit:
-            values = np.full(n_samples, z)
-            diverged = False
-        else:
-            values = np.full(n_samples, -limit if z < 0 else limit)
-            diverged = True
-    else:
-        # Huge gains overflow the step map and the states on the way to the
-        # clamp: the defined divergent outcome, not a fault to warn of. Every
-        # kind is ignored, since no division occurs here.
-        with np.errstate(all="ignore"):
-            m, v = _rk4_step_map(ss.a, ss.b, cfg.dt)
-            values, diverged = _kernels.scan(m, v, ss.c.ravel(), float(ss.d), n_samples, limit)
+    # Huge gains overflow the step map and the states on the way to the
+    # clamp: the defined divergent outcome, not a fault to warn of. Every
+    # kind is ignored, since no division occurs here.
+    with np.errstate(all="ignore"):
+        m, v = _rk4_step_map(ss.a, ss.b, cfg.dt)
+        values, diverged = _kernels.scan(
+            m, v, ss.c.ravel(), float(ss.d), cfg.n_samples, BLOW_UP_LIMIT
+        )
     values.setflags(write=False)
     return StepResponse(dt=cfg.dt, values=values, diverged=diverged)

@@ -64,14 +64,11 @@ def band_deviation(resp: StepResponse, rise: float, rose: bool) -> float:
     rose (the lower bound holds only after the rise time).
     """
     vals = resp.values
-    over = 0.0
-    if len(vals) > 1:
-        over = max(0.0, float(np.max(vals[1:])) - BAND_UPPER)
+    over = max(0.0, float(np.max(vals[1:], initial=-np.inf)) - BAND_UPPER)
     under = 0.0
     if rose:
         k = _first_sample_after(rise, resp.dt, len(vals))
-        if k < len(vals):
-            under = max(0.0, BAND_LOWER - float(np.min(vals[k:])))
+        under = max(0.0, BAND_LOWER - float(np.min(vals[k:], initial=np.inf)))
     return max(over, under)
 
 

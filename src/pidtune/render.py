@@ -19,7 +19,7 @@ import math
 from dataclasses import fields, is_dataclass
 from operator import attrgetter
 from pathlib import Path
-from typing import Callable
+from typing import Callable, Iterable
 
 import numpy as np
 
@@ -124,10 +124,7 @@ def _curve_grid(n_samples: int, dt: float):
     and the points format. They depend on the sample grid alone, so every
     frame of a film shares one copy; printing the x half of the vertices
     once per film instead of once per frame saves about 40% of a frame."""
-    if n_samples > _MAX_CURVE_POINTS:
-        idx = np.linspace(0, n_samples - 1, _MAX_CURVE_POINTS).round().astype(int)
-    else:
-        idx = np.arange(n_samples)
+    idx = np.linspace(0, n_samples - 1, min(n_samples, _MAX_CURVE_POINTS)).round().astype(int)
     idx.setflags(write=False)
     x_text = tuple("%.2f" % x for x in _plot_x(idx * dt, (n_samples - 1) * dt).tolist())
     return idx, x_text, " ".join(["%s,%.2f"] * len(idx))
@@ -254,10 +251,12 @@ def make_output_dir(path: Path) -> None:
         raise OutputUnwritable(f"cannot create {path}: {exc}") from exc
 
 
-def write_output(path: Path, data: bytes) -> None:
-    """Write data to path; raises OutputUnwritable when that fails."""
+def write_output(path: Path, data: bytes | Iterable[bytes]) -> None:
+    """Write data, one bytes object or bytes chunks in turn, to path; raises
+    OutputUnwritable when that fails."""
     try:
-        path.write_bytes(data)
+        with path.open("wb") as f:
+            f.writelines([data] if isinstance(data, bytes) else data)
     except OSError as exc:
         raise OutputUnwritable(f"cannot write {path}: {exc}") from exc
 

@@ -42,10 +42,7 @@ def _closed_loop_roots(plant: TransferFunction, k: float) -> np.ndarray:
 
 def _stability_margin(plant: TransferFunction, k: float) -> float:
     """Max real part of the proportional closed-loop roots; negative = stable."""
-    roots = _closed_loop_roots(plant, k)
-    if roots.size == 0:
-        return -math.inf
-    return float(np.max(roots.real))
+    return float(np.max(_closed_loop_roots(plant, k).real, initial=-math.inf))
 
 
 def ultimate_point(plant: TransferFunction) -> UltimatePoint:

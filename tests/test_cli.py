@@ -114,6 +114,29 @@ class TestSimulateCommand:
         assert float(t) == 0.0
         assert float(z) == 0.0
 
+    @pytest.mark.skipif(not Path("/proc/self/status").exists(), reason="needs Linux VmHWM")
+    def test_samples_csv_is_written_in_bounded_memory(self, tmp_path):
+        # 300,001 samples: formatting the whole CSV at once would hold about
+        # 50 MB of text; one chunk of rows holds under 2 MB. The child reports
+        # its own peak as VmHWM: ru_maxrss would also keep the peak of the
+        # test process it was forked from, which survives exec.
+        def peak_kib(*extra):
+            r = subprocess.run(
+                [sys.executable, "-c",
+                 "import sys; from pidtune.cli import main; main(sys.argv[1:]); "
+                 "print(next(line.split()[1] for line in open('/proc/self/status') "
+                 "if line.startswith('VmHWM:')))",
+                 "simulate", "--kp", "2", "--ki", "1", "--kd", "1",
+                 "--dt", "0.01", "--tmax", "3000", *extra],
+                capture_output=True, text=True, timeout=300,
+            )
+            assert r.returncode == 0, r.stderr
+            return int(r.stdout.splitlines()[-1])
+
+        path = tmp_path / "samples.csv"
+        growth = peak_kib("--samples", str(path)) - peak_kib()
+        assert path.read_bytes().count(b"\n") == 300_002
+        assert growth < 10 * 1024
 
     def test_samples_into_missing_directory_exits_2(self, tmp_path):
         r = run_cli("simulate", "--kp", "1", "--tmax", "5",

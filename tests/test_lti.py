@@ -151,6 +151,19 @@ class TestTfToStateSpace:
         assert ss.order == 0
         assert ss.d == 1.5
 
+    @pytest.mark.parametrize("den, a, b", [
+        ((2.0,), np.zeros((0, 0)), np.zeros((0, 1))),
+        ((2.0, 1.0), [[-0.5]], [[1.0]]),
+        ((2.0, 4.0, 1.0), [[0.0, 1.0], [-0.5, -2.0]], [[0.0], [1.0]]),
+    ], ids=["order0", "order1", "order2"])
+    def test_zero_numerator(self, den, a, b):
+        # the zero polynomial has degree -1: no numerator coefficient is placed
+        ss = tf_to_state_space(TransferFunction((0.0,) * len(den), den))
+        # array_equal compares shapes too, so order 0 must give (0, 0), (0, 1), (1, 0)
+        assert np.array_equal(ss.a, a) and np.array_equal(ss.b, b)
+        assert np.array_equal(ss.c, np.zeros((1, len(den) - 1)))
+        assert ss.d == 0.0
+
     def test_improper_rejected(self):
         with pytest.raises(ImproperSystem):
             tf_to_state_space(TransferFunction((1.0, 0.0, 0.0), (1.0, 1.0)))
@@ -299,10 +312,12 @@ ORACLE_PLANTS = (
 )
 
 
-# Hand-built two-state maps whose arithmetic is exact in any order, so the
-# kernel must match the oracle bit for bit. Each case: step_mat, step_vec,
-# c_row, feed, limit, then the expected first clamped sample and clamp.
+# Hand-built maps (two states, or none for a pure gain) whose arithmetic is
+# exact in any order, so the kernel must match the oracle bit for bit. Each
+# case: step_mat, step_vec, c_row, feed, limit, then the expected first
+# clamped sample and clamp.
 RULE_CASES = {
+    "zero_states_feed_beyond_limit": (np.zeros((0, 0)), [], [], -20.0, 10.0, 0, -10.0),
     "nan_state": ([[0, 0], [0, 0]], [np.nan, 0], [1, 1], 0.0, 1e6, 1, 1e6),
     "nan_output_states_in_band": ([[0, 0], [0, 0]], [0, 1], [np.inf, 1], 0.0, 1e6, 1, 1e6),
     "plus_inf_state": ([[0, 0], [0, 0]], [np.inf, 0], [1, 1], 0.0, 1e6, 1, 1e6),
@@ -377,3 +392,10 @@ class TestScan:
         assert diverged and ref_diverged
         assert np.array_equal(out, ref)
         assert np.all(out[k_clamp:] == clamp) and not np.any(np.abs(out[:k_clamp]) == limit)
+
+    def test_zero_state_map_in_band_matches_oracle(self):
+        args = (np.zeros((0, 0)), np.zeros(0), np.zeros(0), 0.5, 6, 10.0)
+        out, diverged = _kernels.scan(*args)
+        ref, ref_diverged = sequential_scan(*args)
+        assert not diverged and not ref_diverged
+        assert np.array_equal(out, ref) and np.all(out == 0.5)

@@ -160,6 +160,14 @@ class TestBandDeviation:
         assert (rt, rose) == (want_rt, want_rose)
         assert band_deviation(resp, rt, rose) == want_dev
 
+    @pytest.mark.parametrize("values, rise", [
+        ([5.0], 0.0),  # one sample: no t > 0 for over, no t > rise for under
+        ([0.0, 0.99, 0.5], 2.5),  # a rise past the last sample: no under window
+    ], ids=["one_sample", "rise_past_the_end"])
+    def test_empty_windows_score_zero(self, values, rise):
+        got = band_deviation(make_resp(values), rise, True)
+        assert got == 0.0 == brute_force_deviation(values, 1.0, rise, True)
+
     def test_under_window_for_a_rise_off_the_grid(self):
         resp = make_resp([0.0, 0.99, 0.5, 1.0], dt=0.1)
         cases = ((0.1, 0.48), (0.2, 0.0), (float("inf"), 0.0), (float("nan"), 0.0),

@@ -39,6 +39,13 @@ class TestUltimatePoint:
         with pytest.raises(NoUltimateGain):
             ultimate_point(TransferFunction((1.0,), (1.0, 1.0)))
 
+    def test_static_plant_never_changes_sign(self):
+        # den + k*num = 2 + k has no roots, so every k counts as stable; the
+        # CLI refuses this plant on relative degree, so only a library call
+        # gets here
+        with pytest.raises(NoUltimateGain, match="never changes sign"):
+            ultimate_point(TransferFunction((1.0,), (2.0,)))
+
     def test_boundary_certificate(self):
         for plant in (BENCH3, INTEGRATOR_CHAIN):
             up = ultimate_point(plant)
