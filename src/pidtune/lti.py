@@ -114,7 +114,8 @@ class StateSpace:
 
 
 # Largest sample count per response: 10**7 float64 samples are 80 MB, and a
-# search holds one response at a time (frames included).
+# search holds one response at a time (frames included), and the scan adds
+# only O(_kernels.BLOCK * order) floats to it.
 MAX_SAMPLES = 10**7
 
 # Magnitude at which a response is declared divergent and clamped.
@@ -265,7 +266,11 @@ def simulate_step(ss: StateSpace, cfg: SimConfig) -> StepResponse:
 
     Integrates with classical fixed-step RK4 (precomputed one-step map) from
     x(0) = 0 under u(t) = 1; every order, a pure gain's 0 states included,
-    goes through that map and _kernels.scan. Divergence is never an error:
+    goes through that map and _kernels.scan, which applies its powers to
+    take _kernels.BLOCK samples per matvec. The samples match stepping the
+    map one sample at a time to within rounding (tests/helpers.py's
+    scan_error_bound), and sample k does not depend on how many follow it.
+    Divergence is never an error:
     once any state or output magnitude exceeds BLOW_UP_LIMIT the remaining
     samples are clamped to +/-BLOW_UP_LIMIT so downstream scoring stays
     total; numpy's floating-point warnings on the way there are suppressed.

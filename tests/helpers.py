@@ -12,11 +12,24 @@ from pidtune import (
     SimConfig,
     StepResponse,
     TransferFunction,
+    close_unity_feedback,
+    pid_transfer_function,
     render_animation,
     step_response,
+    tf_to_state_space,
 )
+from pidtune.lti import _rk4_step_map
 
 BENCH3 = TransferFunction((1.0,), (1.0, 3.0, 3.0, 1.0))
+
+# Plants for the scan oracle checks: benchmark3, an integrator chain, a plant
+# with a zero, and a relative-degree-1 plant whose PID loop has feedthrough.
+ORACLE_PLANTS = (
+    BENCH3,
+    TransferFunction((1.0,), (1.0, 3.0, 2.0, 0.0)),
+    TransferFunction((2.0, 1.0), (1.0, 4.0, 5.0, 2.0)),
+    TransferFunction((1.0,), (1.0, 1.0)),
+)
 
 
 def gain_bits(gains: PidGains) -> bytes:
@@ -72,6 +85,46 @@ def sequential_scan(step_mat, step_vec, c_row, feed, n_samples, limit):
         for i in range(n):
             x[i] = xn[i]
     return out, diverged
+
+
+def first_clamped(values, limit) -> int:
+    """Index of the first sample pinned to +/-limit, or len(values)."""
+    hits = np.flatnonzero(np.abs(values) == limit)
+    return int(hits[0]) if hits.size else len(values)
+
+
+def loop_step_map(plant, gains, dt=0.01):
+    """(step_mat, step_vec, c_row, feed) of the unity-feedback PID loop
+    around plant: the arguments of scan before n_samples. Raises
+    ImproperLoop where the loop has no realization; overflow is left to the
+    caller's np.errstate."""
+    ss = tf_to_state_space(close_unity_feedback(pid_transfer_function(PidGains(*gains)), plant))
+    m, v = _rk4_step_map(ss.a, ss.b, dt)
+    return m, v, np.ascontiguousarray(ss.c.ravel()), ss.d
+
+
+def scan_error_bound(step_mat, step_vec, c_row, feed, n_samples):
+    """Per-sample bound on |scan - sequential_scan| over the first n_samples
+    samples, for samples before the clamp.
+
+    Both evaluate the same recursion in different summation orders. A
+    length-(n + 1) sum is off by at most (n + 1) u times the sum of its
+    terms' magnitudes, so each step adds at most (n + 1) u S_k, where S_k is
+    the largest |d| + sum_i |c_i x_i| up to step k; an error made earlier
+    grows with the trajectory, so k steps add at most k such terms. That
+    term models relative rounding only; a product that underflows is off by
+    up to 2^-1075 absolute (Higham, Accuracy and Stability of Numerical
+    Algorithms, 2.1), so each step may add (n + 1) 2^-1075 more."""
+    x = np.zeros(len(c_row))
+    magnitude = np.empty(n_samples)
+    for k in range(n_samples):
+        magnitude[k] = abs(feed) + np.abs(c_row) @ np.abs(x)
+        x = step_mat @ x + step_vec
+    steps = np.arange(1, n_samples + 1)
+    tol = steps * (len(c_row) + 1) * np.finfo(float).eps / 2 * np.maximum.accumulate(magnitude)
+    # 2^-1075 itself rounds to 0.0, so halve the count, not the subnormal.
+    tol += steps * (len(c_row) + 1) / 2 * np.finfo(float).smallest_subnormal
+    return tol
 
 
 def film_finished(trace, responses, out_dir, plant=BENCH3) -> int:

@@ -1,3 +1,4 @@
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -19,9 +20,19 @@ from pidtune import (
     tf_to_state_space,
 )
 from pidtune import _kernels
-from pidtune.lti import BLOW_UP_LIMIT, MAX_SAMPLES, _rk4_step_map
+from pidtune._kernels import BLOCK
+from pidtune.lti import BLOW_UP_LIMIT, MAX_SAMPLES
+from pidtune.tuning import ultimate_point, zn_pid_gains
 
-from helpers import BENCH3, random_proper_tf, sequential_scan
+from helpers import (
+    BENCH3,
+    ORACLE_PLANTS,
+    first_clamped,
+    loop_step_map,
+    random_proper_tf,
+    scan_error_bound,
+    sequential_scan,
+)
 
 
 class TestTransferFunction:
@@ -302,22 +313,13 @@ class TestSimConfig:
         assert cfg.n_samples == 10001
 
 
-# Plants for the oracle test: benchmark3, an integrator chain, a plant with
-# a zero, and a relative-degree-1 plant whose PID loop has feedthrough.
-ORACLE_PLANTS = (
-    BENCH3,
-    TransferFunction((1.0,), (1.0, 3.0, 2.0, 0.0)),
-    TransferFunction((2.0, 1.0), (1.0, 4.0, 5.0, 2.0)),
-    TransferFunction((1.0,), (1.0, 1.0)),
-)
-
-
 # Hand-built maps (two states, or none for a pure gain) whose arithmetic is
 # exact in any order, so the kernel must match the oracle bit for bit. Each
 # case: step_mat, step_vec, c_row, feed, limit, then the expected first
 # clamped sample and clamp.
 RULE_CASES = {
     "zero_states_feed_beyond_limit": (np.zeros((0, 0)), [], [], -20.0, 10.0, 0, -10.0),
+    "feed_beyond_limit": ([[2, 0], [0, 0]], [1, 0], [1, 0], -20.0, 10.0, 0, -10.0),
     "nan_state": ([[0, 0], [0, 0]], [np.nan, 0], [1, 1], 0.0, 1e6, 1, 1e6),
     "nan_output_states_in_band": ([[0, 0], [0, 0]], [0, 1], [np.inf, 1], 0.0, 1e6, 1, 1e6),
     "plus_inf_state": ([[0, 0], [0, 0]], [np.inf, 0], [1, 1], 0.0, 1e6, 1, 1e6),
@@ -329,9 +331,22 @@ RULE_CASES = {
 }
 
 
-def _first_clamped(values, limit) -> int:
-    hits = np.flatnonzero(np.abs(values) == limit)
-    return int(hits[0]) if hits.size else len(values)
+def _assert_matches_oracle(args, n_samples, limit):
+    """scan against the sequential oracle: the same flag, the same first
+    clamped sample and tail, and earlier samples within scan_error_bound.
+    Returns scan's (values, diverged)."""
+    with np.errstate(all="ignore"):
+        out, diverged = _kernels.scan(*args, n_samples, limit)
+        ref, ref_diverged = sequential_scan(*args, n_samples, limit)
+        assert diverged == ref_diverged
+        k_clamp = first_clamped(ref, limit)
+        assert first_clamped(out, limit) == k_clamp
+        assert np.array_equal(out[k_clamp:], ref[k_clamp:])
+        # Measured worst over 4,000 uniform and 1,600 growing-oscillation loops
+        # (tests/stress_scan.py): 0.53 of this bound; 0.33 for a step per matvec.
+        tol = scan_error_bound(*args, k_clamp)
+    assert np.all(np.abs(out[:k_clamp] - ref[:k_clamp]) <= tol)
+    return out, diverged
 
 
 class TestScan:
@@ -346,41 +361,77 @@ class TestScan:
     # subnormal gains: products underflow, so the orders differ by a subnormal step
     @example(plant=ORACLE_PLANTS[1], gains=(0.0, 0.0, 2.225073858507e-311), limit=1e6)
     @example(plant=ORACLE_PLANTS[1], gains=(0.0, 3e-320, 0.0), limit=1e6)
+    # Growing oscillations (a complex pair of modulus 1.004-1.015), about 1 in
+    # 750 uniform draws, on which a step table's rounding adds up block after
+    # block. A float64 doubling table at block length 8 gives 1.04 and 1.73 of
+    # the bound on the first two. A long-double table rounded to float64 once
+    # gives 0.73 on the third at block length 6 and 1.73 on the fourth at 4.
+    @example(plant=ORACLE_PLANTS[0],
+             gains=(-0.014442751197700332, 2.029967152467149, -9.42621983256111), limit=1e6)
+    @example(plant=ORACLE_PLANTS[3],
+             gains=(-9.318994421059248, 6.917802128901151, 1.7576388133372092), limit=1e6)
+    @example(plant=ORACLE_PLANTS[3],
+             gains=(-7.267857827098569, 2.9753529806347885, 2.515723202950607), limit=1e6)
+    @example(plant=ORACLE_PLANTS[3],
+             gains=(-8.370448339195523, 1.80692561711329, 7.106578935070026), limit=1e6)
     def test_matches_sequential_oracle(self, plant, gains, limit):
-        try:
-            loop = close_unity_feedback(pid_transfer_function(PidGains(*gains)), plant)
-        except ImproperLoop:  # kd = -1 against 1/(s + 1) cancels the leading s^2
-            assume(False)
-        ss = tf_to_state_space(loop)
-        n_samples = 3001
         with np.errstate(all="ignore"):
-            m, v = _rk4_step_map(ss.a, ss.b, 0.01)
-            c = np.ascontiguousarray(ss.c.ravel())
-            out, diverged = _kernels.scan(m, v, c, ss.d, n_samples, limit)
-            ref, ref_diverged = sequential_scan(m, v, c, ss.d, n_samples, limit)
-        assert diverged == ref_diverged
-        k_clamp = _first_clamped(ref, limit)
-        assert _first_clamped(out, limit) == k_clamp
-        assert np.array_equal(out[k_clamp:], ref[k_clamp:])
-        # Both evaluate the same recursion in different summation orders. A
-        # length-(n + 1) sum is off by at most (n + 1) u times the sum of its
-        # terms' magnitudes, so each step adds at most (n + 1) u S_k, where
-        # S_k is the largest |d| + sum_i |c_i x_i| up to step k; an error made
-        # earlier grows with the trajectory, so k steps add at most k such
-        # terms. Measured worst over 700 random loops: 0.32 of this bound.
-        # That term models relative rounding only; a product that underflows
-        # is off by up to 2^-1075 absolute (Higham, Accuracy and Stability of
-        # Numerical Algorithms, 2.1), so each step may add (n + 1) 2^-1075 more.
-        x = np.zeros(len(c))
-        magnitude = np.empty(k_clamp)
-        for k in range(k_clamp):
-            magnitude[k] = abs(ss.d) + np.abs(c) @ np.abs(x)
-            x = m @ x + v
-        steps = np.arange(1, k_clamp + 1)
-        tol = steps * (len(c) + 1) * np.finfo(float).eps / 2 * np.maximum.accumulate(magnitude)
-        # 2^-1075 itself rounds to 0.0, so halve the count, not the subnormal.
-        tol += steps * (len(c) + 1) / 2 * np.finfo(float).smallest_subnormal
-        assert np.all(np.abs(out[:k_clamp] - ref[:k_clamp]) <= tol)
+            try:
+                args = loop_step_map(plant, gains)
+            except ImproperLoop:  # kd = -1 against 1/(s + 1) cancels the leading s^2
+                assume(False)
+        _assert_matches_oracle(args, 3001, limit)
+
+    @pytest.mark.parametrize("n_samples", [1, 2, BLOCK, BLOCK + 1, 2 * BLOCK + 1])
+    @pytest.mark.parametrize("plant", [ORACLE_PLANTS[0], ORACLE_PLANTS[3]], ids=["bench3", "feedthrough"])
+    def test_block_boundaries_match_oracle(self, plant, n_samples):
+        _assert_matches_oracle(loop_step_map(plant, (2.0, 1.0, 1.0)), n_samples, 1e6)
+
+    # x0 runs 2^k - 1, so the limit below is first left at sample k_bad:
+    # inside the first block, then on the first and the last row of a later
+    # block. An output of 4 x0 triggers; one of x0 / 4 leaves it to the state.
+    @pytest.mark.parametrize("k_bad", [2, BLOCK, 2 * BLOCK - 1, 3 * BLOCK])
+    @pytest.mark.parametrize("c0", [4.0, 0.25], ids=["output", "state"])
+    def test_divergence_at_block_boundaries_matches_oracle(self, k_bad, c0):
+        args = (np.array([[2.0, 0.0], [0.0, 0.0]]), np.array([1.0, 0.0]), np.array([c0, 0.0]), 0.0)
+        limit = max(c0, 1.0) * (2.0**k_bad - 1.0) - 0.5
+        out, diverged = _assert_matches_oracle(args, 6 * BLOCK, limit)
+        assert diverged and np.all(np.abs(out[k_bad + 1 :]) == limit)
+        assert not np.any(np.abs(out[:k_bad]) == limit)
+
+    @pytest.mark.parametrize("k_bad", [2, 2 * BLOCK - 1])
+    def test_divergence_in_a_dead_row_of_the_last_block_is_not_seen(self, k_bad):
+        # The last block is computed whole; its rows past n_samples may leave
+        # the band without making the response diverge.
+        args = (np.array([[2.0, 0.0], [0.0, 0.0]]), np.array([1.0, 0.0]), np.array([0.25, 0.0]), 0.0)
+        out, diverged = _assert_matches_oracle(args, k_bad, 2.0**k_bad - 1.5)
+        assert not diverged
+
+    @pytest.mark.parametrize("start", ["zn", "diverging"])
+    def test_prefix_of_a_longer_scan_is_bit_identical(self, start):
+        # Sample k's bits may not depend on how many samples follow it. The
+        # diverging start leaves the band at sample 3,272.
+        zn = zn_pid_gains(ultimate_point(BENCH3))
+        gains, first_bad = {"zn": ((zn.kp, zn.ki, zn.kd), 4001), "diverging": ((-5.0, 8.0, 3.0), 3272)}[start]
+        args = loop_step_map(BENCH3, gains)
+        full, _ = _kernels.scan(*args, 4001, BLOW_UP_LIMIT)
+        for k in [*range(1, 3 * BLOCK + 2), 97, 1000, 3271, 3272, 3273, 4000]:
+            part, diverged = _kernels.scan(*args, k, BLOW_UP_LIMIT)
+            assert np.array_equal(part, full[:k]), k
+            assert diverged == (k > first_bad), k
+
+    def test_working_set_is_bounded(self):
+        # Beyond the output array, a scan holds O(BLOCK n) floats however
+        # many samples it takes (lti.MAX_SAMPLES counts on it).
+        zn = zn_pid_gains(ultimate_point(BENCH3))
+        args = loop_step_map(BENCH3, (zn.kp, zn.ki, zn.kd))
+        tracemalloc.start()
+        try:
+            out, _ = _kernels.scan(*args, 10**6, BLOW_UP_LIMIT)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak - out.nbytes < 2**20
 
     @pytest.mark.parametrize("case", RULE_CASES.values(), ids=RULE_CASES.keys())
     def test_divergence_rule_matches_oracle_exactly(self, case):
