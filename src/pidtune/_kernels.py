@@ -12,19 +12,20 @@ the triggering value, except that a triggering state leaves its sample's
 output as computed. Sample 0 is tested like any other, and a 0-state map
 (a pure gain) follows the same rule.
 
-It computes BLOCK samples per matvec. With M = step_mat and v = step_vec,
-unrolling the update j times from any state gives
+Each sample is one row [z[k], x[k]], and it computes BLOCK rows per matvec.
+With M = step_mat, v = step_vec and c = c_row, unrolling the update j times
+from any state gives
 
-    x[s+j] = M^j x[s] + x[j],    j = 1..BLOCK,
+    x[s+j] = M^j x[s] + x[j],
+    z[s+j] = c M^j x[s] + c x[j] + feed,    j = 1..BLOCK,
 
-where x[j] is the response from x[0] = 0. The step table stacks the rows
-[M^j | x[j]] for j = 1..BLOCK, so a block of samples s+1..s+BLOCK is one
-matvec with [x[s], 1], the last state of the block before; its outputs come
-from its own states. The first block, x[0]..x[BLOCK-1], is taken from the
-table's build itself, and sample 0's output is feed: a product with x[0] = 0
-would turn an infinite entry into NaN and flip the clamp's sign. Every block is computed whole, the last
-one too, of which only the live rows are kept, so the bits of sample k do
-not depend on n_samples.
+where x[j] is the response from x[0] = 0. Row block j of the step table is
+the output row [c M^j | c x[j] + feed] above the state rows [M^j | x[j]],
+so a block of samples s+1..s+BLOCK is one matvec with [x[s], 1], the last
+state of the block before. Sample 0, [feed, 0...0], is a block of one row,
+and block k holds samples 1+k*BLOCK..(k+1)*BLOCK. Every block is computed
+whole, the last one too, of which only the live rows are kept, so the bits
+of sample k do not depend on n_samples.
 
 The table is built by a linear chain in np.longdouble. Whatever error the
 table holds, every block applies again, so on a growing oscillation it adds
@@ -33,28 +34,33 @@ pair of modulus 1.004-1.015) a float64 chain reached 1.09 of the oracle
 test's error bound, and the long-double chain rounded to float64 once 1.73.
 So the table keeps, below each entry rounded to float64, what the rounding
 left out; the matvec takes both halves and adds them, which carries the
-long-double table's accuracy. Then the worst error over 4,000 uniform and
-1,600 growing loops (tests/stress_scan.py) is 0.53 of the bound, against
-0.33 for a step per matvec, and on the loops above the scan is closer to a
-long-double reference than a step per matvec is. np.longdouble is 80-bit on
-x86-64 Linux, but equals double on some platforms, such as Windows; there
-the low half is zero and that margin is gone.
+long-double table's accuracy. Then the worst error over 8,000 uniform and
+1,600 growing loops (tests/stress_scan.py, seeds 1-4) is 0.57 of the bound,
+against 0.33 for a step per matvec, and on the four growing loops that
+tests/test_lti.py pins, the scan is closer to a 60-digit recursion of the
+map than a step per matvec is (at most 0.17 of the bound, against 0.40).
+np.longdouble is 80-bit on x86-64 Linux, but equals double on some
+platforms, such as Windows; there the low half is zero and that margin is
+gone.
 
-The loop is bound by per-call overhead, not arithmetic: a block costs about
-as many numpy calls as one step did. Each block is tested once, states and
-outputs together, by np.abs(block).max() <= limit, which NaN fails; only
-when that fails is the first bad row looked for, and the rule applied to it.
-BLOCK is 4: that makes a scan about 1.9 times faster than a step per
-matvec. A longer block is faster still, but perfbench keeps a record per
+The loop is bound by per-call overhead, not arithmetic. A block is one
+matvec, one add of the two halves, one test np.abs(block).max() <= limit,
+which NaN fails, and one copy of its z column into the output. Only when
+the test fails are the block's live rows read in order, and the trigger is
+the first entry of [z, x...] out of band: an output wins over the states of
+its sample. BLOCK is 4: that makes a scan about 1.9 times faster than a step
+per matvec. A longer block is faster still, but perfbench keeps a record per
 score call, and at BLOCK 8 the calls it could then make in a run would take
 its own list near the peak-RSS bound (ROADMAP item 1).
 
 Products that overflow leave the clamp's sign to the order of the sums, as
 they did with a step per matvec: on step_mat [[1e308, 1e308], [0, 0]] from
 state [9.99, -10], the scalar oracle sums inf and -inf to NaN and clamps to
-+limit, where ndarray.dot and this table both clamp to -limit. An entry of
-M^j that overflows float64 makes NaN against a zero state, so such a map may
-clamp a few samples earlier than stepping would.
++limit, where ndarray.dot clamps to -limit. An entry of M^j that overflows
+float64 makes NaN against a zero state, and so does an infinite c_i against
+a zero entry of M^j, so such a map may clamp a few samples earlier, or with
+the other sign, than stepping would. Block 1 is a product with x[0] = 0
+like any other, so this holds from sample 1 on.
 
 ``tests/helpers.sequential_scan`` states the same rule with scalar loops,
 and ``tests/test_lti.py`` pins scan to it.
@@ -65,65 +71,61 @@ import numpy as np
 BLOCK = 4
 
 
-def _step_table(step_mat, step_vec):
-    """The step table, and the first block's states x[0]..x[BLOCK-1].
-
-    Row block j of the table is [M^j | x[j]], j = 1..BLOCK, the top of
-    [[M, v], [0, 1]]^j; the chain runs in long double. The table holds each
-    entry rounded to float64 and, below all of those, what the rounding left
-    out, so that the two halves of a product with [x, 1] add up to the
-    long-double table's."""
+def _step_table(step_mat, step_vec, c_row, feed):
+    """The step table: row block j, j = 1..BLOCK, is the output row
+    [c M^j | c x[j] + feed] above the state rows [M^j | x[j]], that is
+    [[c, feed], [I, 0]] [[M, v], [0, 1]]^j; the chain runs in long double. The
+    table holds each entry rounded to float64 and, below all of those, what
+    the rounding left out, so that the two halves of a product with [x, 1]
+    add up to the long-double table's."""
     n = step_mat.shape[0]
-    m = step_mat.astype(np.longdouble)
-    chain = np.zeros((BLOCK + 1, n, n + 1), np.longdouble)
-    chain[0, :, :n] = np.eye(n)
+    chain = np.zeros((BLOCK + 1, n + 1, n + 1), np.longdouble)
+    chain[0, 1:, :n] = np.eye(n)
     for j in range(BLOCK):
-        chain[j + 1] = m @ chain[j]
-        chain[j + 1, :, n] += step_vec
-    high = chain[1:].astype(float)
-    low = (chain[1:] - high).astype(float)
-    table = np.concatenate((high, low)).reshape(2 * BLOCK * n, n + 1)
-    return table, chain[:BLOCK, :, n].astype(float)
+        chain[j + 1, 1:] = step_mat @ chain[j, 1:]
+        chain[j + 1, 1:, n] += step_vec
+    rows = chain[1:]
+    rows[:, 0] = c_row @ rows[:, 1:]
+    rows[:, 0, n] += feed
+    high = rows.astype(float)
+    # An infinite entry would leave inf - inf = NaN below it.
+    low = np.where(np.isfinite(high), rows - high, 0.0).astype(float)
+    return np.concatenate((high, low)).reshape(-1, n + 1)
 
 
 # perfbench/tracer.py reads n_samples at position 4 of this signature.
 def scan(step_mat, step_vec, c_row, feed, n_samples, limit):
     """Sample the response, BLOCK samples per matvec; returns (values, diverged)."""
     n = step_mat.shape[0]
-    table, first = _step_table(step_mat, step_vec)
+    table = _step_table(step_mat, step_vec, c_row, feed)
     out = np.empty(n_samples)
-    products = np.empty(2 * BLOCK * n)
-    high, low = products.reshape(2, BLOCK, n)
-    # Each buffer holds a block's outputs, its states, then a constant 1: the
-    # last state and the 1 are the [x, 1] that the next block's matvec reads,
-    # so the two buffers alternate.
-    cur, prev = (
-        (buf[:-1], buf[:BLOCK], buf[BLOCK:-1].reshape(BLOCK, n), buf[-n - 1 :])
-        for buf in np.ones((2, BLOCK * (n + 1) + 1))
-    )
-    _, outputs, states, _ = cur
-    states[:] = first
-    np.dot(states, c_row, out=outputs)
-    outputs += feed
-    outputs[0] = feed  # x[0] = 0 exactly: an infinite c_i would make c_row @ x NaN
-    for start in range(0, n_samples, BLOCK):
-        block, outputs, states, _ = cur
-        if start:
-            np.dot(table, prev[3], out=products)
-            np.add(high, low, out=states)
-            np.dot(states, c_row, out=outputs)
-            outputs += feed
-        live = outputs[: n_samples - start]
+    products = np.empty(len(table))
+    high, low = products.reshape(2, BLOCK, n + 1)
+    # Each buffer holds a block's rows [z, x], then a constant 1: the last
+    # state and the 1 are the [x, 1] that the next block's matvec reads, so
+    # the two buffers alternate. Sample 0, [feed, 0...0], is a one-row block
+    # in front of the first buffer's [x, 1].
+    bufs = np.ones((2, BLOCK * (n + 1) + 1))
+    cur, nxt = ((buf[:-1].reshape(BLOCK, n + 1), buf[-n - 1 :]) for buf in bufs)
+    block = bufs[0, -n - 2 : -1].reshape(1, n + 1)
+    block[0] = [feed] + [0.0] * n
+    start = 0
+    while True:
+        live = block[: n_samples - start]
         if not np.abs(block).max() <= limit:
-            for j, (z, row) in enumerate(zip(live.tolist(), states.tolist())):
-                z_bad = not (abs(z) <= limit)
-                if z_bad or not all(abs(s) <= limit for s in row):
-                    trigger = z if z_bad else next(s for s in row if not abs(s) <= limit)
+            for j, row in enumerate(live.tolist()):
+                trigger = next((v for v in row if not abs(v) <= limit), None)
+                if trigger is not None:
                     clamp = -limit if trigger < 0.0 else limit
-                    out[start : start + j] = live[:j]
-                    out[start + j] = clamp if z_bad else z
+                    out[start : start + j] = live[:j, 0]
+                    out[start + j] = row[0] if abs(row[0]) <= limit else clamp
                     out[start + j + 1 :] = clamp
                     return out, True
-        out[start : start + BLOCK] = live
-        cur, prev = prev, cur
-    return out, False
+        out[start : start + len(live)] = live[:, 0]
+        start += len(live)
+        if start == n_samples:
+            return out, False
+        np.dot(table, cur[1], out=products)
+        cur, nxt = nxt, cur
+        block = cur[0]
+        np.add(high, low, out=block)

@@ -1,6 +1,7 @@
 """Shared test oracles: slow, direct-scan reimplementations that cross-check
 the library's fast paths, plus generators for randomized cases."""
 
+import decimal
 import itertools
 import struct
 
@@ -85,6 +86,32 @@ def sequential_scan(step_mat, step_vec, c_row, feed, n_samples, limit):
         for i in range(n):
             x[i] = xn[i]
     return out, diverged
+
+
+def decimal_scan(step_mat, step_vec, c_row, feed, n_samples, limit):
+    """sequential_scan's rule on the same float64 map, each sum and product
+    carried to 60 significant digits. Settles a crossing of the limit that
+    lies within the float64 oracle's own rounding. The map's entries must be
+    finite. Returns (values, diverged)."""
+    with decimal.localcontext(prec=60):
+        m = [[decimal.Decimal(a) for a in row] for row in step_mat.tolist()]
+        v = [decimal.Decimal(a) for a in step_vec.tolist()]
+        c = [decimal.Decimal(a) for a in c_row.tolist()]
+        bound = decimal.Decimal(limit)
+        x = [decimal.Decimal(0)] * len(v)
+        out = np.empty(n_samples)
+        for k in range(n_samples):
+            z = decimal.Decimal(feed) + sum(ci * xi for ci, xi in zip(c, x))
+            trigger = next((a for a in (z, *x) if abs(a) > bound), None)
+            if trigger is not None:
+                clamp = -limit if trigger < 0 else limit
+                out[k:] = clamp
+                if abs(z) <= bound:  # a state triggered: z stands
+                    out[k] = float(z)
+                return out, True
+            out[k] = float(z)
+            x = [sum(mi * xi for mi, xi in zip(row, x)) + vi for row, vi in zip(m, v)]
+    return out, False
 
 
 def first_clamped(values, limit) -> int:

@@ -55,9 +55,13 @@ def zn_run():
     return trace, time.perf_counter() - t0
 
 
-def random_experiment(search_cfg):
-    """Seeds 1..10, resample-until-diverged starts, one search per seed."""
+@pytest.fixture(scope="module")
+def random_run():
+    """Seeds 1..10, resample-until-diverged starts, one search per seed with
+    the step at the sampling-box scale; returns the runs and their seconds."""
     cfg = SimConfig()
+    search_cfg = SearchConfig(initial_step=10.0)
+    t0 = time.perf_counter()
     runs = []
     for seed in range(1, 11):
         rng = np.random.default_rng(seed)
@@ -69,7 +73,7 @@ def random_experiment(search_cfg):
         trace = optimize(gains, lambda g: evaluate(g, BENCH3, cfg), search_cfg)
         final = step_response(trace.incumbent, BENCH3, cfg)
         runs.append((seed, initial, trace, final))
-    return runs
+    return runs, time.perf_counter() - t0
 
 
 def test_objective_fidelity_analytic():
@@ -133,15 +137,13 @@ def test_zn_start_experiment(zn_run):
           f"dev {initial.deviation:.4f} -> {final.deviation:.6f}, {elapsed:.2f} s")
 
 
-def test_random_start_experiment_calibrated():
+def test_random_start_experiment_calibrated(random_run):
     """Pre-build oracle run of this compass search (step at the sampling-box
     scale, everything else default): all rising-unstable starts stabilize,
     the five plateau starts hold at exactly f=1.0. Observed floor: 5/10
     final responses settle; the original 8/10 guess is recorded as
     unattainable in the literal variant below."""
-    t0 = time.perf_counter()
-    runs = random_experiment(SearchConfig(initial_step=10.0))
-    elapsed = time.perf_counter() - t0
+    runs, elapsed = random_run
     assert all(initial.diverged for _, initial, _, _ in runs)
     for _, _, trace, _ in runs:
         assert trace.incumbent_value.total <= trace.records[0].objective.total
@@ -160,8 +162,8 @@ def test_random_start_experiment_calibrated():
     "those starts is impossible for any compass step; see the strict-decrease "
     "contract and the plateau noted in the objective's design notes",
 )
-def test_random_start_strict_descent_as_specified():
-    runs = random_experiment(SearchConfig(initial_step=10.0))
+def test_random_start_strict_descent_as_specified(random_run):
+    runs, _ = random_run
     assert all(initial.diverged for _, initial, _, _ in runs)
     for seed, _, trace, _ in runs:
         assert trace.incumbent_value.total < trace.records[0].objective.total, (
