@@ -27,31 +27,38 @@ and block k holds samples 1+k*BLOCK..(k+1)*BLOCK. Every block is computed
 whole, the last one too, of which only the live rows are kept, so the bits
 of sample k do not depend on n_samples.
 
-The table is built by a linear chain in np.longdouble. Whatever error the
-table holds, every block applies again, so on a growing oscillation it adds
-up coherently, where per-step rounding does not. On such loops (a complex
-pair of modulus 1.004-1.015) a float64 chain reached 1.09 of the oracle
-test's error bound, and the long-double chain rounded to float64 once 1.73.
+The table is built in np.longdouble by doubling, the up-sweep of
+Blelloch's prefix sums ("Prefix sums and their applications", 1990) on the
+affine maps: with A = [[M, v], [0, 1]], the powers A^(k+1)..A^(2k) are A^k
+applied to A^1..A^k, one stacked matmul per level, so BLOCK, a power of two,
+takes log2(BLOCK) levels. Whatever error the table holds, every block
+applies again, so on a growing oscillation it adds up coherently, where
+per-step rounding does not. On such loops (a complex pair of modulus
+1.004-1.015), at block length 4, a float64 table reached 1.09 of the oracle
+test's error bound, and a long-double table rounded to float64 once 1.73.
 So the table keeps, below each entry rounded to float64, what the rounding
 left out; the matvec takes both halves and adds them, which carries the
-long-double table's accuracy. Then the worst error over 8,000 uniform and
-1,600 growing loops (tests/stress_scan.py, seeds 1-4) is 0.57 of the bound,
-against 0.33 for a step per matvec, and on the four growing loops that
-tests/test_lti.py pins, the scan is closer to a 60-digit recursion of the
-map than a step per matvec is (at most 0.17 of the bound, against 0.40).
-np.longdouble is 80-bit on x86-64 Linux, but equals double on some
-platforms, such as Windows; there the low half is zero and that margin is
-gone.
+long-double table's accuracy. Row block j is then within 0.59 j long-double
+eps of the exact power, relative to its largest entry, on the loops that
+tests/test_lti.py pins. The worst error over 8,000 uniform and 1,600 growing
+loops (tests/stress_scan.py, seeds 1-4) is 0.33 of the bound, as for a
+step per matvec, and on four growing loops and the benchmark3 ZN loop the
+scan is closer to a 60-digit recursion of the map than a step per matvec is
+(at most 0.17 of the bound, against 0.40). np.longdouble is 80-bit on
+x86-64 Linux, but equals double on some platforms, such as Windows; there
+the low half is zero and that margin is gone.
 
 The loop is bound by per-call overhead, not arithmetic. A block is one
 matvec, one add of the two halves, one test np.abs(block).max() <= limit,
 which NaN fails, and one copy of its z column into the output. Only when
 the test fails are the block's live rows read in order, and the trigger is
 the first entry of [z, x...] out of band: an output wins over the states of
-its sample. BLOCK is 4: that makes a scan about 1.9 times faster than a step
-per matvec. A longer block is faster still, but perfbench keeps a record per
-score call, and at BLOCK 8 the calls it could then make in a run would take
-its own list near the peak-RSS bound (ROADMAP item 1).
+its sample. BLOCK is 16: a 10,001-sample scan then takes about a quarter of
+its time at 4 (5.6 against 20.5 ms on the benchmark3 ZN loop). Longer blocks
+are faster still, but perfbench keeps a record per score call, and at 32
+and at 64 the calls it then makes in a 30 s run raised random_tune's
+peak_rss_mb by 10.5% and 14.3% (one run each), past its 0.1 bound; ROADMAP
+item 1 has to fix that first.
 
 Products that overflow leave the clamp's sign to the order of the sums, as
 they did with a step per matvec: on step_mat [[1e308, 1e308], [0, 0]] from
@@ -68,23 +75,27 @@ and ``tests/test_lti.py`` pins scan to it.
 
 import numpy as np
 
-BLOCK = 4
+BLOCK = 16
 
 
 def _step_table(step_mat, step_vec, c_row, feed):
     """The step table: row block j, j = 1..BLOCK, is the output row
     [c M^j | c x[j] + feed] above the state rows [M^j | x[j]], that is
-    [[c, feed], [I, 0]] [[M, v], [0, 1]]^j; the chain runs in long double. The
+    [[c, feed], [I, 0]] A^j with A = [[M, v], [0, 1]]. The powers are built
+    by doubling in long double: given A^1..A^k, A^(k+1)..A^(2k) are A^k
+    applied to them, M^k [M^j | x[j]] plus x[k] in the last column. The
     table holds each entry rounded to float64 and, below all of those, what
     the rounding left out, so that the two halves of a product with [x, 1]
     add up to the long-double table's."""
     n = step_mat.shape[0]
-    chain = np.zeros((BLOCK + 1, n + 1, n + 1), np.longdouble)
-    chain[0, 1:, :n] = np.eye(n)
-    for j in range(BLOCK):
-        chain[j + 1, 1:] = step_mat @ chain[j, 1:]
-        chain[j + 1, 1:, n] += step_vec
-    rows = chain[1:]
+    rows = np.zeros((BLOCK, n + 1, n + 1), np.longdouble)
+    rows[0, 1:] = np.column_stack((step_mat, step_vec))
+    k = 1
+    while k < BLOCK:
+        power = rows[k - 1, 1:]
+        rows[k : 2 * k, 1:] = power[:, :n] @ rows[:k, 1:]
+        rows[k : 2 * k, 1:, n] += power[:, n]
+        k *= 2
     rows[:, 0] = c_row @ rows[:, 1:]
     rows[:, 0, n] += feed
     high = rows.astype(float)

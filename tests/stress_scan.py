@@ -10,9 +10,10 @@ limits (1e6, 10 or 3). With --growing only loops whose step map has a
 complex pair of modulus in (1, 1.03) are kept, at limit 1e6: the growing
 oscillations on which a step table's rounding adds up over the most samples.
 
-Prints the number of loops, how many diverged, the divergence-flag,
-first-clamped-index and clamped-tail mismatches, and the worst error before
-the clamp as a share of helpers.scan_error_bound, with the loop that gave it.
+Prints the number of loops, the kernel's BLOCK, how many diverged, the
+divergence-flag, first-clamped-index and clamped-tail mismatches, and the
+worst error before the clamp as a share of helpers.scan_error_bound, with the
+loop that gave it.
 """
 
 import argparse
@@ -78,8 +79,8 @@ def main(argv=None):
             ratio = float(np.nanmax(err / scan_error_bound(*args, k_clamp), initial=0.0))
             if ratio > worst:
                 worst, worst_loop = ratio, (plant, gains, limit)
-    print(f"loops {opts.loops} (seed {opts.seed}, {'growing' if opts.growing else 'uniform'}), "
-          f"diverged {diverged}")
+    print(f"loops {opts.loops} (seed {opts.seed}, {'growing' if opts.growing else 'uniform'}, "
+          f"BLOCK {_kernels.BLOCK}), diverged {diverged}")
     print(f"mismatches: flag {flag}, index {index}, tail {tail}")
     print(f"worst error {worst:.3f} of the bound, ORACLE_PLANTS[plant], gains, limit = {worst_loop}")
     return 0 if flag == index == tail == 0 and worst <= 1.0 else 1

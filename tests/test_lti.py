@@ -1,5 +1,6 @@
 import tracemalloc
 import warnings
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -331,6 +332,42 @@ RULE_CASES = {
     "limit_3": ([[2, 0], [0, 0]], [1, 0.25], [0.25, 1], 0.0, 3.0, 4, 3.0),
 }
 
+# Growing oscillations (a complex pair of modulus 1.004-1.015), about 1 in
+# 750 uniform draws, on which a step table's rounding adds up block after
+# block. A float64 doubling table at block length 8 gives 1.04 and 1.73 of
+# the bound on the first two. A long-double table rounded to float64 once
+# gives 0.73 on the third at block length 6 and 1.73 on the fourth at 4.
+GROWING = (
+    (ORACLE_PLANTS[0], (-0.014442751197700332, 2.029967152467149, -9.42621983256111)),
+    (ORACLE_PLANTS[3], (-9.318994421059248, 6.917802128901151, 1.7576388133372092)),
+    (ORACLE_PLANTS[3], (-7.267857827098569, 2.9753529806347885, 2.515723202950607)),
+    (ORACLE_PLANTS[3], (-8.370448339195523, 1.80692561711329, 7.106578935070026)),
+)
+
+
+def _growing_or_zn_loop(loop):
+    """The step map of GROWING[loop], or of the benchmark3 ZN loop."""
+    if loop == "zn":
+        zn = zn_pid_gains(ultimate_point(BENCH3))
+        return loop_step_map(BENCH3, (zn.kp, zn.ki, zn.kd))
+    return loop_step_map(*GROWING[loop])
+
+
+def _fraction_step_table(step_mat, step_vec, c_row, feed):
+    """Row blocks j = 1..BLOCK of [[c, feed], [I, 0]] A^j with
+    A = [[M, v], [0, 1]], the step table in exact rational arithmetic on the
+    float64 map."""
+    n = len(step_vec)
+    a = [[Fraction(e) for e in row] for row in np.column_stack((step_mat, step_vec)).tolist()]
+    a.append([Fraction(0)] * n + [Fraction(1)])
+    rows = [[Fraction(e) for e in [*c_row.tolist(), feed]]]
+    rows += [[Fraction(int(i == j)) for j in range(n + 1)] for i in range(n)]
+    blocks = []
+    for _ in range(BLOCK):
+        rows = [[sum(r[k] * a[k][j] for k in range(n + 1)) for j in range(n + 1)] for r in rows]
+        blocks.append(rows)
+    return blocks
+
 
 def _assert_matches_oracle(args, n_samples, limit):
     """scan against the sequential oracle: the same flag, the same first
@@ -350,8 +387,8 @@ def _assert_matches_oracle(args, n_samples, limit):
         k_clamp, k_tail = sorted((k_out, k_ref))
         assert np.array_equal(out[k_tail:], ref[k_tail:])
         # Measured worst over 8,000 uniform and 1,600 growing-oscillation loops
-        # (tests/stress_scan.py, seeds 1-4): 0.57 of this bound; 0.33 for a
-        # step per matvec.
+        # (tests/stress_scan.py, seeds 1-4) at block length 16: 0.33 of this
+        # bound, as for a step per matvec.
         tol = scan_error_bound(*args, k_clamp)
     assert np.all(np.abs(out[:k_clamp] - ref[:k_clamp]) <= tol)
     return out, diverged
@@ -372,19 +409,10 @@ class TestScan:
     # subnormal gains: products underflow, so the orders differ by a subnormal step
     @example(plant=ORACLE_PLANTS[1], gains=(0.0, 0.0, 2.225073858507e-311), limit=1e6)
     @example(plant=ORACLE_PLANTS[1], gains=(0.0, 3e-320, 0.0), limit=1e6)
-    # Growing oscillations (a complex pair of modulus 1.004-1.015), about 1 in
-    # 750 uniform draws, on which a step table's rounding adds up block after
-    # block. A float64 doubling table at block length 8 gives 1.04 and 1.73 of
-    # the bound on the first two. A long-double table rounded to float64 once
-    # gives 0.73 on the third at block length 6 and 1.73 on the fourth at 4.
-    @example(plant=ORACLE_PLANTS[0],
-             gains=(-0.014442751197700332, 2.029967152467149, -9.42621983256111), limit=1e6)
-    @example(plant=ORACLE_PLANTS[3],
-             gains=(-9.318994421059248, 6.917802128901151, 1.7576388133372092), limit=1e6)
-    @example(plant=ORACLE_PLANTS[3],
-             gains=(-7.267857827098569, 2.9753529806347885, 2.515723202950607), limit=1e6)
-    @example(plant=ORACLE_PLANTS[3],
-             gains=(-8.370448339195523, 1.80692561711329, 7.106578935070026), limit=1e6)
+    @example(plant=GROWING[0][0], gains=GROWING[0][1], limit=1e6)
+    @example(plant=GROWING[1][0], gains=GROWING[1][1], limit=1e6)
+    @example(plant=GROWING[2][0], gains=GROWING[2][1], limit=1e6)
+    @example(plant=GROWING[3][0], gains=GROWING[3][1], limit=1e6)
     def test_matches_sequential_oracle(self, plant, gains, limit):
         with np.errstate(all="ignore"):
             try:
@@ -393,32 +421,80 @@ class TestScan:
                 assume(False)
         _assert_matches_oracle(args, 3001, limit)
 
-    @pytest.mark.parametrize("n_samples", [1, 2, BLOCK, BLOCK + 1, BLOCK + 2, 2 * BLOCK + 1, 2 * BLOCK + 2])
+    # 4-10 samples end on inner rows of the first block. Ids name the cases
+    # relative to B = BLOCK, so that they hold at any block length.
+    @pytest.mark.parametrize(
+        "n_samples",
+        [1, 2, 4, 5, 6, 9, 10, BLOCK, BLOCK + 1, BLOCK + 2, 2 * BLOCK + 1, 2 * BLOCK + 2],
+        ids=["1", "2", "4", "5", "6", "9", "10", "B", "B+1", "B+2", "2B+1", "2B+2"],
+    )
     @pytest.mark.parametrize("plant", [ORACLE_PLANTS[0], ORACLE_PLANTS[3]], ids=["bench3", "feedthrough"])
     def test_block_boundaries_match_oracle(self, plant, n_samples):
         _assert_matches_oracle(loop_step_map(plant, (2.0, 1.0, 1.0)), n_samples, 1e6)
 
-    # x0 runs 2^k - 1, so the limit below is first left at sample k_bad.
-    # Sample 0 is a block of its own and block k holds samples
-    # 1 + kB..(k + 1)B, so k_bad falls inside the first block, on its last
-    # row, and on the first, an inner and the last row of later blocks. An
-    # output of 4 x0 triggers; one of x0 / 4 leaves it to the state.
-    @pytest.mark.parametrize("k_bad", [2, BLOCK, BLOCK + 1, 2 * BLOCK - 1, 2 * BLOCK + 1, 3 * BLOCK])
+    # x0 runs 0, 1, 2, ..., exact in float64 at any block length, so the
+    # limit below is first left at sample k_bad. Sample 0 is a block of its
+    # own and block k holds samples 1 + kB..(k + 1)B, so k_bad falls inside
+    # the first block (2-12), on its last row, and on the first, an inner and
+    # the last row of later blocks. An output of 4 x0 triggers; one of x0 / 4
+    # leaves it to the state.
+    @pytest.mark.parametrize(
+        "k_bad",
+        [2, 4, 5, 7, 9, 12, BLOCK, BLOCK + 1, 2 * BLOCK - 1, 2 * BLOCK + 1, 3 * BLOCK],
+        ids=["2", "4", "5", "7", "9", "12", "B", "B+1", "2B-1", "2B+1", "3B"],
+    )
     @pytest.mark.parametrize("c0", [4.0, 0.25], ids=["output", "state"])
     def test_divergence_at_block_boundaries_matches_oracle(self, k_bad, c0):
-        args = (np.array([[2.0, 0.0], [0.0, 0.0]]), np.array([1.0, 0.0]), np.array([c0, 0.0]), 0.0)
-        limit = max(c0, 1.0) * (2.0**k_bad - 1.0) - 0.5
+        args = (np.array([[1.0, 0.0], [0.0, 0.0]]), np.array([1.0, 0.0]), np.array([c0, 0.0]), 0.0)
+        limit = max(c0, 1.0) * k_bad - 0.5
         out, diverged = _assert_matches_oracle(args, 6 * BLOCK, limit)
         assert diverged and np.all(np.abs(out[k_bad + 1 :]) == limit)
         assert not np.any(np.abs(out[:k_bad]) == limit)
 
-    @pytest.mark.parametrize("k_bad", [2, 2 * BLOCK - 1])
+    @pytest.mark.parametrize("k_bad", [2, 7, 2 * BLOCK - 1], ids=["2", "7", "2B-1"])
     def test_divergence_in_a_dead_row_of_the_last_block_is_not_seen(self, k_bad):
         # The last block is computed whole; its rows past n_samples may leave
         # the band without making the response diverge.
-        args = (np.array([[2.0, 0.0], [0.0, 0.0]]), np.array([1.0, 0.0]), np.array([0.25, 0.0]), 0.0)
-        out, diverged = _assert_matches_oracle(args, k_bad, 2.0**k_bad - 1.5)
+        args = (np.array([[1.0, 0.0], [0.0, 0.0]]), np.array([1.0, 0.0]), np.array([0.25, 0.0]), 0.0)
+        out, diverged = _assert_matches_oracle(args, k_bad, k_bad - 0.5)
         assert not diverged
+
+    @pytest.mark.parametrize("loop", [*range(len(GROWING)), "zn"])
+    def test_step_table_matches_exact_powers(self, loop):
+        # Doubling's error in A^j grows about linearly in j: each level
+        # doubles the error of the power it applies and adds its own rounding.
+        # Measured worst at block lengths 16 and 64: 0.59 j eps, and 0.49 j
+        # eps with the table built in float64. high + low holds about 106
+        # bits, which bounds it where long double is wider still.
+        args = _growing_or_zn_loop(loop)
+        high, low = _kernels._step_table(*args).reshape(2, BLOCK, -1).tolist()
+        eps = Fraction(max(float(np.finfo(np.longdouble).eps), np.finfo(float).eps ** 2))
+        for j, exact in enumerate(_fraction_step_table(*args), 1):
+            exact = [e for row in exact for e in row]
+            scale = max(abs(e) for e in exact)
+            pairs = zip(high[j - 1], low[j - 1], exact)
+            err = max(abs(Fraction(h) + Fraction(lo) - e) for h, lo, e in pairs)
+            assert err <= j * eps * scale, (j, float(err / scale / eps))
+
+    @pytest.mark.parametrize("loop", [*range(len(GROWING)), "zn"])
+    def test_scan_is_no_farther_from_exact_than_the_oracle(self, loop):
+        # scan_error_bound measures the distance between two roundings of
+        # the map; on a growing oscillation the oracle may be the farther
+        # from the map's exact trajectory. Measured shares of the bound at
+        # block length 16: scan 0.030/0.116/0.067/0.167/0.023, oracle
+        # 0.071/0.232/0.085/0.400/0.051.
+        args = _growing_or_zn_loop(loop)
+        with np.errstate(all="ignore"):
+            out, _ = _kernels.scan(*args, 3001, BLOW_UP_LIMIT)
+            ref, _ = sequential_scan(*args, 3001, BLOW_UP_LIMIT)
+        exact, _ = decimal_scan(*args, 3001, BLOW_UP_LIMIT)
+        k = min(first_clamped(v, BLOW_UP_LIMIT) for v in (out, ref, exact))
+        tol = scan_error_bound(*args, k)
+
+        def share(values):
+            return float(np.max(np.abs(values[:k] - exact[:k]) / tol, initial=0.0))
+
+        assert share(out) <= share(ref), (share(out), share(ref))
 
     @pytest.mark.parametrize("start", ["zn", "diverging"])
     def test_prefix_of_a_longer_scan_is_bit_identical(self, start):
