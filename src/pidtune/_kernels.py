@@ -40,25 +40,30 @@ So the table keeps, below each entry rounded to float64, what the rounding
 left out; the matvec takes both halves and adds them, which carries the
 long-double table's accuracy. Row block j is then within 0.59 j long-double
 eps of the exact power, relative to its largest entry, on the loops that
-tests/test_lti.py pins. The worst error over 8,000 uniform and 1,600 growing
-loops (tests/stress_scan.py, seeds 1-4) is 0.33 of the bound, as for a
-step per matvec, and on four growing loops and the benchmark3 ZN loop the
-scan is closer to a 60-digit recursion of the map than a step per matvec is
-(at most 0.17 of the bound, against 0.40). np.longdouble is 80-bit on
-x86-64 Linux, but equals double on some platforms, such as Windows; there
-the low half is zero and that margin is gone.
+tests/test_lti.py pins. Over 8,000 uniform and 1,600 growing loops
+(tests/stress_scan.py, seeds 1-4) the scan's worst distance from the
+float64 oracle is 0.41 of the bound, on a growing loop where the oracle is
+itself 0.40 of it from a 60-digit recursion of the map and the scan 0.01.
+On four growing loops and the benchmark3 ZN loop the scan is at most 0.03
+of the bound from that recursion, and a step per matvec up to 0.40.
+np.longdouble is 80-bit on x86-64 Linux, but equals double on some
+platforms, such as Windows; there the low half is zero and that margin is
+gone.
 
 The loop is bound by per-call overhead, not arithmetic. A block is one
 matvec, one add of the two halves, one test np.abs(block).max() <= limit,
 which NaN fails, and one copy of its z column into the output. Only when
 the test fails are the block's live rows read in order, and the trigger is
 the first entry of [z, x...] out of band: an output wins over the states of
-its sample. BLOCK is 16: a 10,001-sample scan then takes about a quarter of
-its time at 4 (5.6 against 20.5 ms on the benchmark3 ZN loop). Longer blocks
-are faster still, but perfbench keeps a record per score call, and at 32
-and at 64 the calls it then makes in a 30 s run raised random_tune's
-peak_rss_mb by 10.5% and 14.3% (one run each), past its 0.1 bound; ROADMAP
-item 1 has to fix that first.
+its sample. BLOCK is 64: a 10,001-sample scan takes 157 matvecs, and about
+a quarter of its time at 16 (1.2-1.3 against 3.9-5.6 ms on the benchmark3
+ZN loop) and a third at 2,001 samples (0.37 against 1.1 ms). The table's 6
+levels take 0.10-0.15 ms, 4 took 0.08, so a 101-sample scan takes a little
+longer (0.13 against 0.10 ms). perfbench keeps a record per score call,
+about 100 B each, so its peak_rss_mb grows with the calls a faster scan
+lets a 30 s run make: against BLOCK 16, the median of paired runs rose 5.8%
+on zn_tune, 4.0% on random_tune and 1.2% on frames_tune, inside the 0.1
+bound.
 
 Products that overflow leave the clamp's sign to the order of the sums, as
 they did with a step per matvec: on step_mat [[1e308, 1e308], [0, 0]] from
@@ -66,8 +71,10 @@ state [9.99, -10], the scalar oracle sums inf and -inf to NaN and clamps to
 +limit, where ndarray.dot clamps to -limit. An entry of M^j that overflows
 float64 makes NaN against a zero state, and so does an infinite c_i against
 a zero entry of M^j, so such a map may clamp a few samples earlier, or with
-the other sign, than stepping would. Block 1 is a product with x[0] = 0
-like any other, so this holds from sample 1 on.
+the other sign, than stepping would. At BLOCK 64 an entry of M^j overflows
+before j = 64 once an entry of M grows faster than about 6.5e4
+(1e308^(1/64)) per step; at 16 that took about 1.9e19. Block 1 is a
+product with x[0] = 0 like any other, so this holds from sample 1 on.
 
 ``tests/helpers.sequential_scan`` states the same rule with scalar loops,
 and ``tests/test_lti.py`` pins scan to it.
@@ -75,7 +82,7 @@ and ``tests/test_lti.py`` pins scan to it.
 
 import numpy as np
 
-BLOCK = 16
+BLOCK = 64
 
 
 def _step_table(step_mat, step_vec, c_row, feed):

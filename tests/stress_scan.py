@@ -13,7 +13,9 @@ oscillations on which a step table's rounding adds up over the most samples.
 Prints the number of loops, the kernel's BLOCK, how many diverged, the
 divergence-flag, first-clamped-index and clamped-tail mismatches, and the
 worst error before the clamp as a share of helpers.scan_error_bound, with the
-loop that gave it.
+loop that gave it. On that loop it also prints how far the kernel and the
+oracle each are from helpers.decimal_scan, in shares of the same bound: the
+oracle rounds too, so a worst error can be mostly the oracle's own.
 """
 
 import argparse
@@ -24,6 +26,7 @@ from pidtune import ImproperLoop, _kernels
 
 from helpers import (
     ORACLE_PLANTS,
+    decimal_scan,
     first_clamped,
     loop_step_map,
     scan_error_bound,
@@ -83,6 +86,17 @@ def main(argv=None):
           f"BLOCK {_kernels.BLOCK}), diverged {diverged}")
     print(f"mismatches: flag {flag}, index {index}, tail {tail}")
     print(f"worst error {worst:.3f} of the bound, ORACLE_PLANTS[plant], gains, limit = {worst_loop}")
+    if worst_loop is not None:
+        plant, gains, limit = worst_loop
+        args = loop_step_map(ORACLE_PLANTS[plant], gains)
+        with np.errstate(all="ignore"):
+            out, _ = _kernels.scan(*args, N_SAMPLES, limit)
+            ref, _ = sequential_scan(*args, N_SAMPLES, limit)
+        exact, _ = decimal_scan(*args, N_SAMPLES, limit)
+        k = min(first_clamped(v, limit) for v in (out, ref, exact))
+        tol = scan_error_bound(*args, k)
+        kernel, oracle = (float(np.max(np.abs(v[:k] - exact[:k]) / tol, initial=0.0)) for v in (out, ref))
+        print(f"on that loop, from a 60-digit recursion: kernel {kernel:.3f}, oracle {oracle:.3f} of the bound")
     return 0 if flag == index == tail == 0 and worst <= 1.0 else 1
 
 
