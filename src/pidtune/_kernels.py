@@ -50,20 +50,57 @@ np.longdouble is 80-bit on x86-64 Linux, but equals double on some
 platforms, such as Windows; there the low half is zero and that margin is
 gone.
 
-The loop is bound by per-call overhead, not arithmetic. A block is one
-matvec, one add of the two halves, one test np.abs(block).max() <= limit,
-which NaN fails, and one copy of its z column into the output. Only when
-the test fails are the block's live rows read in order, and the trigger is
-the first entry of [z, x...] out of band: an output wins over the states of
-its sample. BLOCK is 64: a 10,001-sample scan takes 157 matvecs, and about
-a quarter of its time at 16 (1.2-1.3 against 3.9-5.6 ms on the benchmark3
-ZN loop) and a third at 2,001 samples (0.37 against 1.1 ms). The table's 6
-levels take 0.10-0.15 ms, 4 took 0.08, so a 101-sample scan takes a little
-longer (0.13 against 0.10 ms). perfbench keeps a record per score call,
-about 100 B each, so its peak_rss_mb grows with the calls a faster scan
-lets a 30 s run make: against BLOCK 16, the median of paired runs rose 5.8%
-on zn_tune, 4.0% on random_tune and 1.2% on frames_tune, inside the 0.1
-bound.
+The loop is bound by per-call overhead, not arithmetic, and a block's
+state rows, apart from its last, serve only the band test. So scan also
+keeps a fast table: the BLOCK output rows, high then low, over the n rows
+[M^BLOCK | x[BLOCK]] of the block's last state, high then low. Before each
+block it bounds the block from the carried state x, in Python floats:
+
+    b = (G sum_i |x_i| + Q)(1 + 4 (n + 2) eps) + tiny,
+
+where G is the largest |high| + |low| over the state columns of every row of
+the step table, Q the largest in its constant column, eps the float64
+epsilon and tiny the smallest normal float. If b <= limit the block is
+cleared: one matvec of the fast table with [x, 1], one add of the output
+halves straight into the output, which holds whole blocks, and one add of
+the state halves into the next [x, 1]. No value of a cleared block can be
+out of band. Each row (h, l) of the table yields fl(fl(h.[x, 1]) +
+fl(l.[x, 1])), and by the triangle inequality the exact sum of the two dots
+is at most sum_i (|h_i| + |l_i|) |x_i| + |h_n| + |l_n| <= G sum_i |x_i| + Q.
+Rounded, a dot of n + 1 products, summed in any order, with or without
+fused multiply-adds, is at most 1 + gamma(n + 1) times the sum of their
+magnitudes, gamma(n + 1) being about (n + 1) u with u = eps / 2, and the add
+of the two dots at most 1 + u times the sum of theirs. Rounding G, Q, the
+sum and b itself takes at most n + 4 more factors 1 + u, so about
+(2n + 6) u of the margin's 8 (n + 2) u is spent, and tiny covers products
+that underflow. A NaN or infinite state, or a table entry that is not
+finite, makes b NaN or inf, which fails the test.
+A block that is not cleared takes the full path: the whole table's matvec,
+the add of its halves, the test np.abs(block).max() <= limit, which NaN
+fails, and only when that fails the in-order read of its live rows for the
+trigger, the first entry of [z, x...] out of band (an output wins over the
+states of its sample); then its z column is copied out and its last state
+carried. OpenBLAS on x86-64 computes each row's dot from that row and
+[x, 1] alone, so a row has the same bits in either table: over 6,000 random
+loops (ORACLE_PLANTS, gains in [-10, 10]^3, limits 1e6, 10 and 3, 1 to
+10,001 samples) the values and flags equal those of the full path alone. A
+BLAS that summed a row by its place would move a cleared block's samples
+within rounding, but not with n_samples, which the bound does not read.
+
+A cleared block costs about 2.7 us (1.05 the matvec, 1.2 the adds, 0.5 the
+bound), a full one about 5.6 (2.4 the matvec, 0.5 the add, 2.2 the max-abs
+test, 0.4 the z copy), at n = 4 on one CPU in its fast state; in the loop,
+3.1 against 6.5 us. Every block of the benchmark3 ZN loop is cleared; the
+loop with gains (-5, 8, 3), whose state grows until it leaves the band at
+sample 3,272, is refused from block 46 on. Isolated, the ZN loop (median of
+201 calls alternating with the full path in one process) takes 0.61 against
+1.12 ms at 10,001 samples, 0.23 against 0.31 ms at 2,001 and 0.135 against
+0.121 ms at 101: the fast table and G and Q cost about 20 us a call, which
+the blocks repay from about 400 samples on. The step table's 6 levels take
+0.10-0.15 ms. perfbench keeps a record per score call, about 100 B each, so
+its peak_rss_mb grows with the calls a faster scan lets a 30 s run make:
+against the full path alone, the median of 10 paired runs rose 4.2% on
+zn_tune and 4.5% on random_tune, and fell 0.5% on frames_tune.
 
 Products that overflow leave the clamp's sign to the order of the sums, as
 they did with a step per matvec: on step_mat [[1e308, 1e308], [0, 0]] from
@@ -116,21 +153,31 @@ def scan(step_mat, step_vec, c_row, feed, n_samples, limit):
     """Sample the response, BLOCK samples per matvec; returns (values, diverged)."""
     n = step_mat.shape[0]
     table = _step_table(step_mat, step_vec, c_row, feed)
-    out = np.empty(n_samples)
+    halves = table.reshape(2, BLOCK, n + 1, n + 1)
+    # The fast table: the output rows, high then low, over the last state's
+    # rows, high then low. A block that the bound clears needs no other row.
+    fast = np.vstack((*halves[:, :, 0], *halves[:, -1, 1:]))
+    # G and Q of the module docstring's bound, with its margin and tiny
+    # folded in.
+    sizes = np.abs(halves[0]) + np.abs(halves[1])
+    margin = 1.0 + 4 * (n + 2) * np.finfo(float).eps
+    g = float(sizes[..., :n].max(initial=0.0)) * margin
+    q = float(sizes[..., n].max()) * margin + np.finfo(float).tiny
     products = np.empty(len(table))
     high, low = products.reshape(2, BLOCK, n + 1)
-    # Each buffer holds a block's rows [z, x], then a constant 1: the last
-    # state and the 1 are the [x, 1] that the next block's matvec reads, so
-    # the two buffers alternate. Sample 0, [feed, 0...0], is a one-row block
-    # in front of the first buffer's [x, 1].
-    bufs = np.ones((2, BLOCK * (n + 1) + 1))
-    cur, nxt = ((buf[:-1].reshape(BLOCK, n + 1), buf[-n - 1 :]) for buf in bufs)
-    block = bufs[0, -n - 2 : -1].reshape(1, n + 1)
-    block[0] = [feed] + [0.0] * n
-    start = 0
+    fast_products = np.empty(len(fast))
+    z_high, z_low = fast_products[: 2 * BLOCK].reshape(2, BLOCK)
+    x_high, x_low = fast_products[2 * BLOCK :].reshape(2, n)
+    # Whole blocks after sample 0; the dead rows of the last are cut off.
+    out = np.empty(1 + -(-(n_samples - 1) // BLOCK) * BLOCK)
+    block = np.empty((BLOCK, n + 1))
+    x_one = np.ones(n + 1)
+    x = x_one[:n]
+    # Sample 0 is [feed, 0...0], a block of one row.
+    block[-1] = [feed] + [0.0] * n
+    live, start = block[-1:], 0
     while True:
-        live = block[: n_samples - start]
-        if not np.abs(block).max() <= limit:
+        if not np.abs(live).max() <= limit:
             for j, row in enumerate(live.tolist()):
                 trigger = next((v for v in row if not abs(v) <= limit), None)
                 if trigger is not None:
@@ -138,12 +185,19 @@ def scan(step_mat, step_vec, c_row, feed, n_samples, limit):
                     out[start : start + j] = live[:j, 0]
                     out[start + j] = row[0] if abs(row[0]) <= limit else clamp
                     out[start + j + 1 :] = clamp
-                    return out, True
+                    return out[:n_samples], True
         out[start : start + len(live)] = live[:, 0]
+        x[:] = live[-1, 1:]
         start += len(live)
-        if start == n_samples:
-            return out, False
-        np.dot(table, cur[1], out=products)
-        cur, nxt = nxt, cur
-        block = cur[0]
+        # Cleared blocks form only their outputs and last state.
+        while start < n_samples and g * sum(map(abs, x.tolist())) + q <= limit:
+            np.dot(fast, x_one, out=fast_products)
+            np.add(z_high, z_low, out=out[start : start + BLOCK])
+            np.add(x_high, x_low, out=x)
+            start += BLOCK
+        if start >= n_samples:
+            return out[:n_samples], False
+        # A block the bound does not clear: every row, then the band test.
+        np.dot(table, x_one, out=products)
         np.add(high, low, out=block)
+        live = block[: n_samples - start]

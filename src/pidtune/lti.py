@@ -267,9 +267,11 @@ def simulate_step(ss: StateSpace, cfg: SimConfig) -> StepResponse:
     Integrates with classical fixed-step RK4 (precomputed one-step map) from
     x(0) = 0 under u(t) = 1; every order, a pure gain's 0 states included,
     goes through that map and _kernels.scan, which applies its powers to
-    take _kernels.BLOCK samples per matvec. The samples match stepping the
-    map one sample at a time to within rounding (tests/helpers.py's
-    scan_error_bound), and sample k does not depend on how many follow it.
+    take _kernels.BLOCK samples per matvec, and forms a block's states only
+    when a bound from the state before it does not keep the block in band.
+    The samples match stepping the map one sample at a time to within
+    rounding (tests/helpers.py's scan_error_bound), and sample k does not
+    depend on how many follow it.
     Divergence is never an error:
     once any state or output magnitude exceeds BLOW_UP_LIMIT the remaining
     samples are clamped to +/-BLOW_UP_LIMIT so downstream scoring stays

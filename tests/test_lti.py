@@ -506,15 +506,43 @@ class TestScan:
     @pytest.mark.parametrize("start", ["zn", "diverging"])
     def test_prefix_of_a_longer_scan_is_bit_identical(self, start):
         # Sample k's bits may not depend on how many samples follow it. The
-        # diverging start leaves the band at sample 3,272.
+        # diverging start leaves the band at sample 3,272. At block length 64
+        # its state first grows past what the bound clears in block 46,
+        # samples 2,945-3,008, so 2,945 samples end in a cleared block and
+        # 2,946 and 3,009 in refused ones.
         zn = zn_pid_gains(ultimate_point(BENCH3))
         gains, first_bad = {"zn": ((zn.kp, zn.ki, zn.kd), 4001), "diverging": ((-5.0, 8.0, 3.0), 3272)}[start]
         args = loop_step_map(BENCH3, gains)
         full, _ = _kernels.scan(*args, 4001, BLOW_UP_LIMIT)
-        for k in [*range(1, 3 * BLOCK + 2), 97, 1000, 3271, 3272, 3273, 4000]:
+        refused = [2944, 2945, 2946, 2947, 3008, 3009, 3010]
+        for k in [*range(1, 3 * BLOCK + 2), 97, 1000, *refused, 3271, 3272, 3273, 4000]:
             part, diverged = _kernels.scan(*args, k, BLOW_UP_LIMIT)
             assert np.array_equal(part, full[:k]), k
             assert diverged == (k > first_bad), k
+
+    @pytest.mark.parametrize("near_miss", [False, True], ids=["excursion", "near_miss"])
+    def test_transient_inside_a_later_block_is_seen(self, near_miss):
+        # x0 runs 0, -1, -2, ... and x1 = sum of (x0 + p), the parabola
+        # pk - k(k - 1)/2: integers, exact in any order. x1 reads the peak
+        # p(p + 1)/2 less 3, 1, 0, 0, 1, 3 on samples p - 2..p + 3, so a
+        # limit 1.5 below the peak is left on samples p - 1..p + 2 only,
+        # inside block 2, which ends back in band. Its twin peaks at
+        # limit (1 - 1e-9) and stays in band.
+        p = 5 * BLOCK // 2
+        peak = p * (p + 1) / 2
+        limit = peak / (1 - 1e-9) if near_miss else peak - 1.5
+        args = (np.array([[1.0, 0.0], [1.0, 1.0]]), np.array([-1.0, p]), np.array([0.0, 0.5]), 0.0)
+        out, diverged = _kernels.scan(*args, 4 * BLOCK + 1, limit)
+        ref, ref_diverged = sequential_scan(*args, 4 * BLOCK + 1, limit)
+        assert np.array_equal(out, ref) and diverged == ref_diverged == (not near_miss)
+        if near_miss:
+            assert out.max() == peak / 2
+        else:
+            last = 3 * BLOCK  # block 2 holds samples 2B + 1..3B
+            assert 2 * BLOCK < p - 1 and p + 2 < last and p * last - last * (last - 1) / 2 < limit
+            # The state triggers at p - 1, which leaves that sample's output.
+            assert out[p - 1] == (peak - 1) / 2 and np.all(out[p:] == limit)
+            assert not np.any(out[: p - 1] == limit)
 
     def test_working_set_is_bounded(self):
         # Beyond the output array, a scan holds O(BLOCK n) floats however
