@@ -13,6 +13,7 @@ from pidtune import (
     SimConfig,
     StepResponse,
     TransferFunction,
+    _kernels,
     close_unity_feedback,
     pid_transfer_function,
     render_animation,
@@ -86,6 +87,33 @@ def sequential_scan(step_mat, step_vec, c_row, feed, n_samples, limit):
         for i in range(n):
             x[i] = xn[i]
     return out, diverged
+
+
+def full_table_scan(step_mat, step_vec, c_row, feed, n_samples, limit):
+    """pidtune._kernels.scan's blocks with no bound: every block is the
+    whole step table of _kernels._step_table times [x, 1, x, 1], and its
+    rows are read in order under sequential_scan's rule. scan gives the same
+    bits only where the BLAS computes each row's dot from that row and the
+    vector alone. Returns (values, diverged)."""
+    n = step_mat.shape[0]
+    table = _kernels._step_table(step_mat, step_vec, c_row, feed)
+    vec = np.ones(2 * n + 2)
+    out = np.empty(n_samples)
+    rows, k = [[feed] + [0.0] * n], 0
+    while True:
+        for row in rows:
+            if k == n_samples:
+                return out, False
+            trigger = next((a for a in row if not abs(a) <= limit), None)
+            if trigger is not None:
+                clamp = -limit if trigger < 0.0 else limit
+                out[k] = row[0] if abs(row[0]) <= limit else clamp
+                out[k + 1 :] = clamp
+                return out, True
+            out[k] = row[0]
+            k += 1
+        vec[:n] = vec[n + 1 : -1] = rows[-1][1:]
+        rows = np.dot(table, vec).reshape(-1, n + 1).tolist()
 
 
 def decimal_scan(step_mat, step_vec, c_row, feed, n_samples, limit):

@@ -11,7 +11,8 @@ complex pair of modulus in (1, 1.03) are kept, at limit 1e6: the growing
 oscillations on which a step table's rounding adds up over the most samples.
 
 Prints the number of loops, the kernel's BLOCK, how many diverged, the
-divergence-flag, first-clamped-index and clamped-tail mismatches, and the
+divergence-flag, first-clamped-index and clamped-tail mismatches, the loops
+whose samples or flag differ at all from helpers.full_table_scan, and the
 worst error before the clamp as a share of helpers.scan_error_bound, with the
 loop that gave it. On that loop it also prints how far the kernel and the
 oracle each are from helpers.decimal_scan, in shares of the same bound: the
@@ -28,6 +29,7 @@ from helpers import (
     ORACLE_PLANTS,
     decimal_scan,
     first_clamped,
+    full_table_scan,
     loop_step_map,
     scan_error_bound,
     sequential_scan,
@@ -67,12 +69,14 @@ def main(argv=None):
     opts = parser.parse_args(argv)
 
     rng = np.random.default_rng(opts.seed)
-    diverged = flag = index = tail = 0
+    diverged = flag = index = tail = full = 0
     worst, worst_loop = 0.0, None
     with np.errstate(all="ignore"):
         for plant, gains, limit, args in draw_loops(rng, opts.loops, opts.growing):
             out, out_diverged = _kernels.scan(*args, N_SAMPLES, limit)
             ref, ref_diverged = sequential_scan(*args, N_SAMPLES, limit)
+            full_out, full_diverged = full_table_scan(*args, N_SAMPLES, limit)
+            full += out_diverged != full_diverged or not np.array_equal(out, full_out)
             diverged += ref_diverged
             flag += out_diverged != ref_diverged
             k_clamp = first_clamped(ref, limit)
@@ -84,7 +88,7 @@ def main(argv=None):
                 worst, worst_loop = ratio, (plant, gains, limit)
     print(f"loops {opts.loops} (seed {opts.seed}, {'growing' if opts.growing else 'uniform'}, "
           f"BLOCK {_kernels.BLOCK}), diverged {diverged}")
-    print(f"mismatches: flag {flag}, index {index}, tail {tail}")
+    print(f"mismatches: flag {flag}, index {index}, tail {tail}, full table {full}")
     print(f"worst error {worst:.3f} of the bound, ORACLE_PLANTS[plant], gains, limit = {worst_loop}")
     if worst_loop is not None:
         plant, gains, limit = worst_loop
@@ -97,7 +101,7 @@ def main(argv=None):
         tol = scan_error_bound(*args, k)
         kernel, oracle = (float(np.max(np.abs(v[:k] - exact[:k]) / tol, initial=0.0)) for v in (out, ref))
         print(f"on that loop, from a 60-digit recursion: kernel {kernel:.3f}, oracle {oracle:.3f} of the bound")
-    return 0 if flag == index == tail == 0 and worst <= 1.0 else 1
+    return 0 if flag == index == tail == full == 0 and worst <= 1.0 else 1
 
 
 if __name__ == "__main__":

@@ -30,6 +30,7 @@ from helpers import (
     ORACLE_PLANTS,
     decimal_scan,
     first_clamped,
+    full_table_scan,
     loop_step_map,
     random_proper_tf,
     scan_error_bound,
@@ -387,9 +388,9 @@ def _assert_matches_oracle(args, n_samples, limit):
         k_clamp, k_tail = sorted((k_out, k_ref))
         assert np.array_equal(out[k_tail:], ref[k_tail:])
         # Measured worst over 8,000 uniform and 1,600 growing-oscillation loops
-        # (tests/stress_scan.py, seeds 1-4) at block length 64: 0.41 of this
+        # (tests/stress_scan.py, seeds 1-4) at block length 64: 0.38 of this
         # bound, on GROWING[3], where the oracle is itself 0.40 of it from
-        # decimal_scan and the scan 0.01.
+        # decimal_scan and the scan 0.02.
         tol = scan_error_bound(*args, k_clamp)
     assert np.all(np.abs(out[:k_clamp] - ref[:k_clamp]) <= tol)
     return out, diverged
@@ -466,6 +467,33 @@ class TestScan:
         out, diverged = _assert_matches_oracle(args, k_bad, k_bad - 0.5)
         assert not diverged
 
+    def test_matches_full_table_bit_for_bit(self):
+        # A cleared block reads its rows from the fast table, at other
+        # places than in the whole table; their bits agree only where the
+        # BLAS computes each row's dot from that row and the vector alone.
+        # Of these loops about 90% clear a block, 80% refuse one and 70% do
+        # both, so both paths and the moves between them are covered.
+        rng = np.random.default_rng(20261019)
+        mismatches, diverged, loops = [], 0, 0
+        while loops < 1000:
+            plant = int(rng.integers(len(ORACLE_PLANTS)))
+            gains = tuple(float(g) for g in rng.uniform(-10.0, 10.0, 3))
+            limit = (1e6, 10.0, 3.0)[int(rng.integers(3))]
+            n_samples = int(rng.integers(1, 10002))
+            with np.errstate(all="ignore"):
+                try:
+                    args = loop_step_map(ORACLE_PLANTS[plant], gains)
+                except ImproperLoop:
+                    continue
+                out, flag = _kernels.scan(*args, n_samples, limit)
+                ref, ref_flag = full_table_scan(*args, n_samples, limit)
+            loops += 1
+            diverged += ref_flag
+            if flag != ref_flag or not np.array_equal(out, ref):
+                mismatches.append((plant, gains, limit, n_samples))
+        assert mismatches == []
+        assert 0 < diverged < loops
+
     @pytest.mark.parametrize("loop", [*range(len(GROWING)), "zn"])
     def test_step_table_matches_exact_powers(self, loop):
         # Doubling's error in A^j grows about linearly in j: each level
@@ -474,7 +502,8 @@ class TestScan:
         # eps with the table built in float64. high + low holds about 106
         # bits, which bounds it where long double is wider still.
         args = _growing_or_zn_loop(loop)
-        high, low = _kernels._step_table(*args).reshape(2, BLOCK, -1).tolist()
+        halves = np.hsplit(_kernels._step_table(*args), 2)
+        high, low = (half.reshape(BLOCK, -1).tolist() for half in halves)
         eps = Fraction(max(float(np.finfo(np.longdouble).eps), np.finfo(float).eps ** 2))
         for j, exact in enumerate(_fraction_step_table(*args), 1):
             exact = [e for row in exact for e in row]
@@ -488,7 +517,7 @@ class TestScan:
         # scan_error_bound measures the distance between two roundings of
         # the map; on a growing oscillation the oracle may be the farther
         # from the map's exact trajectory. Measured shares of the bound at
-        # block length 64: scan 0.009/0.031/0.027/0.012/0.005, oracle
+        # block length 64: scan 0.006/0.031/0.029/0.017/0.004, oracle
         # 0.071/0.232/0.085/0.400/0.051.
         args = _growing_or_zn_loop(loop)
         with np.errstate(all="ignore"):
@@ -546,16 +575,26 @@ class TestScan:
 
     def test_working_set_is_bounded(self):
         # Beyond the output array, a scan holds O(BLOCK n) floats however
-        # many samples it takes (lti.MAX_SAMPLES counts on it).
+        # many samples it takes (lti.MAX_SAMPLES counts on it), on either
+        # path. The bound clears every block of the ZN loop. The rotation by
+        # 0.1 circles x* = (I - M)^-1 v = (0.5, 9.99) through 0, so its
+        # second state sweeps [0, 19.996]. The bound is at least sum_i |x_i|
+        # plus the largest |x[j]|, j <= BLOCK, so at a limit of 20.2 it
+        # refuses almost every block, though none leaves the band.
         zn = zn_pid_gains(ultimate_point(BENCH3))
-        args = loop_step_map(BENCH3, (zn.kp, zn.ki, zn.kd))
-        tracemalloc.start()
-        try:
-            out, _ = _kernels.scan(*args, 10**6, BLOW_UP_LIMIT)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert peak - out.nbytes < 2**20
+        turn = np.array([[np.cos(0.1), -np.sin(0.1)], [np.sin(0.1), np.cos(0.1)]])
+        loops = [
+            (loop_step_map(BENCH3, (zn.kp, zn.ki, zn.kd)), BLOW_UP_LIMIT),
+            ((turn, np.array([1.0, 0.0]), np.array([0.0, 1.0]), 0.0), 20.2),
+        ]
+        for args, limit in loops:
+            tracemalloc.start()
+            try:
+                out, diverged = _kernels.scan(*args, 10**6, limit)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert not diverged and peak - out.nbytes < 2**20
 
     @pytest.mark.parametrize("case", RULE_CASES.values(), ids=RULE_CASES.keys())
     def test_divergence_rule_matches_oracle_exactly(self, case):
