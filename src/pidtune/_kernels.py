@@ -90,11 +90,89 @@ a product with x[0] = 0 like any other, so this holds from sample 1 on.
 
 ``tests/helpers.sequential_scan`` states the same rule with scalar loops,
 and ``tests/test_lti.py`` pins scan to it.
+
+The settle rule. Given settle = (rise, lower, upper), scan may return only
+the samples before a block boundary s < n_samples, as the first s samples of
+the full scan bit for bit, once it has shown that every later sample of the
+full scan lies in [lower, upper] and that none of them diverges. Then
+anything read only from a first crossing of rise and from the samples
+outside [lower, upper] reads the same from the prefix. The test runs before
+a cleared block that starts at or after a checkpoint; the first checkpoint
+is sample CHECK_START, and each next one is half as far again, so a call
+pays for O(log n_samples) of them. It requires, in this order:
+
+1. the last written output lies in [lower, upper], and some written sample
+   is at or above rise;
+2. a certificate, built once per call: with x_ref the solution of
+   (I - M) x = v and z_ref = c x_ref + feed, the room, half the distance
+   from z_ref to the nearer of lower and upper, is positive, and P, the
+   solution of M^T P M - P = -I, passes the checks below;
+3. the carried state x has (x - x_ref)^T P (x - x_ref), computed, at most
+   (radius / (1 + omega))^2, with radius and omega as below.
+
+Why the tail stays in the band, for exact arithmetic on the float64 data
+M, v, c, feed, P and x_ref. Let |e|_P = sqrt(e^T P e), lam and mu bounds
+on P's largest and smallest eigenvalues, R = M^T P M - P + I and
+rho = M x_ref + v - x_ref, which is 0 only when x_ref is exact. If P is
+positive definite and ||R||_2 <= 1/2, then |M e|_P^2 <= |e|_P^2 - |e|^2 / 2
+<= (1 - 1/(2 lam)) |e|_P^2: the quadratic Lyapunov function cannot grow
+along the map (Kalman & Bertram 1960, "Control system analysis and design
+via the second method of Lyapunov", J. Basic Eng. 82), so M is stable, and
+over a block |M^BLOCK e|_P <= q |e|_P with 1 - q >= min(1/2, BLOCK / (8 lam)).
+By Cauchy-Schwarz, |c e| <= h |e|_P with h^2 = c P^-1 c^T, and each |e_i|
+<= |e|_P / sqrt(mu). From a carried state x_ref + e, sample j of the next
+block is z_ref + c M^j e + c (rho + M rho + ... + M^(j-1) rho) exactly, and
+its state x_ref + M^j e plus the same sum.
+
+The computed samples. By the bound's argument above and the table's error,
+which test_step_table_matches_exact_powers pins to j eps times the largest
+entry of A^j, each computed row of a block differs from its exact value by
+at most row_err = (BLOCK + 4 (n + 2)) eps size (sum_i |y_i| + 1), where y is
+the carried state and size the larger of G and Q. So the carried states'
+distances r_b = |y_b - x_ref|_P obey r_(b+1) <= q r_b + drift +
+sqrt(n lam) row_err, with drift = BLOCK sqrt(n lam) max_i |rho_i| bounding
+BLOCK |rho|_P. With r_0 <= radius = room / h and
+
+    drift + sqrt(n lam) row_err <= (1 - q) radius / 2,
+
+every r_b stays <= radius, and row_err may be taken at
+sum_i |y_i| <= sum_i |x_ref_i| + sqrt(2 n) radius. Every later sample is
+then within room + h drift + row_err of z_ref, which
+
+    h drift + row_err + z_err <= room / 2
+
+keeps inside the band, where z_err bounds the rounding of z_ref; and every
+later state is within sqrt(2) (radius + drift) + row_err of x_ref, which
+must stay below limit / 2. Half the room is thus the margin that the
+rounding may spend. Over the 285 points of the benchmark3 ZN search, the
+second condition's left side is at most 2e-8 of its right, and the first's
+at most 1.3e-5.
+
+The checks on P. P is solved as the n^2 x n^2 Kronecker system
+(M^T kron M^T - I) vec(P) = -vec(I) (Smith 1968, "Matrix equation XA + BX =
+C", SIAM J. Appl. Math. 16, gives the doubling alternative), symmetrized,
+and split by numpy.linalg.eigh. With omega = 8 (n + 2)^2 eps lam~, lam~
+and mu~ the computed extreme eigenvalues, lam = lam~ + omega and
+mu = mu~ - omega >= 1/2 are taken as the eigenvalue bounds; since cond(P)
+<= 2 lam, omega also bounds, to first order, the relative error of h, of the
+quadratic form and of each |e|_P computed from P, as long as omega <=
+2^-10 (Higham 2002, chs. 3 and 14). For an exactly stable M the exact P is
+at least I, so mu >= 1/2 refuses only a P far from it. ||R||_2 is bounded by
+the Frobenius norm of R computed through the Kronecker matrix plus that
+product's rounding, (n^2 + 2) eps sqrt(n) (lam (||M||_F^2 + n) + 1), and
+must not exceed 1/2. rho is computed with its rounding added. A singular
+I - M or Kronecker system refuses the certificate, and so does c = 0.
 """
+
+import math
 
 import numpy as np
 
 BLOCK = 64
+# The settle rule's first checkpoint; each later one is 1.5 times as far.
+CHECK_START = 3 * BLOCK + 1
+EPS = float(np.finfo(float).eps)
+TINY = float(np.finfo(float).tiny)
 
 
 def _step_table(step_mat, step_vec, c_row, feed):
@@ -123,9 +201,60 @@ def _step_table(step_mat, step_vec, c_row, feed):
     return np.concatenate((high, low), axis=2).reshape(-1, 2 * n + 2)
 
 
+def _certificate(step_mat, step_vec, c_row, feed, limit, settle, size):
+    """(x_ref, P, r2) of the settle rule, or () where it does not apply: a
+    carried state x with (x - x_ref) P (x - x_ref) <= r2 keeps every later
+    sample inside [lower, upper] and every later state inside the limit.
+    size bounds every entry of the step table, M and v among them: the
+    larger of scan's G and Q."""
+    _, lower, upper = settle
+    n = len(step_vec)
+    shifted = -step_mat
+    shifted.reshape(-1)[:: n + 1] += 1.0
+    x_ref = np.linalg.solve(shifted, step_vec)
+    z_ref = float(c_row @ x_ref) + feed
+    room = min(z_ref - lower, upper - z_ref) / 2
+    if not (room > 0.0 and c_row.any() and -limit <= lower <= upper <= limit):
+        return ()
+    # M^T P M - P = -I as (M^T kron M^T - I) vec(P) = -vec(I).
+    kron = (step_mat.T[:, None, :, None] * step_mat.T[None, :, None, :]).reshape(n * n, n * n)
+    kron.reshape(-1)[:: n * n + 1] -= 1.0
+    eye = np.eye(n).reshape(-1)
+    p = np.linalg.solve(kron, -eye).reshape(n, n)
+    p = (p + p.T) / 2
+    lams, vecs = np.linalg.eigh(p)
+    low, high = float(lams[0]), float(lams[-1])
+    omega = 8 * (n + 2) ** 2 * EPS * high
+    lam, mu = high + omega, low - omega
+    resid = kron @ p.reshape(-1) + eye
+    m_norm2 = float(np.vdot(step_mat, step_mat))
+    resid_norm = math.sqrt(float(resid @ resid))
+    resid_norm += (n * n + 2) * EPS * math.sqrt(n) * (lam * (m_norm2 + n) + 1)
+    if not (omega <= 2**-10 and mu >= 0.5 and resid_norm <= 0.5):
+        return ()
+    # An upper bound on h, and never 0.
+    h = math.sqrt(float((vecs.T @ c_row) ** 2 @ (1 / lams)) * (1 + omega)) + TINY
+    radius = room / h
+    x_max, x_sum = float(np.abs(x_ref).max()), float(np.abs(x_ref).sum())
+    rho = float(np.abs(step_vec - shifted @ x_ref).max())
+    rho += (n + 2) * EPS * (n * (size + 1) * x_max + size)
+    drift = BLOCK * math.sqrt(n * lam) * rho
+    row_err = (BLOCK + 4 * (n + 2)) * EPS * size * (x_sum + math.sqrt(2 * n) * radius + 1)
+    z_err = (n + 1) * EPS * (float(np.abs(c_row) @ np.abs(x_ref)) + abs(feed))
+    if not (
+        drift + math.sqrt(n * lam) * row_err <= min(0.5, BLOCK / (8 * lam)) * radius / 2
+        and h * drift + row_err + z_err <= room / 2
+        and x_max + math.sqrt(2) * (radius + drift) + row_err <= limit / 2
+    ):
+        return ()
+    return x_ref, p, (radius / (1 + omega)) ** 2
+
+
 # perfbench/tracer.py reads n_samples at position 4 of this signature.
-def scan(step_mat, step_vec, c_row, feed, n_samples, limit):
-    """Sample the response, BLOCK samples per matvec; returns (values, diverged)."""
+def scan(step_mat, step_vec, c_row, feed, n_samples, limit, settle=None):
+    """Sample the response, BLOCK samples per matvec; returns (values,
+    diverged). With settle = (rise, lower, upper) the values may end early,
+    at a block boundary, under the settle rule."""
     n = step_mat.shape[0]
     table = _step_table(step_mat, step_vec, c_row, feed)
     rows = table.reshape(BLOCK, n + 1, 2 * n + 2)
@@ -135,9 +264,9 @@ def scan(step_mat, step_vec, c_row, feed, n_samples, limit):
     # G and Q of the module docstring's bound, with its margin and tiny
     # folded in.
     sizes = np.abs(table[:, : n + 1]) + np.abs(table[:, n + 1 :])
-    margin = 1.0 + 4 * (n + 2) * np.finfo(float).eps
+    margin = 1.0 + 4 * (n + 2) * EPS
     g = float(sizes[:, :n].max(initial=0.0)) * margin
-    q = float(sizes[:, n].max()) * margin + np.finfo(float).tiny
+    q = float(sizes[:, n].max()) * margin + TINY
     # Whole blocks after sample 0, then n slots for a cleared last block's
     # state; the dead rows are cut off.
     out = np.empty(1 + -(-(n_samples - 1) // BLOCK) * BLOCK + n)
@@ -147,6 +276,9 @@ def scan(step_mat, step_vec, c_row, feed, n_samples, limit):
     x_one = np.ones(2 * n + 2)
     x = x_one[:n]
     states = x_one.reshape(2, n + 1)[:, :n]
+    # The settle rule's next checkpoint, and its certificate once built.
+    check = n_samples if settle is None else CHECK_START
+    cert = None
     # Sample 0 is [feed, 0...0], a block of one row.
     block[-1] = [feed] + [0.0] * n
     live, start = block[-1:], 0
@@ -165,6 +297,20 @@ def scan(step_mat, step_vec, c_row, feed, n_samples, limit):
         start += len(live)
         # Cleared blocks form only their outputs and last state.
         while start < n_samples and g * sum(map(abs, x.tolist())) + q <= limit:
+            if start >= check:
+                check += check // 2
+                rise, lower, upper = settle
+                if lower <= out[start - 1] <= upper and out[:start].max() >= rise:
+                    if cert is None:
+                        try:
+                            cert = _certificate(step_mat, step_vec, c_row, feed, limit,
+                                                settle, max(g, q))
+                        except np.linalg.LinAlgError:  # a singular I - M or Kronecker system
+                            cert = ()
+                    if not cert:
+                        check = n_samples
+                    elif (e := x - cert[0]) @ cert[1] @ e <= cert[2]:
+                        return out[:start], False
             np.dot(fast, x_one, out=out[start : start + BLOCK + n])
             start += BLOCK
             states[:] = out[start : start + n]

@@ -261,7 +261,9 @@ def _rk4_step_map(a: np.ndarray, b: np.ndarray, dt: float):
     return m, v
 
 
-def simulate_step(ss: StateSpace, cfg: SimConfig) -> StepResponse:
+def simulate_step(
+    ss: StateSpace, cfg: SimConfig, settle: tuple[float, float, float] | None = None
+) -> StepResponse:
     """Unit-step response on the fixed grid t = 0, dt, ..., floor(t_max/dt)*dt.
 
     Integrates with classical fixed-step RK4 (precomputed one-step map) from
@@ -275,6 +277,9 @@ def simulate_step(ss: StateSpace, cfg: SimConfig) -> StepResponse:
     match stepping the map one sample at a time to within rounding
     (tests/helpers.py's scan_error_bound), and sample k does not depend on
     how many samples follow it. _kernels describes how the scan gets them.
+    Given settle = (rise, lower, upper), the values may end early, at a
+    block boundary, once _kernels' settle rule shows that every later
+    sample lies in [lower, upper].
     """
     # Huge gains overflow the step map and the states on the way to the
     # clamp: the defined divergent outcome, not a fault to warn of. Every
@@ -282,7 +287,7 @@ def simulate_step(ss: StateSpace, cfg: SimConfig) -> StepResponse:
     with np.errstate(all="ignore"):
         m, v = _rk4_step_map(ss.a, ss.b, cfg.dt)
         values, diverged = _kernels.scan(
-            m, v, ss.c.ravel(), float(ss.d), cfg.n_samples, BLOW_UP_LIMIT
+            m, v, ss.c.ravel(), float(ss.d), cfg.n_samples, BLOW_UP_LIMIT, settle=settle
         )
     values.setflags(write=False)
     return StepResponse(dt=cfg.dt, values=values, diverged=diverged)

@@ -95,14 +95,18 @@ def _first_sample_after(t: float, dt: float, n: int) -> int:
 
 
 def step_response(
-    gains: PidGains, plant: TransferFunction, cfg: SimConfig | None = None
+    gains: PidGains,
+    plant: TransferFunction,
+    cfg: SimConfig | None = None,
+    settle: tuple[float, float, float] | None = None,
 ) -> StepResponse:
     """Unit-step response of the plant under the ideal PID in unity feedback:
-    the one place that closes the loop, realizes it and simulates it. Raises
-    ImproperLoop (from loop closure) when kd makes the loop improper."""
+    the one place that closes the loop, realizes it and simulates it, with
+    settle passed on to simulate_step. Raises ImproperLoop (from loop
+    closure) when kd makes the loop improper."""
     cfg = cfg if cfg is not None else SimConfig()
     loop = close_unity_feedback(pid_transfer_function(gains), plant)
-    return simulate_step(tf_to_state_space(loop), cfg)
+    return simulate_step(tf_to_state_space(loop), cfg, settle=settle)
 
 
 def evaluate(
@@ -120,10 +124,13 @@ def evaluate(
     total even for destabilizing gains. Raises ImproperLoop as step_response
     does. When responses is given, the simulated step response is appended
     to it, so callers that also need the samples (frames, CSV output) do not
-    simulate a second time.
+    simulate a second time. Without it the simulation may stop once a
+    Lyapunov certificate shows that the rest of the risen response stays
+    inside the band, which leaves every field the same to the bit.
     """
     cfg = cfg if cfg is not None else SimConfig()
-    resp = step_response(gains, plant, cfg)
+    settle = (RISE_LEVEL, BAND_LOWER, BAND_UPPER) if responses is None else None
+    resp = step_response(gains, plant, cfg, settle=settle)
     if responses is not None:
         responses.append(resp)
     rt, rose = rise_time(resp)

@@ -2,6 +2,7 @@
 
     PYTHONPATH=src python tests/stress_scan.py --loops 2000 --seed 1
     PYTHONPATH=src python tests/stress_scan.py --growing --loops 400
+    PYTHONPATH=src python tests/stress_scan.py --settle --loops 1000 --seed 1
 
 Each loop is a PID loop around one of helpers.ORACLE_PLANTS with gains
 drawn uniformly from [-10, 10]^3, sampled 3,001 times as in
@@ -17,13 +18,22 @@ worst error before the clamp as a share of helpers.scan_error_bound, with the
 loop that gave it. On that loop it also prints how far the kernel and the
 oracle each are from helpers.decimal_scan, in shares of the same bound: the
 oracle rounds too, so a worst error can be mostly the oracle's own.
+
+With --settle it scores the same uniform loops with objective.evaluate at
+the default horizon (10,001 samples), once with the settle rule and once
+with the full scan (responses given), and prints the scores that differ in
+any bit, the share of all samples the settle rule skipped, and how many
+responses rose and ended inside the band without being cut short (the
+certificates refused or never tested). Any difference fails the run.
 """
 
 import argparse
+from dataclasses import astuple
 
 import numpy as np
 
-from pidtune import ImproperLoop, _kernels
+from pidtune import ImproperLoop, PidGains, SimConfig, _kernels, evaluate, step_response
+from pidtune.objective import BAND_LOWER, BAND_UPPER, RISE_LEVEL
 
 from helpers import (
     ORACLE_PLANTS,
@@ -61,14 +71,45 @@ def draw_loops(rng, count, growing):
         yield plant, gains, limit, args
 
 
+def _bits(value):
+    """An ObjectiveValue's fields, floats as their exact hex."""
+    return [f.hex() if isinstance(f, float) else f for f in astuple(value)]
+
+
+def settle_main(rng, loops):
+    """The --settle comparison; returns the exit status."""
+    cfg = SimConfig()
+    settle = (RISE_LEVEL, BAND_LOWER, BAND_UPPER)
+    mismatches, skipped, refused, settled = [], 0, 0, 0
+    with np.errstate(all="ignore"):
+        for plant, gains, _, _ in draw_loops(rng, loops, False):
+            args = (PidGains(*gains), ORACLE_PLANTS[plant], cfg)
+            full = step_response(*args).values
+            kept = len(step_response(*args, settle=settle).values)
+            skipped += cfg.n_samples - kept
+            if _bits(evaluate(*args)) != _bits(evaluate(*args, [])):
+                mismatches.append((plant, gains))
+            if full.max() >= RISE_LEVEL and BAND_LOWER <= full[-1] <= BAND_UPPER:
+                settled += 1
+                refused += kept == cfg.n_samples
+    print(f"loops {loops} (settle, {cfg.n_samples} samples), mismatches {len(mismatches)}"
+          f"{': ' + repr(mismatches[:5]) if mismatches else ''}")
+    print(f"samples skipped {skipped / (loops * cfg.n_samples):.3f}; "
+          f"rose and ended in the band {settled}, of them scanned in full {refused}")
+    return 1 if mismatches else 0
+
+
 def main(argv=None):
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--loops", type=int, default=1000)
     parser.add_argument("--seed", type=int, default=1)
     parser.add_argument("--growing", action="store_true")
+    parser.add_argument("--settle", action="store_true")
     opts = parser.parse_args(argv)
 
     rng = np.random.default_rng(opts.seed)
+    if opts.settle:
+        return settle_main(rng, opts.loops)
     diverged = flag = index = tail = full = 0
     worst, worst_loop = 0.0, None
     with np.errstate(all="ignore"):

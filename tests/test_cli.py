@@ -341,6 +341,23 @@ class TestTuneCommand:
             want = render_frame(rec, step_response(rec.gains, BENCH3, cfg))
             assert (out / "frames" / f"film_{rec.index}.svg").read_bytes() == want.encode()
 
+    @pytest.mark.parametrize("start", [["--start", "zn"], ["--start", "random", "--seed", "7"]],
+                             ids=["zn", "random"])
+    def test_traces_are_the_same_with_and_without_frames(self, tmp_path, start):
+        # Without --frames, evaluate may stop the scan of a response that is
+        # certified settled; with it, every response is scanned to the
+        # horizon for its frame. Seed 7's first draw settles, as the ZN
+        # start does, so both searches score many settled responses.
+        outs = []
+        for frames in ([], ["--frames"]):
+            out = tmp_path / ("filmed" if frames else "plain")
+            with redirect_stdout(io.StringIO()):
+                assert cli.main(["tune", *start, "--out", str(out), *frames]) == 0
+            outs.append(out)
+        plain, filmed = outs
+        for name in ("trace.csv", "trace.json"):
+            assert (plain / name).read_bytes() == (filmed / name).read_bytes()
+
     @pytest.mark.parametrize("target,frames", [
         ("blocker", False),  # --out names an existing regular file
         ("blocker/run", False),  # --out lies under a non-directory

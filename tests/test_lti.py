@@ -613,3 +613,114 @@ class TestScan:
         ref, ref_diverged = sequential_scan(*args)
         assert not diverged and not ref_diverged
         assert np.array_equal(out, ref) and np.all(out == 0.5)
+
+
+# The objective's settle levels: rise, then the band's lower and upper edge.
+SETTLE = (0.98, 0.98, 1.02)
+
+
+def _decay(a, c0, feed):
+    """A one-state map whose state runs 1 - a^k to 1, seen as c0 x + feed."""
+    return np.array([[a]]), np.array([1.0 - a]), np.array([c0]), feed
+
+
+def _late_hump(sign):
+    """z = x0 + x2 with x0 running 1 - 0.97^k to 1 and x2 a slow hump of the
+    given sign: x1 integrates 1 - x0 and leaks at 0.998 per step, and x2
+    follows x1 as slowly. z enters [0.98, 1.02] before sample 170, leaves
+    it near sample 280, is 1 +- 0.0245 at its extreme near sample 535 and
+    is back inside after sample 923."""
+    a, b, g = 0.97, 0.998, 0.002 * sign
+    mat = np.array([[a, 0.0, 0.0], [-g, b, 0.0], [0.0, 1.0 - b, b]])
+    return mat, np.array([1.0 - a, g, 0.0]), np.array([1.0, 0.0, 1.0]), 0.0
+
+
+def _assert_settles_soundly(args, n_samples, settle, limit=BLOW_UP_LIMIT):
+    """scan with settle against the full scan: its values are the full
+    scan's first ones, bit for bit and no more than n_samples of them, and
+    where they stop early, a written sample is at or above rise, no sample
+    diverges, and every later one lies in [lower, upper]. Returns how many
+    values it gave."""
+    full, diverged = _kernels.scan(*args, n_samples, limit)
+    part, part_diverged = _kernels.scan(*args, n_samples, limit, settle)
+    k = len(part)
+    assert k <= n_samples and np.array_equal(part, full[:k])
+    if k < n_samples:
+        rise, lower, upper = settle
+        assert not (diverged or part_diverged)
+        assert part.max() >= rise
+        assert np.all((lower <= full[k:]) & (full[k:] <= upper)), k
+    else:
+        assert part_diverged == diverged
+    return k
+
+
+class TestSettle:
+    def test_zn_loop_stops_early_at_any_length(self):
+        # The ZN response leaves the band for the last time at sample 937
+        # and is certified before the block that starts at sample 1,473. A
+        # scan at least that long stops there, and one that ends inside the
+        # certifying block is not extended.
+        zn = zn_pid_gains(ultimate_point(BENCH3))
+        args = loop_step_map(BENCH3, (zn.kp, zn.ki, zn.kd))
+        k = _assert_settles_soundly(args, 10_001, SETTLE)
+        assert k < 10_001 // 4
+        for n_samples in [k - 1, k, k + 1, k + 2, k + BLOCK - 1, k + BLOCK, k + BLOCK + 1]:
+            assert _assert_settles_soundly(args, n_samples, SETTLE) == min(k, n_samples)
+
+    def test_stops_only_within_half_the_room(self):
+        # z = 1 + 0.05 * 0.999^k falls into the band at sample 916 and stays
+        # in (0.01, 0.02] above z_ref = 1 for about 11 blocks: a certificate
+        # without the margin would stop there. For one state the bound is
+        # exact, so z at the carried state is within half the room.
+        args = _decay(0.999, -0.05, 1.05)
+        k = _assert_settles_soundly(args, 4001, SETTLE)
+        last = _kernels.scan(*args, k, BLOW_UP_LIMIT)[0][-1]
+        assert k < 4001 and abs(last - 1.0) <= 0.01
+
+    def test_waits_for_a_sample_at_the_rise_level(self):
+        # z = 1 - 0.99^k settles inside the band from below and never
+        # reaches 1.001.
+        args = _decay(0.99, 1.0, 0.0)
+        assert _assert_settles_soundly(args, 4001, SETTLE) < 4001
+        assert _assert_settles_soundly(args, 4001, (1.001, 0.98, 1.02)) == 4001
+
+    def test_unstable_mode_is_refused(self):
+        # x1 departs from 1e-4 below its fixed point by 1.005 per step, so z
+        # is in the band from sample 387 to 1,063 and then leaves it for
+        # good. The Kronecker system still has a solution, an indefinite P.
+        args = (np.diag([0.99, 1.005]), np.array([0.01, 5e-7]), np.array([1.0, 1.0]), 0.0)
+        assert _assert_settles_soundly(args, 3001, SETTLE) == 3001
+
+    def test_lyapunov_solution_is_checked(self, monkeypatch):
+        # 0.3 P is positive definite but leaves the residual 0.7 I, whose
+        # norm exceeds 1/2: the certificate must test the solve it got.
+        zn = zn_pid_gains(ultimate_point(BENCH3))
+        args = loop_step_map(BENCH3, (zn.kp, zn.ki, zn.kd))
+        n = len(args[1])
+        assert _kernels._certificate(*args, BLOW_UP_LIMIT, SETTLE, 10.0)
+        solve = np.linalg.solve
+
+        def scaled_lyapunov_solve(a, b):
+            return solve(a, b) * (0.3 if a.shape == (n * n, n * n) else 1.0)
+
+        monkeypatch.setattr(np.linalg, "solve", scaled_lyapunov_solve)
+        assert _kernels._certificate(*args, BLOW_UP_LIMIT, SETTLE, 10.0) == ()
+
+    @pytest.mark.parametrize("sign", [1, -1], ids=["upper", "lower"])
+    @pytest.mark.parametrize("leaves", [False, True], ids=["grazes", "leaves"])
+    def test_late_hump_to_a_band_edge(self, sign, leaves):
+        # The band's edge on the hump's side is put at the hump's extreme,
+        # which then grazes it, or one ulp inside it, which the hump then
+        # leaves there, about 340 samples after the first checkpoint saw z
+        # inside the band.
+        args = _late_hump(sign)
+        full, _ = _kernels.scan(*args, 6001, BLOW_UP_LIMIT)
+        edge = float(full[300:].max() if sign > 0 else full[300:].min())
+        if leaves:
+            edge = float(np.nextafter(edge, 1.0))
+        lower, upper = (0.98, edge) if sign > 0 else (edge, 1.02)
+        first = _kernels.CHECK_START
+        assert lower <= full[first - 1] <= upper and first < 400
+        k = _assert_settles_soundly(args, 6001, (0.98, lower, upper))
+        assert 1000 < k < 6001

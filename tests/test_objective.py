@@ -1,9 +1,12 @@
+from dataclasses import astuple
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from pidtune import (
+    ImproperLoop,
     PidGains,
     SimConfig,
     StepResponse,
@@ -18,14 +21,18 @@ from pidtune import (
     tf_to_state_space,
 )
 from pidtune.lti import BLOW_UP_LIMIT
-from pidtune.objective import BAND_LOWER, RISE_LEVEL
+from pidtune.objective import BAND_LOWER, BAND_UPPER, RISE_LEVEL
+from pidtune.tuning import ultimate_point, zn_pid_gains
 
 from helpers import (
     BENCH3,
+    ORACLE_PLANTS,
     brute_force_deviation,
     brute_force_score,
     random_stable_cases,
 )
+
+ZN = zn_pid_gains(ultimate_point(BENCH3))
 
 
 def make_resp(values, dt=1.0, diverged=False):
@@ -262,3 +269,54 @@ class TestEvaluate:
             assert abs(v.total - total) <= 1e-12
             assert abs(v.rise_time - rt) <= 1e-12
             assert abs(v.deviation - dev) <= 1e-12
+
+
+def value_bits(value):
+    """Every field of an ObjectiveValue, floats as their exact hex, so that
+    0.0 and -0.0 differ."""
+    return [f.hex() if isinstance(f, float) else f for f in astuple(value)]
+
+
+# Beyond the oracle plants: a slow lag (a pole near -0.144), whose stable
+# loops settle late in the horizon, and an integrator with a zero at -0.5.
+SETTLE_PLANTS = (
+    *ORACLE_PLANTS,
+    TransferFunction((1.0,), (1.0, 1.2, 0.5, 0.05)),
+    TransferFunction((1.0, 0.5), (1.0, 2.0, 1.0, 0.0)),
+)
+
+
+class TestSettledEvaluate:
+    """evaluate without responses may stop the scan once the response is
+    certified settled; it must give the same ObjectiveValue, bit for bit,
+    as evaluate with responses, which always scans the full horizon."""
+
+    def test_zn_response_is_scored_from_a_prefix(self):
+        cfg = SimConfig()
+        settle = (RISE_LEVEL, BAND_LOWER, BAND_UPPER)
+        assert len(step_response(ZN, BENCH3, cfg, settle=settle).values) < cfg.n_samples // 4
+        assert value_bits(evaluate(ZN, BENCH3, cfg)) == value_bits(evaluate(ZN, BENCH3, cfg, []))
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        plant=st.sampled_from(SETTLE_PLANTS),
+        kp=st.floats(0.0, 8.0),
+        ki=st.one_of(st.just(0.0), st.floats(0.0, 4.0)),
+        kd=st.floats(0.0, 4.0),
+        t_max=st.sampled_from([100.0, 20.0, 5.0]),
+    )
+    @example(plant=BENCH3, kp=ZN.kp, ki=ZN.ki, kd=ZN.kd, t_max=100.0)
+    # ki = 0 leaves the loop a pole at s = 0, so I - M is singular and the
+    # certificate is refused; around the integrator chain the response
+    # still rises and settles at 1
+    @example(plant=ORACLE_PLANTS[1], kp=1.0, ki=0.0, kd=1.0, t_max=100.0)
+    # ki = 0 around a plant without an integrator: the response settles at
+    # kp / (1 + kp), below the band, and never rises
+    @example(plant=BENCH3, kp=2.0, ki=0.0, kd=1.0, t_max=100.0)
+    def test_equals_the_full_scan_bit_for_bit(self, plant, kp, ki, kd, t_max):
+        gains, cfg = PidGains(kp, ki, kd), SimConfig(t_max=t_max)
+        try:
+            want = evaluate(gains, plant, cfg, [])
+        except ImproperLoop:
+            return
+        assert value_bits(evaluate(gains, plant, cfg)) == value_bits(want)
