@@ -29,28 +29,36 @@ of sample k do not depend on n_samples.
 
 The table is built in np.longdouble by doubling, the up-sweep of
 Blelloch's prefix sums ("Prefix sums and their applications", 1990) on the
-affine maps: with A = [[M, v], [0, 1]], the powers A^(k+1)..A^(2k) are A^k
-applied to A^1..A^k, one stacked matmul per level, so BLOCK, a power of two,
-takes log2(BLOCK) levels. Whatever error the table holds, every block
-applies again, so on a growing oscillation it adds up coherently, where
-per-step rounding does not. So each row of the table is [high | low]: its
-long-double entries rounded to float64, then what the rounding left out.
-One dot with [x, 1, x, 1] sums both halves and so carries the long-double
-table's accuracy (CHANGES.md gives the measurements). np.longdouble is
-80-bit on x86-64 Linux, but equals double on some platforms, such as
-Windows; there the low half is zero and the table is only as accurate as
-one built in float64.
+affine maps A = [[M, v], [0, 1]], whose powers A^j have the state rows
+[M^j | x[j]] over [0...0, 1]. log2(BLOCK) squarings give A^2, A^4, ...,
+A^BLOCK, BLOCK being a power of two: A^2k's state rows are A^k's times
+A^k, the dot M^k [M^k | x[k]] with x[k] added after it in the last column
+(and 0 in the others). The output rows double from the row side with them,
+[c M^(k+j) | c x[k+j]] = [c M^j | c x[j]] A^k for j = 1..k, and feed is
+added to their last column at the end. The state rows of A^j, j < BLOCK,
+are built only for a block the bound below does not clear, once per call,
+from the same squares: A^(k+j)'s are A^j's times A^k, j = 1..k, so A^2k's
+come out as the same dots as the square's, bit for bit. Whatever error the
+table holds, every block applies again, so on a growing oscillation it
+adds up coherently, where per-step rounding does not. So each row of the
+table is [high | low]: its long-double entries rounded to float64, then
+what the rounding left out. One dot with [x, 1, x, 1] sums both halves and
+so carries the long-double table's accuracy (CHANGES.md gives the
+measurements). np.longdouble is 80-bit on x86-64 Linux, but equals double
+on some platforms, such as Windows; there the low half is zero and the
+table is only as accurate as one built in float64.
 
 A block's state rows, apart from its last, serve only the band test. So
-scan also keeps a fast table: the BLOCK output rows over the n rows
+scan keeps a fast table: the BLOCK output rows over the n rows
 [M^BLOCK | x[BLOCK]] of the block's last state. Before each block it bounds
 the block from the carried state x, in Python floats:
 
     b = (G sum_i |x_i| + Q)(1 + 4 (n + 2) eps) + tiny,
 
-where G is the largest |high| + |low| over the state columns of every row of
-the step table, Q the largest in its constant column, eps the float64
-epsilon and tiny the smallest normal float. If b <= limit the block is
+where G is at least the largest |high| + |low| over the state columns of
+every row of the step table, Q at least the largest in its constant
+column, eps the float64 epsilon and tiny the smallest normal float. If
+b <= limit the block is
 cleared: one matvec of the fast table writes its outputs straight into the
 output array and its last state into the n slots after them, which the
 next block overwrites, and the state is copied into both halves of
@@ -66,7 +74,27 @@ the sum and b itself takes at most n + 4 more factors 1 + u, so about
 covers products that underflow. A NaN or infinite state, or a table entry
 that is not finite, makes b NaN or inf, which fails the test.
 
+G and Q take the output rows as they are, and bound the state rows, which
+a call that clears every block never forms, by an envelope built beside
+the squares: E_1 = |[M | v]|, and
+
+    E_2k = max(E_k, E_k S_k + tiny),   S_k = |A^k| (1 + 4 (n + 2) eps) + tiny,
+
+each entry of |A^k| rounded to float64 and each operation rounded, the
+matrix product too. E_k bounds |high| + |low| and the long-double
+magnitude of every state row of A^j, j <= k: given that, A^(k+j)'s rows,
+the long-double dots of A^j's rows with A^k's columns, are at most
+(1 + gamma'(n + 1)) |A^j| |A^k|, gamma' for the long-double unit u' =
+2^-64, and splitting one adds at most a factor 1 + 2u and 2^-1073 (high
+and low differ in sign only when high is the farther from the entry). The
+float64 product loses at most a factor 1 - gamma(n + 2), and S_k's entries
+are at least (1 - u)^3 (1 + 8 (n + 2) u) times |A^k|'s, or, below tiny,
+larger; so about (7n + 9) u of each level's margin is left to spare, and
+the added tiny covers the products that underflow. An entry of A^k that
+is not finite in float64 makes the envelope, and so G or Q, NaN or inf.
+
 A block that is not cleared takes the full path: the whole table's matvec,
+built at the call's first such block,
 the test np.abs(block).max() <= limit, which NaN fails, and only when that
 fails the in-order read of its live rows for the trigger, the first entry
 of [z, x...] out of band (an output wins over the states of its sample);
@@ -81,12 +109,15 @@ with n_samples, which the bound does not read.
 Products that overflow leave the clamp's sign to the order of the sums: on
 step_mat [[1e308, 1e308], [0, 0]] from state [9.99, -10], the scalar oracle
 sums inf and -inf to NaN and clamps to +limit, where ndarray.dot clamps to
--limit. An entry of M^j that overflows float64 makes NaN against a zero
-state, and so does an infinite c_i against a zero entry of M^j, so such a
-map may clamp a few samples earlier, or with the other sign, than stepping
-would. An entry of M^j overflows before j = BLOCK once an entry of M grows
-faster than about 1e308^(1 / BLOCK) per step, 6.5e4 at BLOCK 64. Block 1 is
-a product with x[0] = 0 like any other, so this holds from sample 1 on.
+-limit. An entry of M^j that overflows float64 makes G infinite, so such a
+map takes the full path from block 1 on, where the entry makes NaN against
+a zero state. An infinite c_i, or a long-double power that overflows past
+about 1e4932, makes NaN in the table wherever a product meets a zero, the
+zeros of A's last row included. So such a map may clamp a few samples
+earlier, or with the other sign, than stepping would. An entry of M^j
+overflows before j = BLOCK once an entry of M grows faster than about
+1e308^(1 / BLOCK) per step, 6.5e4 at BLOCK 64. Block 1 is a product with
+x[0] = 0 like any other, so this holds from sample 1 on.
 
 ``tests/helpers.sequential_scan`` states the same rule with scalar loops,
 and ``tests/test_lti.py`` pins scan to it.
@@ -128,7 +159,9 @@ The computed samples. By the bound's argument above and the table's error,
 which test_step_table_matches_exact_powers pins to j eps times the largest
 entry of A^j, each computed row of a block differs from its exact value by
 at most row_err = (BLOCK + 4 (n + 2)) eps size (sum_i |y_i| + 1), where y is
-the carried state and size the larger of G and Q. So the carried states'
+the carried state and size the larger of G and Q: through the envelope it
+bounds the state rows that no block formed as well as the rows a cleared
+block reads. So the carried states'
 distances r_b = |y_b - x_ref|_P obey r_(b+1) <= q r_b + drift +
 sqrt(n lam) row_err, with drift = BLOCK sqrt(n lam) max_i |rho_i| bounding
 BLOCK |rho|_P. With r_0 <= radius = room / h and
@@ -175,30 +208,76 @@ EPS = float(np.finfo(float).eps)
 TINY = float(np.finfo(float).tiny)
 
 
-def _step_table(step_mat, step_vec, c_row, feed):
-    """The step table: row block j, j = 1..BLOCK, is the output row
-    [c M^j | c x[j] + feed] above the state rows [M^j | x[j]], that is
-    [[c, feed], [I, 0]] A^j with A = [[M, v], [0, 1]]. The powers are built
-    by doubling in long double: given A^1..A^k, A^(k+1)..A^(2k) are A^k
-    applied to them, M^k [M^j | x[j]] plus x[k] in the last column. Each row
-    holds its entries rounded to float64 and, beside them, what the rounding
-    left out, so that its dot with [x, 1, x, 1] sums to the long-double
-    table's."""
-    n = step_mat.shape[0]
-    rows = np.zeros((BLOCK, n + 1, n + 1), np.longdouble)
-    rows[0, 1:] = np.column_stack((step_mat, step_vec))
-    k = 1
-    while k < BLOCK:
-        power = rows[k - 1, 1:]
-        rows[k : 2 * k, 1:] = power[:, :n] @ rows[:k, 1:]
-        rows[k : 2 * k, 1:, n] += power[:, n]
-        k *= 2
-    rows[:, 0] = c_row @ rows[:, 1:]
-    rows[:, 0, n] += feed
-    high = rows.astype(float)
+def _split(rows, out):
+    """Writes long-double rows into out as [high | low]: their entries
+    rounded to float64, then what the rounding left out, so that a dot with
+    [x, 1, x, 1] sums to the long-double row's."""
+    high, low = out[..., : rows.shape[-1]], out[..., rows.shape[-1] :]
+    high[...] = rows
     # An infinite entry would leave inf - inf = NaN beside it.
-    low = np.where(np.isfinite(high), rows - high, 0.0).astype(float)
-    return np.concatenate((high, low), axis=2).reshape(-1, 2 * n + 2)
+    low[...] = np.where(np.isfinite(high), rows - high, 0.0)
+    return out
+
+
+def _fast_table(step_mat, step_vec, c_row, feed):
+    """(fast, powers, g, q): the table a cleared block reads, the squares it
+    is built from, and the bound's G and Q with its margin, and tiny in q.
+    powers holds A, A^2, A^4, ..., A^BLOCK in long double, each over A's
+    last row; fast the BLOCK output rows [c M^j | c x[j] + feed] over
+    A^BLOCK's state rows, split."""
+    n = len(step_vec)
+    margin = 1.0 + 4 * (n + 2) * EPS
+    powers = np.zeros((BLOCK.bit_length(), n + 1, n + 1), np.longdouble)
+    powers[:, n, n] = 1.0
+    powers[0, :n, :n] = step_mat
+    powers[0, :n, n] = step_vec
+    # The output rows, then A^BLOCK's state rows.
+    rows = np.empty((BLOCK + n, n + 1), np.longdouble)
+    rows[0] = c_row @ powers[0, :n]
+    for i, power in enumerate(powers[:-1]):
+        k = 1 << i
+        np.dot(power[:n], power, out=powers[i + 1, :n])
+        np.dot(rows[:k], power, out=rows[k : 2 * k])
+    rows[:BLOCK, n] += feed
+    rows[BLOCK:] = powers[-1, :n]
+    fast = _split(rows, np.empty((BLOCK + n, 2 * n + 2)))
+    # bounds[:BLOCK] takes |high| + |low| of the output rows, and below
+    # them env the module docstring's envelope E_k, over a column of ones
+    # that adds the row of tiny under each S_k in sizes.
+    sizes = np.zeros((len(powers) - 1, n + 2, n + 1))
+    sizes[:, : n + 1] = powers[:-1]
+    np.abs(sizes, out=sizes)
+    sizes *= margin
+    sizes += TINY
+    bounds = np.ones((BLOCK + n, n + 2))
+    env = bounds[BLOCK:, : n + 1]
+    env[:] = np.abs(powers[0, :n])
+    grown = np.empty((n, n + 1))
+    for size in sizes:
+        np.maximum(env, np.dot(bounds[BLOCK:], size, out=grown), out=env)
+    split = np.abs(fast[:BLOCK])
+    np.add(split[:, : n + 1], split[:, n + 1 :], out=bounds[:BLOCK, : n + 1])
+    bound = bounds[:, : n + 1].max(axis=0)
+    g = float(bound[:n].max(initial=0.0)) * margin
+    q = float(bound[n]) * margin + TINY
+    return fast, powers, g, q
+
+
+def _full_table(fast, powers):
+    """The whole step table, for the blocks the bound does not clear: row
+    block j, j = 1..BLOCK, is fast's output row j over A^j's state rows
+    [M^j | x[j]], split. Given A^1..A^k, A^(k + j) is A^j A^k, so A^2k is
+    the same dots as its square and fast's last rows recur bit for bit."""
+    n = powers.shape[1] - 1
+    states = np.empty((BLOCK * n, n + 1), np.longdouble)
+    states[:n] = powers[0, :n]
+    for i, power in enumerate(powers[:-1]):
+        k = n << i
+        np.dot(states[:k], power, out=states[k : 2 * k])
+    table = np.empty((BLOCK, n + 1, 2 * n + 2))
+    table[:, 0] = fast[:BLOCK]
+    _split(states.reshape(BLOCK, n, n + 1), table[:, 1:])
+    return table.reshape(-1, 2 * n + 2)
 
 
 def _certificate(step_mat, step_vec, c_row, feed, limit, settle, size):
@@ -256,17 +335,9 @@ def scan(step_mat, step_vec, c_row, feed, n_samples, limit, settle=None):
     diverged). With settle = (rise, lower, upper) the values may end early,
     at a block boundary, under the settle rule."""
     n = step_mat.shape[0]
-    table = _step_table(step_mat, step_vec, c_row, feed)
-    rows = table.reshape(BLOCK, n + 1, 2 * n + 2)
-    # The fast table: the output rows over the last state's rows. A block
-    # that the bound clears needs no other row.
-    fast = np.vstack((rows[:, 0], rows[-1, 1:]))
-    # G and Q of the module docstring's bound, with its margin and tiny
-    # folded in.
-    sizes = np.abs(table[:, : n + 1]) + np.abs(table[:, n + 1 :])
-    margin = 1.0 + 4 * (n + 2) * EPS
-    g = float(sizes[:, :n].max(initial=0.0)) * margin
-    q = float(sizes[:, n].max()) * margin + TINY
+    fast, powers, g, q = _fast_table(step_mat, step_vec, c_row, feed)
+    # The whole table, built at the first block the bound does not clear.
+    table = None
     # Whole blocks after sample 0, then n slots for a cleared last block's
     # state; the dead rows are cut off.
     out = np.empty(1 + -(-(n_samples - 1) // BLOCK) * BLOCK + n)
@@ -317,5 +388,7 @@ def scan(step_mat, step_vec, c_row, feed, n_samples, limit, settle=None):
         if start >= n_samples:
             return out[:n_samples], False
         # A block the bound does not clear: every row, then the band test.
+        if table is None:
+            table = _full_table(fast, powers)
         np.dot(table, x_one, out=block.reshape(-1))
         live = block[: n_samples - start]

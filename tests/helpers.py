@@ -1,6 +1,7 @@
 """Shared test oracles: slow, direct-scan reimplementations that cross-check
 the library's fast paths, plus generators for randomized cases."""
 
+import contextlib
 import decimal
 import itertools
 import struct
@@ -89,14 +90,17 @@ def sequential_scan(step_mat, step_vec, c_row, feed, n_samples, limit):
     return out, diverged
 
 
-def full_table_scan(step_mat, step_vec, c_row, feed, n_samples, limit):
+def full_table_scan(step_mat, step_vec, c_row, feed, n_samples, limit, carried=None):
     """pidtune._kernels.scan's blocks with no bound: every block is the
-    whole step table of _kernels._step_table times [x, 1, x, 1], and its
-    rows are read in order under sequential_scan's rule. scan gives the same
-    bits only where the BLAS computes each row's dot from that row and the
-    vector alone. Returns (values, diverged)."""
+    whole step table of scan's refusal path, _kernels._full_table, times
+    [x, 1, x, 1], and its rows are read in order under sequential_scan's
+    rule. scan gives the same bits only where the BLAS computes each row's
+    dot from that row and the vector alone. A list given as carried gets
+    the state each block starts from, as a list of floats: one per block
+    that scan tests against its bound. Returns (values, diverged)."""
     n = step_mat.shape[0]
-    table = _kernels._step_table(step_mat, step_vec, c_row, feed)
+    fast, powers, _, _ = _kernels._fast_table(step_mat, step_vec, c_row, feed)
+    table = _kernels._full_table(fast, powers)
     vec = np.ones(2 * n + 2)
     out = np.empty(n_samples)
     rows, k = [[feed] + [0.0] * n], 0
@@ -112,8 +116,28 @@ def full_table_scan(step_mat, step_vec, c_row, feed, n_samples, limit):
                 return out, True
             out[k] = row[0]
             k += 1
+        if carried is not None:
+            carried.append(rows[-1][1:])
         vec[:n] = vec[n + 1 : -1] = rows[-1][1:]
         rows = np.dot(table, vec).reshape(-1, n + 1).tolist()
+
+
+@contextlib.contextmanager
+def counting_full_tables():
+    """Counts the calls of _kernels._full_table, scan's build of the whole
+    step table, in the one-item list it yields, while the block runs."""
+    builds = [0]
+    full_table = _kernels._full_table
+
+    def counting(*args):
+        builds[0] += 1
+        return full_table(*args)
+
+    _kernels._full_table = counting
+    try:
+        yield builds
+    finally:
+        _kernels._full_table = full_table
 
 
 def decimal_scan(step_mat, step_vec, c_row, feed, n_samples, limit):

@@ -13,7 +13,9 @@ oscillations on which a step table's rounding adds up over the most samples.
 
 Prints the number of loops, the kernel's BLOCK, how many diverged, the
 divergence-flag, first-clamped-index and clamped-tail mismatches, the loops
-whose samples or flag differ at all from helpers.full_table_scan, and the
+whose samples or flag differ at all from helpers.full_table_scan, the share
+of blocks that scan's bound cleared and the share of loops whose scan built
+the step table's state rows (those with a block it did not clear), and the
 worst error before the clamp as a share of helpers.scan_error_bound, with the
 loop that gave it. On that loop it also prints how far the kernel and the
 oracle each are from helpers.decimal_scan, in shares of the same bound: the
@@ -22,9 +24,10 @@ oracle rounds too, so a worst error can be mostly the oracle's own.
 With --settle it scores the same uniform loops with objective.evaluate at
 the default horizon (10,001 samples), once with the settle rule and once
 with the full scan (responses given), and prints the scores that differ in
-any bit, the share of all samples the settle rule skipped, and how many
+any bit, the share of all samples the settle rule skipped, how many
 responses rose and ended inside the band without being cut short (the
-certificates refused or never tested). Any difference fails the run.
+certificates refused or never tested), and the share of the settled scans
+that built the step table's state rows. Any difference fails the run.
 """
 
 import argparse
@@ -37,6 +40,7 @@ from pidtune.objective import BAND_LOWER, BAND_UPPER, RISE_LEVEL
 
 from helpers import (
     ORACLE_PLANTS,
+    counting_full_tables,
     decimal_scan,
     first_clamped,
     full_table_scan,
@@ -80,12 +84,14 @@ def settle_main(rng, loops):
     """The --settle comparison; returns the exit status."""
     cfg = SimConfig()
     settle = (RISE_LEVEL, BAND_LOWER, BAND_UPPER)
-    mismatches, skipped, refused, settled = [], 0, 0, 0
+    mismatches, skipped, refused, settled, built = [], 0, 0, 0, 0
     with np.errstate(all="ignore"):
         for plant, gains, _, _ in draw_loops(rng, loops, False):
             args = (PidGains(*gains), ORACLE_PLANTS[plant], cfg)
             full = step_response(*args).values
-            kept = len(step_response(*args, settle=settle).values)
+            with counting_full_tables() as builds:
+                kept = len(step_response(*args, settle=settle).values)
+            built += builds[0]
             skipped += cfg.n_samples - kept
             if _bits(evaluate(*args)) != _bits(evaluate(*args, [])):
                 mismatches.append((plant, gains))
@@ -96,6 +102,7 @@ def settle_main(rng, loops):
           f"{': ' + repr(mismatches[:5]) if mismatches else ''}")
     print(f"samples skipped {skipped / (loops * cfg.n_samples):.3f}; "
           f"rose and ended in the band {settled}, of them scanned in full {refused}")
+    print(f"settled scans that built state rows {built / loops:.3f}")
     return 1 if mismatches else 0
 
 
@@ -111,13 +118,21 @@ def main(argv=None):
     if opts.settle:
         return settle_main(rng, opts.loops)
     diverged = flag = index = tail = full = 0
+    blocks = cleared = built = 0
     worst, worst_loop = 0.0, None
     with np.errstate(all="ignore"):
         for plant, gains, limit, args in draw_loops(rng, opts.loops, opts.growing):
-            out, out_diverged = _kernels.scan(*args, N_SAMPLES, limit)
+            with counting_full_tables() as builds:
+                out, out_diverged = _kernels.scan(*args, N_SAMPLES, limit)
+            built += builds[0]
             ref, ref_diverged = sequential_scan(*args, N_SAMPLES, limit)
-            full_out, full_diverged = full_table_scan(*args, N_SAMPLES, limit)
+            carried = []
+            full_out, full_diverged = full_table_scan(*args, N_SAMPLES, limit, carried)
             full += out_diverged != full_diverged or not np.array_equal(out, full_out)
+            # scan's bound, replayed on the states its blocks start from.
+            _, _, g, q = _kernels._fast_table(*args)
+            blocks += len(carried)
+            cleared += sum(g * sum(map(abs, x)) + q <= limit for x in carried)
             diverged += ref_diverged
             flag += out_diverged != ref_diverged
             k_clamp = first_clamped(ref, limit)
@@ -130,6 +145,8 @@ def main(argv=None):
     print(f"loops {opts.loops} (seed {opts.seed}, {'growing' if opts.growing else 'uniform'}, "
           f"BLOCK {_kernels.BLOCK}), diverged {diverged}")
     print(f"mismatches: flag {flag}, index {index}, tail {tail}, full table {full}")
+    print(f"blocks cleared {cleared / blocks:.3f} of {blocks}; "
+          f"loops that built state rows {built / opts.loops:.3f}")
     print(f"worst error {worst:.3f} of the bound, ORACLE_PLANTS[plant], gains, limit = {worst_loop}")
     if worst_loop is not None:
         plant, gains, limit = worst_loop

@@ -28,6 +28,7 @@ from pidtune.tuning import ultimate_point, zn_pid_gains
 from helpers import (
     BENCH3,
     ORACLE_PLANTS,
+    counting_full_tables,
     decimal_scan,
     first_clamped,
     full_table_scan,
@@ -398,9 +399,9 @@ def _assert_matches_oracle(args, n_samples, limit):
 
 class TestScan:
     def test_block_length_is_a_power_of_two(self):
-        # _step_table doubles its k powers to 2k until it holds BLOCK of
-        # them: a length that is not a power of two overruns the table at
-        # the last level, and a block of one leaves nothing to double.
+        # _fast_table squares A^k up to A^BLOCK and doubles the output rows
+        # with each square: a length that is not a power of two is never
+        # reached, and a block of one leaves nothing to double.
         assert BLOCK >= 2 and BLOCK & (BLOCK - 1) == 0
 
     @settings(max_examples=60, deadline=None)
@@ -499,10 +500,16 @@ class TestScan:
         # Doubling's error in A^j grows about linearly in j: each level
         # doubles the error of the power it applies and adds its own rounding.
         # Measured worst at block lengths 16 and 64: 0.59 j eps, and 0.49 j
-        # eps with the table built in float64. high + low holds about 106
-        # bits, which bounds it where long double is wider still.
+        # eps with the table built in float64; at 64 with the output and
+        # state rows doubled from the row side, 0.59 j eps on an output row
+        # and 0.45 on a state row. high + low holds about 106 bits, which
+        # bounds it where long double is wider still. The refusal path's
+        # table holds the fast table's rows (see
+        # test_fast_rows_recur_in_the_full_table) and the state rows that
+        # only it builds.
         args = _growing_or_zn_loop(loop)
-        halves = np.hsplit(_kernels._step_table(*args), 2)
+        fast, powers, _, _ = _kernels._fast_table(*args)
+        halves = np.hsplit(_kernels._full_table(fast, powers), 2)
         high, low = (half.reshape(BLOCK, -1).tolist() for half in halves)
         eps = Fraction(max(float(np.finfo(np.longdouble).eps), np.finfo(float).eps ** 2))
         for j, exact in enumerate(_fraction_step_table(*args), 1):
@@ -613,6 +620,107 @@ class TestScan:
         ref, ref_diverged = sequential_scan(*args)
         assert not diverged and not ref_diverged
         assert np.array_equal(out, ref) and np.all(out == 0.5)
+
+
+def _seeded_loops(count, seed):
+    """count (plant index, gains, limit, scan arguments) PID loops around
+    ORACLE_PLANTS, gains uniform in [-10, 10]^3, limits 1e6, 10 or 3."""
+    rng = np.random.default_rng(seed)
+    loops = []
+    while len(loops) < count:
+        plant = int(rng.integers(len(ORACLE_PLANTS)))
+        gains = tuple(float(g) for g in rng.uniform(-10.0, 10.0, 3))
+        limit = (1e6, 10.0, 3.0)[int(rng.integers(3))]
+        with np.errstate(all="ignore"):
+            try:
+                loops.append((plant, gains, limit, loop_step_map(ORACLE_PLANTS[plant], gains)))
+            except ImproperLoop:
+                continue
+    return loops
+
+
+# A map whose powers overflow float64 from A^4 on, though not long double.
+OVERFLOWING = (
+    np.array([[1e100, 0.0], [1.0, 0.5]]), np.array([1.0, 0.0]), np.array([0.0, 1.0]), 0.0
+)
+
+
+def _table_cases():
+    """Scan arguments for the step-table tests: 300 seeded loops, GROWING,
+    the benchmark3 ZN loop and OVERFLOWING."""
+    cases = [args for _, _, _, args in _seeded_loops(300, 20261020)]
+    cases += [_growing_or_zn_loop(loop) for loop in [*range(len(GROWING)), "zn"]]
+    return [*cases, OVERFLOWING]
+
+
+class TestStepTable:
+    def test_envelope_bounds_every_state_row(self):
+        # G and Q bound |high| + |low| of every row the refusal path can
+        # read, though the state rows before A^BLOCK are built only there.
+        # Compared after the same margin, which rounds monotonically.
+        finite = 0
+        for args in _table_cases():
+            n = len(args[1])
+            margin = 1.0 + 4 * (n + 2) * _kernels.EPS
+            with np.errstate(all="ignore"):
+                fast, powers, g, q = _kernels._fast_table(*args)
+                table = _kernels._full_table(fast, powers)
+            split = np.abs(table)
+            sizes = split[:, : n + 1] + split[:, n + 1 :]
+            if not (np.isfinite(g) and np.isfinite(q)):
+                assert not np.isfinite(sizes).all()
+                continue
+            finite += 1
+            assert float(sizes[:, :n].max(initial=0.0)) * margin <= g
+            assert float(sizes[:, n].max()) * margin + _kernels.TINY <= q
+        assert finite > 250
+
+    def test_overflowing_powers_refuse_every_block(self):
+        # A^4 overflows float64, so G is infinite and no block is cleared:
+        # the whole table is built for the first block, and only once.
+        with np.errstate(all="ignore"):
+            _, _, g, _ = _kernels._fast_table(*OVERFLOWING)
+        assert not np.isfinite(g)
+        with np.errstate(all="ignore"), counting_full_tables() as builds:
+            out, diverged = _kernels.scan(*OVERFLOWING, 6 * BLOCK, 1e6)
+            ref, ref_diverged = sequential_scan(*OVERFLOWING, 6 * BLOCK, 1e6)
+        assert builds == [1]
+        assert diverged and ref_diverged and np.array_equal(out, ref)
+
+    def test_zn_loop_never_builds_state_rows(self, monkeypatch):
+        def refuse(*_):
+            raise AssertionError("the state rows were built")
+
+        monkeypatch.setattr(_kernels, "_full_table", refuse)
+        args = _growing_or_zn_loop("zn")
+        out, diverged = _kernels.scan(*args, 10_001, BLOW_UP_LIMIT)
+        assert len(out) == 10_001 and not diverged
+        assert len(_kernels.scan(*args, 10_001, BLOW_UP_LIMIT, SETTLE)[0]) < 10_001
+
+    @pytest.mark.parametrize("loop", ["diverging", "rotation"])
+    def test_state_rows_are_built_once_per_call(self, loop):
+        # The diverging start's bound refuses its blocks from sample 2,945
+        # on; the rotation's refuses almost all of them and never diverges.
+        turn = np.array([[np.cos(0.1), -np.sin(0.1)], [np.sin(0.1), np.cos(0.1)]])
+        args, limit, want = {
+            "diverging": (loop_step_map(BENCH3, (-5.0, 8.0, 3.0)), BLOW_UP_LIMIT, True),
+            "rotation": ((turn, np.array([1.0, 0.0]), np.array([0.0, 1.0]), 0.0), 20.2, False),
+        }[loop]
+        with counting_full_tables() as builds:
+            for calls in range(1, 4):
+                assert _kernels.scan(*args, 10_001, limit)[1] == want
+                assert builds == [calls]
+
+    @pytest.mark.parametrize("loop", [*range(len(GROWING)), "zn"])
+    def test_fast_rows_recur_in_the_full_table(self, loop):
+        # Row block j of the whole table holds fast's output row j, and row
+        # block BLOCK A^BLOCK's state rows, rebuilt as A^(BLOCK/2) squared.
+        args = _growing_or_zn_loop(loop)
+        n = len(args[1])
+        fast, powers, _, _ = _kernels._fast_table(*args)
+        rows = _kernels._full_table(fast, powers).reshape(BLOCK, n + 1, 2 * n + 2)
+        assert np.array_equal(rows[:, 0], fast[:BLOCK])
+        assert np.array_equal(rows[-1, 1:], fast[BLOCK:])
 
 
 # The objective's settle levels: rise, then the band's lower and upper edge.
