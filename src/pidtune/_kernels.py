@@ -53,64 +53,60 @@ scan keeps a fast table: the BLOCK output rows over the n rows
 [M^BLOCK | x[BLOCK]] of the block's last state. Before each block it bounds
 the block from the carried state x, in Python floats:
 
-    b = (G sum_i |x_i| + Q)(1 + 4 (n + 2) eps) + tiny,
+    b = size (1 + sum_i |x_i|),
 
-where G is at least the largest |high| + |low| over the state columns of
-every row of the step table, Q at least the largest in its constant
-column, eps the float64 epsilon and tiny the smallest normal float. If
-b <= limit the block is
-cleared: one matvec of the fast table writes its outputs straight into the
-output array and its last state into the n slots after them, which the
-next block overwrites, and the state is copied into both halves of
-[x, 1, x, 1]. No value of a cleared block can be out of band. In exact
-arithmetic a row [h | l] times [x, 1, x, 1] is at most
-sum_i (|h_i| + |l_i|) |x_i| + |h_n| + |l_n| <= G sum_i |x_i| + Q in
-magnitude. Rounded, a dot of 2n + 2 products, summed in any order, with or
-without fused multiply-adds, is at most 1 + gamma(2n + 2) times the sum of
-their magnitudes, gamma(m) being about m u with u = eps / 2 (Higham 2002,
-"Accuracy and Stability of Numerical Algorithms", ch. 3). Rounding G, Q,
-the sum and b itself takes at most n + 4 more factors 1 + u, so about
-(2n + 2) u + (n + 4) u of the margin's 8 (n + 2) u is spent, and tiny
-covers products that underflow. A NaN or infinite state, or a table entry
-that is not finite, makes b NaN or inf, which fails the test.
+where size is at least (1 + 4 (n + 2) eps) S + tiny, S the largest row sum
+sum_i (|high_i| + |low_i|) of the step table, eps the float64 epsilon and
+tiny the smallest normal float. If b <= limit the block is cleared: one
+matvec of the fast table writes its outputs straight into the output array
+and its last state into the n slots after them, which the next block
+overwrites, and the state is copied into both halves of [x, 1, x, 1]. No
+value of a cleared block can be out of band. In exact arithmetic a row
+[h | l] times [x, 1, x, 1] is at most sum_i (|h_i| + |l_i|) |x_i| + |h_n| +
+|l_n| <= S (1 + sum_i |x_i|) in magnitude. Rounded, a dot of 2n + 2
+products, summed in any order, with or without fused multiply-adds, is at
+most 1 + gamma(2n + 2) times the sum of their magnitudes, gamma(m) being
+about m u with u = eps / 2 (Higham 2002, "Accuracy and Stability of
+Numerical Algorithms", ch. 3). Summing a row in float64, rounding size, the
+sum over x and b itself take at most 3n + 5 more factors 1 + u, so about
+(5n + 7) u of the margin's 8 (n + 2) u is spent, and tiny covers products
+that underflow. A NaN or infinite state, or a table entry that is not
+finite, makes b NaN or inf, which fails the test.
 
-G and Q take the output rows as they are, and bound the state rows, which
-a call that clears every block never forms, by an envelope built beside
-the squares: E_1 = |[M | v]|, and
-
-    E_2k = max(E_k, E_k S_k + tiny),   S_k = |A^k| (1 + 4 (n + 2) eps) + tiny,
-
-each entry of |A^k| rounded to float64 and each operation rounded, the
-matrix product too. E_k bounds |high| + |low| and the long-double
-magnitude of every state row of A^j, j <= k: given that, A^(k+j)'s rows,
-the long-double dots of A^j's rows with A^k's columns, are at most
-(1 + gamma'(n + 1)) |A^j| |A^k|, gamma' for the long-double unit u' =
-2^-64, and splitting one adds at most a factor 1 + 2u and 2^-1073 (high
-and low differ in sign only when high is the farther from the entry). The
-float64 product loses at most a factor 1 - gamma(n + 2), and S_k's entries
-are at least (1 - u)^3 (1 + 8 (n + 2) u) times |A^k|'s, or, below tiny,
-larger; so about (7n + 9) u of each level's margin is left to spare, and
-the added tiny covers the products that underflow. An entry of A^k that
-is not finite in float64 makes the envelope, and so G or Q, NaN or inf.
+size takes the output rows' sums as they are, and bounds the state rows,
+which a call that clears every block never forms, by submultiplicativity
+of the row-sum norm (Higham 2002, ch. 6): it is at least the norm of
+A^BLOCK and the product of the norms of A, A^2, ..., A^(BLOCK/2), each
+norm times the margin. Each norm is at least 1, by A's last row, and A^j,
+j < BLOCK, is a product of some of those smaller squares, A^(k+j) being
+formed as A^j A^k from the row side; so each of its state rows has a row
+sum at most their product. The margins cover, many times over, the
+long-double dots (a factor 1 + gamma'(n + 1) each, gamma' for the
+long-double unit 2^-64), the split (a factor 1 + 2u and 2^-1073 an entry:
+high and low differ in sign only when high is the farther from the entry),
+the norms' cast to float64 and the five float64 products; the added tiny
+covers underflow. A norm or an output row's sum that is inf or NaN makes
+size inf or NaN, so every block is refused; so does a product of the norms
+that overflows while no entry does.
 
 A block that is not cleared takes the full path: the whole table's matvec,
-built at the call's first such block,
-the test np.abs(block).max() <= limit, which NaN fails, and only when that
-fails the in-order read of its live rows for the trigger, the first entry
-of [z, x...] out of band (an output wins over the states of its sample);
-then its z column is copied out and its last state carried. A row has the
-same bits in either table only if the BLAS computes each row's dot from
-that row and the vector alone, as OpenBLAS on x86-64 does;
-tests/test_lti.py pins scan bit for bit to tests/helpers.full_table_scan,
-which takes every block through the whole table. A BLAS that summed a row
-by its place would move a cleared block's samples within rounding, but not
-with n_samples, which the bound does not read.
+built at the call's first such block, the test np.abs(block).max() <=
+limit, which NaN fails, and only when that fails the in-order read of its
+live rows for the trigger, the first entry of [z, x...] out of band (an
+output wins over the states of its sample); then its z column is copied out
+and its last state carried. A row has the same bits in either table only if
+the BLAS computes each row's dot from that row and the vector alone, as
+OpenBLAS on x86-64 does; tests/test_lti.py pins scan bit for bit to
+tests/helpers.full_table_scan, which takes every block through the whole
+table. A BLAS that summed a row by its place would move a cleared block's
+samples within rounding, but not with n_samples, which the bound does not
+read.
 
 Products that overflow leave the clamp's sign to the order of the sums: on
 step_mat [[1e308, 1e308], [0, 0]] from state [9.99, -10], the scalar oracle
 sums inf and -inf to NaN and clamps to +limit, where ndarray.dot clamps to
--limit. An entry of M^j that overflows float64 makes G infinite, so such a
-map takes the full path from block 1 on, where the entry makes NaN against
+-limit. An entry of M^j that overflows float64 makes size infinite, so such
+a map takes the full path from block 1 on, where the entry makes NaN against
 a zero state. An infinite c_i, or a long-double power that overflows past
 about 1e4932, makes NaN in the table wherever a product meets a zero, the
 zeros of A's last row included. So such a map may clamp a few samples
@@ -159,12 +155,11 @@ The computed samples. By the bound's argument above and the table's error,
 which test_step_table_matches_exact_powers pins to j eps times the largest
 entry of A^j, each computed row of a block differs from its exact value by
 at most row_err = (BLOCK + 4 (n + 2)) eps size (sum_i |y_i| + 1), where y is
-the carried state and size the larger of G and Q: through the envelope it
-bounds the state rows that no block formed as well as the rows a cleared
-block reads. So the carried states'
-distances r_b = |y_b - x_ref|_P obey r_(b+1) <= q r_b + drift +
-sqrt(n lam) row_err, with drift = BLOCK sqrt(n lam) max_i |rho_i| bounding
-BLOCK |rho|_P. With r_0 <= radius = room / h and
+the carried state and size the bound's: it is at least every entry of every
+row of the table, formed or not. So the carried states' distances
+r_b = |y_b - x_ref|_P obey r_(b+1) <= q r_b + drift + sqrt(n lam) row_err,
+with drift = BLOCK sqrt(n lam) max_i |rho_i| bounding BLOCK |rho|_P. With
+r_0 <= radius = room / h and
 
     drift + sqrt(n lam) row_err <= (1 - q) radius / 2,
 
@@ -177,9 +172,7 @@ then within room + h drift + row_err of z_ref, which
 keeps inside the band, where z_err bounds the rounding of z_ref; and every
 later state is within sqrt(2) (radius + drift) + row_err of x_ref, which
 must stay below limit / 2. Half the room is thus the margin that the
-rounding may spend. Over the 285 points of the benchmark3 ZN search, the
-second condition's left side is at most 2e-8 of its right, and the first's
-at most 1.3e-5.
+rounding may spend.
 
 The checks on P. P is solved as the n^2 x n^2 Kronecker system
 (M^T kron M^T - I) vec(P) = -vec(I) (Smith 1968, "Matrix equation XA + BX =
@@ -220,11 +213,11 @@ def _split(rows, out):
 
 
 def _fast_table(step_mat, step_vec, c_row, feed):
-    """(fast, powers, g, q): the table a cleared block reads, the squares it
-    is built from, and the bound's G and Q with its margin, and tiny in q.
-    powers holds A, A^2, A^4, ..., A^BLOCK in long double, each over A's
-    last row; fast the BLOCK output rows [c M^j | c x[j] + feed] over
-    A^BLOCK's state rows, split."""
+    """(fast, powers, size): the table a cleared block reads, the squares
+    it is built from, and the bound's size with its margin and tiny. powers
+    holds A, A^2, A^4, ..., A^BLOCK in long double, each over A's last row;
+    fast the BLOCK output rows [c M^j | c x[j] + feed] over A^BLOCK's state
+    rows, split."""
     n = len(step_vec)
     margin = 1.0 + 4 * (n + 2) * EPS
     powers = np.zeros((BLOCK.bit_length(), n + 1, n + 1), np.longdouble)
@@ -241,26 +234,12 @@ def _fast_table(step_mat, step_vec, c_row, feed):
     rows[:BLOCK, n] += feed
     rows[BLOCK:] = powers[-1, :n]
     fast = _split(rows, np.empty((BLOCK + n, 2 * n + 2)))
-    # bounds[:BLOCK] takes |high| + |low| of the output rows, and below
-    # them env the module docstring's envelope E_k, over a column of ones
-    # that adds the row of tiny under each S_k in sizes.
-    sizes = np.zeros((len(powers) - 1, n + 2, n + 1))
-    sizes[:, : n + 1] = powers[:-1]
-    np.abs(sizes, out=sizes)
-    sizes *= margin
-    sizes += TINY
-    bounds = np.ones((BLOCK + n, n + 2))
-    env = bounds[BLOCK:, : n + 1]
-    env[:] = np.abs(powers[0, :n])
-    grown = np.empty((n, n + 1))
-    for size in sizes:
-        np.maximum(env, np.dot(bounds[BLOCK:], size, out=grown), out=env)
-    split = np.abs(fast[:BLOCK])
-    np.add(split[:, : n + 1], split[:, n + 1 :], out=bounds[:BLOCK, : n + 1])
-    bound = bounds[:, : n + 1].max(axis=0)
-    g = float(bound[:n].max(initial=0.0)) * margin
-    q = float(bound[n]) * margin + TINY
-    return fast, powers, g, q
+    # Each square's row-sum norm, at least 1 by A's last row; numpy's max
+    # keeps a NaN, which Python's would drop.
+    norms = np.abs(powers).sum(axis=2).max(axis=1).astype(float) * margin
+    sums = np.abs(fast[:BLOCK]).sum(axis=1)
+    size = float(np.append(sums, [norms[:-1].prod(), norms[-1]]).max()) * margin + TINY
+    return fast, powers, size
 
 
 def _full_table(fast, powers):
@@ -284,24 +263,27 @@ def _certificate(step_mat, step_vec, c_row, feed, limit, settle, size):
     """(x_ref, P, r2) of the settle rule, or () where it does not apply: a
     carried state x with (x - x_ref) P (x - x_ref) <= r2 keeps every later
     sample inside [lower, upper] and every later state inside the limit.
-    size bounds every entry of the step table, M and v among them: the
-    larger of scan's G and Q."""
+    size bounds the row sums of the step table, M and v among them: scan's
+    size."""
     _, lower, upper = settle
     n = len(step_vec)
     shifted = -step_mat
     shifted.reshape(-1)[:: n + 1] += 1.0
-    x_ref = np.linalg.solve(shifted, step_vec)
-    z_ref = float(c_row @ x_ref) + feed
-    room = min(z_ref - lower, upper - z_ref) / 2
-    if not (room > 0.0 and c_row.any() and -limit <= lower <= upper <= limit):
-        return ()
     # M^T P M - P = -I as (M^T kron M^T - I) vec(P) = -vec(I).
     kron = (step_mat.T[:, None, :, None] * step_mat.T[None, :, None, :]).reshape(n * n, n * n)
     kron.reshape(-1)[:: n * n + 1] -= 1.0
     eye = np.eye(n).reshape(-1)
-    p = np.linalg.solve(kron, -eye).reshape(n, n)
-    p = (p + p.T) / 2
-    lams, vecs = np.linalg.eigh(p)
+    try:
+        x_ref = np.linalg.solve(shifted, step_vec)
+        p = np.linalg.solve(kron, -eye).reshape(n, n)
+        p = (p + p.T) / 2
+        lams, vecs = np.linalg.eigh(p)
+    except np.linalg.LinAlgError:  # a singular I - M or Kronecker system
+        return ()
+    z_ref = float(c_row @ x_ref) + feed
+    room = min(z_ref - lower, upper - z_ref) / 2
+    if not (room > 0.0 and c_row.any() and -limit <= lower <= upper <= limit):
+        return ()
     low, high = float(lams[0]), float(lams[-1])
     omega = 8 * (n + 2) ** 2 * EPS * high
     lam, mu = high + omega, low - omega
@@ -335,7 +317,7 @@ def scan(step_mat, step_vec, c_row, feed, n_samples, limit, settle=None):
     diverged). With settle = (rise, lower, upper) the values may end early,
     at a block boundary, under the settle rule."""
     n = step_mat.shape[0]
-    fast, powers, g, q = _fast_table(step_mat, step_vec, c_row, feed)
+    fast, powers, size = _fast_table(step_mat, step_vec, c_row, feed)
     # The whole table, built at the first block the bound does not clear.
     table = None
     # Whole blocks after sample 0, then n slots for a cleared last block's
@@ -367,17 +349,13 @@ def scan(step_mat, step_vec, c_row, feed, n_samples, limit, settle=None):
         states[:] = live[-1, 1:]
         start += len(live)
         # Cleared blocks form only their outputs and last state.
-        while start < n_samples and g * sum(map(abs, x.tolist())) + q <= limit:
+        while start < n_samples and size * (1.0 + sum(map(abs, x.tolist()))) <= limit:
             if start >= check:
                 check += check // 2
                 rise, lower, upper = settle
                 if lower <= out[start - 1] <= upper and out[:start].max() >= rise:
                     if cert is None:
-                        try:
-                            cert = _certificate(step_mat, step_vec, c_row, feed, limit,
-                                                settle, max(g, q))
-                        except np.linalg.LinAlgError:  # a singular I - M or Kronecker system
-                            cert = ()
+                        cert = _certificate(step_mat, step_vec, c_row, feed, limit, settle, size)
                     if not cert:
                         check = n_samples
                     elif (e := x - cert[0]) @ cert[1] @ e <= cert[2]:

@@ -41,6 +41,10 @@ MAX_RESAMPLE_ATTEMPTS = 1000
 # Rows of `simulate --samples` formatted per write: about 0.4 MB of text.
 CSV_CHUNK_ROWS = 10_000
 
+# The options that take a float. argparse reads a negative value written with
+# an exponent, or -inf, as an option, so main joins such a value to its flag.
+FLOAT_OPTIONS = frozenset(("--kp", "--ki", "--kd", "--dt", "--tmax", "--step", "--min-step"))
+
 
 def parse_plant(text: str) -> TransferFunction:
     """Parse a preset name or the grammar ``num: c_n ... c_0 / den: d_m ... d_0``."""
@@ -251,8 +255,28 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _is_float(text: str) -> bool:
+    try:
+        float(text)
+    except ValueError:
+        return False
+    return True
+
+
+def _join_floats(argv: list[str]) -> list[str]:
+    """argv with each FLOAT_OPTIONS flag that is followed by a negative float
+    joined to it, as --kp=-5e-1, the form argparse takes as the value."""
+    joined = []
+    for arg in argv:
+        if joined and joined[-1] in FLOAT_OPTIONS and arg.startswith("-") and _is_float(arg):
+            joined[-1] += "=" + arg
+        else:
+            joined.append(arg)
+    return joined
+
+
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    args = build_parser().parse_args(_join_floats(sys.argv[1:] if argv is None else argv))
     try:
         return args.func(args)
     except PidTuneError as exc:

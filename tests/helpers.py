@@ -99,7 +99,7 @@ def full_table_scan(step_mat, step_vec, c_row, feed, n_samples, limit, carried=N
     the state each block starts from, as a list of floats: one per block
     that scan tests against its bound. Returns (values, diverged)."""
     n = step_mat.shape[0]
-    fast, powers, _, _ = _kernels._fast_table(step_mat, step_vec, c_row, feed)
+    fast, powers, _ = _kernels._fast_table(step_mat, step_vec, c_row, feed)
     table = _kernels._full_table(fast, powers)
     vec = np.ones(2 * n + 2)
     out = np.empty(n_samples)

@@ -14,12 +14,13 @@ oscillations on which a step table's rounding adds up over the most samples.
 Prints the number of loops, the kernel's BLOCK, how many diverged, the
 divergence-flag, first-clamped-index and clamped-tail mismatches, the loops
 whose samples or flag differ at all from helpers.full_table_scan, the share
-of blocks that scan's bound cleared and the share of loops whose scan built
-the step table's state rows (those with a block it did not clear), and the
-worst error before the clamp as a share of helpers.scan_error_bound, with the
-loop that gave it. On that loop it also prints how far the kernel and the
-oracle each are from helpers.decimal_scan, in shares of the same bound: the
-oracle rounds too, so a worst error can be mostly the oracle's own.
+of blocks that scan's bound cleared at each limit, the share of loops whose
+scan built the step table's state rows (those with a block it did not
+clear), and the worst error before the clamp as a share of
+helpers.scan_error_bound, with the loop that gave it. On that loop it also
+prints how far the kernel and the oracle each are from helpers.decimal_scan,
+in shares of the same bound: the oracle rounds too, so a worst error can be
+mostly the oracle's own.
 
 With --settle it scores the same uniform loops with objective.evaluate at
 the default horizon (10,001 samples), once with the settle rule and once
@@ -118,7 +119,7 @@ def main(argv=None):
     if opts.settle:
         return settle_main(rng, opts.loops)
     diverged = flag = index = tail = full = 0
-    blocks = cleared = built = 0
+    blocks, cleared, built = dict.fromkeys(LIMITS, 0), dict.fromkeys(LIMITS, 0), 0
     worst, worst_loop = 0.0, None
     with np.errstate(all="ignore"):
         for plant, gains, limit, args in draw_loops(rng, opts.loops, opts.growing):
@@ -130,9 +131,9 @@ def main(argv=None):
             full_out, full_diverged = full_table_scan(*args, N_SAMPLES, limit, carried)
             full += out_diverged != full_diverged or not np.array_equal(out, full_out)
             # scan's bound, replayed on the states its blocks start from.
-            _, _, g, q = _kernels._fast_table(*args)
-            blocks += len(carried)
-            cleared += sum(g * sum(map(abs, x)) + q <= limit for x in carried)
+            size = _kernels._fast_table(*args)[2]
+            blocks[limit] += len(carried)
+            cleared[limit] += sum(size * (1.0 + sum(map(abs, x))) <= limit for x in carried)
             diverged += ref_diverged
             flag += out_diverged != ref_diverged
             k_clamp = first_clamped(ref, limit)
@@ -145,7 +146,9 @@ def main(argv=None):
     print(f"loops {opts.loops} (seed {opts.seed}, {'growing' if opts.growing else 'uniform'}, "
           f"BLOCK {_kernels.BLOCK}), diverged {diverged}")
     print(f"mismatches: flag {flag}, index {index}, tail {tail}, full table {full}")
-    print(f"blocks cleared {cleared / blocks:.3f} of {blocks}; "
+    shares = [f"{cleared[lim] / blocks[lim]:.3f} of {blocks[lim]} at {lim:g}"
+              for lim in LIMITS if blocks[lim]]
+    print(f"blocks cleared {', '.join(shares)}; "
           f"loops that built state rows {built / opts.loops:.3f}")
     print(f"worst error {worst:.3f} of the bound, ORACLE_PLANTS[plant], gains, limit = {worst_loop}")
     if worst_loop is not None:

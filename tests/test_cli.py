@@ -171,6 +171,25 @@ class TestSimulateCommand:
         assert "samples per response" in r.stderr
         assert "Traceback" not in r.stderr
 
+    def test_negative_values_with_an_exponent(self):
+        # argparse alone reads -5e-1 as an option, so a gain that tune
+        # prints with %.6g could not be given back.
+        def run(*argv):
+            with redirect_stdout(io.StringIO()) as out, redirect_stderr(io.StringIO()) as err:
+                rc = cli.main(["simulate", "--tmax", "5", *argv])
+            return rc, out.getvalue(), err.getvalue()
+
+        assert run("--kp", "-5e-1", "--ki", "-1.2e-05") == run("--kp=-0.5", "--ki=-0.000012")
+        rc, _, err = run("--kp", "-inf")
+        assert rc == 2 and err.startswith("error: InvalidInput: kp must be finite")
+
+    def test_every_float_option_takes_an_exponent(self):
+        parser = cli.build_parser()
+        for option in sorted(cli.FLOAT_OPTIONS):
+            command = "tune" if option in ("--step", "--min-step") else "simulate"
+            args = parser.parse_args(cli._join_floats([command, option, "-5e-1"]))
+            assert getattr(args, option[2:].replace("-", "_")) == -0.5
+
 
 def test_import_leaves_numpy_random_unloaded():
     r = subprocess.run(

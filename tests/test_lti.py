@@ -508,7 +508,7 @@ class TestScan:
         # test_fast_rows_recur_in_the_full_table) and the state rows that
         # only it builds.
         args = _growing_or_zn_loop(loop)
-        fast, powers, _, _ = _kernels._fast_table(*args)
+        fast, powers, _ = _kernels._fast_table(*args)
         halves = np.hsplit(_kernels._full_table(fast, powers), 2)
         high, low = (half.reshape(BLOCK, -1).tolist() for half in halves)
         eps = Fraction(max(float(np.finfo(np.longdouble).eps), np.finfo(float).eps ** 2))
@@ -645,42 +645,45 @@ OVERFLOWING = (
 )
 
 
+# A map whose squares' norms are 2^k: A^BLOCK's state row, 2^64, outgrows
+# both the output rows and the other six squares' product, 2^63.
+DOUBLING = (np.array([[2.0]]), np.array([0.0]), np.array([1e-3]), 0.0)
+
+
 def _table_cases():
     """Scan arguments for the step-table tests: 300 seeded loops, GROWING,
-    the benchmark3 ZN loop and OVERFLOWING."""
+    the benchmark3 ZN loop, DOUBLING and OVERFLOWING."""
     cases = [args for _, _, _, args in _seeded_loops(300, 20261020)]
     cases += [_growing_or_zn_loop(loop) for loop in [*range(len(GROWING)), "zn"]]
-    return [*cases, OVERFLOWING]
+    return [*cases, DOUBLING, OVERFLOWING]
 
 
 class TestStepTable:
-    def test_envelope_bounds_every_state_row(self):
-        # G and Q bound |high| + |low| of every row the refusal path can
-        # read, though the state rows before A^BLOCK are built only there.
-        # Compared after the same margin, which rounds monotonically.
+    def test_size_bounds_every_row(self):
+        # size bounds the sum of |high| + |low| over every row the refusal
+        # path can read, output rows and state rows alike, though the state
+        # rows before A^BLOCK are built only there. Compared after the same
+        # margin, which rounds monotonically.
         finite = 0
         for args in _table_cases():
             n = len(args[1])
             margin = 1.0 + 4 * (n + 2) * _kernels.EPS
             with np.errstate(all="ignore"):
-                fast, powers, g, q = _kernels._fast_table(*args)
-                table = _kernels._full_table(fast, powers)
-            split = np.abs(table)
-            sizes = split[:, : n + 1] + split[:, n + 1 :]
-            if not (np.isfinite(g) and np.isfinite(q)):
-                assert not np.isfinite(sizes).all()
+                fast, powers, size = _kernels._fast_table(*args)
+                sums = np.abs(_kernels._full_table(fast, powers)).sum(axis=1)
+            if not np.isfinite(size):
+                assert not np.isfinite(sums).all()
                 continue
             finite += 1
-            assert float(sizes[:, :n].max(initial=0.0)) * margin <= g
-            assert float(sizes[:, n].max()) * margin + _kernels.TINY <= q
+            assert float(sums.max()) * margin <= size
         assert finite > 250
 
     def test_overflowing_powers_refuse_every_block(self):
-        # A^4 overflows float64, so G is infinite and no block is cleared:
-        # the whole table is built for the first block, and only once.
+        # A^4 overflows float64, so size is infinite and no block is
+        # cleared: the whole table is built for the first block, and only once.
         with np.errstate(all="ignore"):
-            _, _, g, _ = _kernels._fast_table(*OVERFLOWING)
-        assert not np.isfinite(g)
+            _, _, size = _kernels._fast_table(*OVERFLOWING)
+        assert not np.isfinite(size)
         with np.errstate(all="ignore"), counting_full_tables() as builds:
             out, diverged = _kernels.scan(*OVERFLOWING, 6 * BLOCK, 1e6)
             ref, ref_diverged = sequential_scan(*OVERFLOWING, 6 * BLOCK, 1e6)
@@ -717,7 +720,7 @@ class TestStepTable:
         # block BLOCK A^BLOCK's state rows, rebuilt as A^(BLOCK/2) squared.
         args = _growing_or_zn_loop(loop)
         n = len(args[1])
-        fast, powers, _, _ = _kernels._fast_table(*args)
+        fast, powers, _ = _kernels._fast_table(*args)
         rows = _kernels._full_table(fast, powers).reshape(BLOCK, n + 1, 2 * n + 2)
         assert np.array_equal(rows[:, 0], fast[:BLOCK])
         assert np.array_equal(rows[-1, 1:], fast[BLOCK:])
@@ -813,6 +816,16 @@ class TestSettle:
             return solve(a, b) * (0.3 if a.shape == (n * n, n * n) else 1.0)
 
         monkeypatch.setattr(np.linalg, "solve", scaled_lyapunov_solve)
+        assert _kernels._certificate(*args, BLOW_UP_LIMIT, SETTLE, 10.0) == ()
+
+    @pytest.mark.parametrize("loop", ["ki_zero", "kronecker"])
+    def test_singular_systems_are_refused(self, loop):
+        # ki = 0 keeps a closed-loop pole at s = 0, so I - M is singular;
+        # eigenvalues 2 and 1/2 multiply to 1, so the Kronecker system is.
+        args = {
+            "ki_zero": loop_step_map(ORACLE_PLANTS[1], (1.0, 0.0, 1.0)),
+            "kronecker": (np.diag([2.0, 0.5]), np.array([0.0, 0.5]), np.array([0.0, 1.0]), 0.0),
+        }[loop]
         assert _kernels._certificate(*args, BLOW_UP_LIMIT, SETTLE, 10.0) == ()
 
     @pytest.mark.parametrize("sign", [1, -1], ids=["upper", "lower"])
