@@ -118,18 +118,18 @@ x[0] = 0 like any other, so this holds from sample 1 on.
 ``tests/helpers.sequential_scan`` states the same rule with scalar loops,
 and ``tests/test_lti.py`` pins scan to it.
 
-The settle rule. Given settle = (rise, lower, upper), scan may return only
-the samples before a block boundary s < n_samples, as the first s samples of
-the full scan bit for bit, once it has shown that every later sample of the
-full scan lies in [lower, upper] and that none of them diverges. Then
-anything read only from a first crossing of rise and from the samples
-outside [lower, upper] reads the same from the prefix. The test runs before
-a cleared block that starts at or after a checkpoint; the first checkpoint
-is sample CHECK_START, and each next one is half as far again, so a call
-pays for O(log n_samples) of them. It requires, in this order:
+The settle rule. Given settle = (lower, upper), scan may return only the
+samples before a block boundary s < n_samples, as the first s samples of the
+full scan bit for bit, once it has shown that the last of them and every
+later sample of the full scan lie in [lower, upper] and that none of them
+diverges. Then anything read only from the samples outside [lower, upper],
+and from the first sample at or above a level no higher than lower, reads
+the same from the prefix. The test runs before a cleared block that starts
+at or after a checkpoint; the first checkpoint is sample CHECK_START, and
+each next one is half as far again, so a call pays for O(log n_samples) of
+them. It requires, in this order:
 
-1. the last written output lies in [lower, upper], and some written sample
-   is at or above rise;
+1. the last written output lies in [lower, upper];
 2. a certificate, built once per call: with x_ref the solution of
    (I - M) x = v and z_ref = c x_ref + feed, the room, half the distance
    from z_ref to the nearer of lower and upper, is positive, and P, the
@@ -265,7 +265,7 @@ def _certificate(step_mat, step_vec, c_row, feed, limit, settle, size):
     sample inside [lower, upper] and every later state inside the limit.
     size bounds the row sums of the step table, M and v among them: scan's
     size."""
-    _, lower, upper = settle
+    lower, upper = settle
     n = len(step_vec)
     shifted = -step_mat
     shifted.reshape(-1)[:: n + 1] += 1.0
@@ -314,8 +314,8 @@ def _certificate(step_mat, step_vec, c_row, feed, limit, settle, size):
 # perfbench/tracer.py reads n_samples at position 4 of this signature.
 def scan(step_mat, step_vec, c_row, feed, n_samples, limit, settle=None):
     """Sample the response, BLOCK samples per matvec; returns (values,
-    diverged). With settle = (rise, lower, upper) the values may end early,
-    at a block boundary, under the settle rule."""
+    diverged). With settle = (lower, upper) the values may end early, at a
+    block boundary, under the settle rule."""
     n = step_mat.shape[0]
     fast, powers, size = _fast_table(step_mat, step_vec, c_row, feed)
     # The whole table, built at the first block the bound does not clear.
@@ -352,8 +352,8 @@ def scan(step_mat, step_vec, c_row, feed, n_samples, limit, settle=None):
         while start < n_samples and size * (1.0 + sum(map(abs, x.tolist()))) <= limit:
             if start >= check:
                 check += check // 2
-                rise, lower, upper = settle
-                if lower <= out[start - 1] <= upper and out[:start].max() >= rise:
+                lower, upper = settle
+                if lower <= out[start - 1] <= upper:
                     if cert is None:
                         cert = _certificate(step_mat, step_vec, c_row, feed, limit, settle, size)
                     if not cert:

@@ -4,6 +4,7 @@ tuning search from Ziegler-Nichols or random starting gains."""
 import argparse
 import sys
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 
@@ -40,11 +41,6 @@ MAX_RESAMPLE_ATTEMPTS = 1000
 
 # Rows of `simulate --samples` formatted per write: about 0.4 MB of text.
 CSV_CHUNK_ROWS = 10_000
-
-# The options that take a float. argparse reads a negative value written with
-# an exponent, or -inf, as an option, so main joins such a value to its flag.
-FLOAT_OPTIONS = frozenset(("--kp", "--ki", "--kd", "--dt", "--tmax", "--step", "--min-step"))
-
 
 def parse_plant(text: str) -> TransferFunction:
     """Parse a preset name or the grammar ``num: c_n ... c_0 / den: d_m ... d_0``."""
@@ -212,8 +208,27 @@ def cmd_tune(args) -> int:
     return 0
 
 
+def _is_negative_float(text: str) -> bool:
+    try:
+        float(text)
+    except ValueError:
+        return False
+    return text.startswith("-")
+
+
+class _Parser(argparse.ArgumentParser):
+    """An ArgumentParser that takes every '-'-led token float() reads as a
+    value, where argparse alone reads -5e-1 or -inf as an option.
+    add_subparsers makes both subcommands' parsers of this class too."""
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        # argparse's negative-number test, on which it only calls .match
+        self._negative_number_matcher = SimpleNamespace(match=_is_negative_float)
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="pidtune",
         description="PID tuning by compass search over simulated step responses",
     )
@@ -255,28 +270,8 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _is_float(text: str) -> bool:
-    try:
-        float(text)
-    except ValueError:
-        return False
-    return True
-
-
-def _join_floats(argv: list[str]) -> list[str]:
-    """argv with each FLOAT_OPTIONS flag that is followed by a negative float
-    joined to it, as --kp=-5e-1, the form argparse takes as the value."""
-    joined = []
-    for arg in argv:
-        if joined and joined[-1] in FLOAT_OPTIONS and arg.startswith("-") and _is_float(arg):
-            joined[-1] += "=" + arg
-        else:
-            joined.append(arg)
-    return joined
-
-
 def main(argv=None) -> int:
-    args = build_parser().parse_args(_join_floats(sys.argv[1:] if argv is None else argv))
+    args = build_parser().parse_args(argv)
     try:
         return args.func(args)
     except PidTuneError as exc:

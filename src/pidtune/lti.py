@@ -262,7 +262,7 @@ def _rk4_step_map(a: np.ndarray, b: np.ndarray, dt: float):
 
 
 def simulate_step(
-    ss: StateSpace, cfg: SimConfig, settle: tuple[float, float, float] | None = None
+    ss: StateSpace, cfg: SimConfig, settle: tuple[float, float] | None = None
 ) -> StepResponse:
     """Unit-step response on the fixed grid t = 0, dt, ..., floor(t_max/dt)*dt.
 
@@ -277,9 +277,9 @@ def simulate_step(
     match stepping the map one sample at a time to within rounding
     (tests/helpers.py's scan_error_bound), and sample k does not depend on
     how many samples follow it. _kernels describes how the scan gets them.
-    Given settle = (rise, lower, upper), the values may end early, at a
-    block boundary, once _kernels' settle rule shows that every later
-    sample lies in [lower, upper].
+    Given settle = (lower, upper), the values may end early, at a block
+    boundary, once _kernels' settle rule shows that the last value and
+    every later sample lie in [lower, upper].
     """
     # Huge gains overflow the step map and the states on the way to the
     # clamp: the defined divergent outcome, not a fault to warn of. Every

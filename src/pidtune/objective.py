@@ -98,7 +98,7 @@ def step_response(
     gains: PidGains,
     plant: TransferFunction,
     cfg: SimConfig | None = None,
-    settle: tuple[float, float, float] | None = None,
+    settle: tuple[float, float] | None = None,
 ) -> StepResponse:
     """Unit-step response of the plant under the ideal PID in unity feedback:
     the one place that closes the loop, realizes it and simulates it, with
@@ -129,7 +129,9 @@ def evaluate(
     inside the band, which leaves every field the same to the bit.
     """
     cfg = cfg if cfg is not None else SimConfig()
-    settle = (RISE_LEVEL, BAND_LOWER, BAND_UPPER) if responses is None else None
+    # A kept prefix ends in the band, at or above BAND_LOWER >= RISE_LEVEL, so
+    # it holds the first crossing of RISE_LEVEL and every sample outside the band.
+    settle = (BAND_LOWER, BAND_UPPER) if responses is None else None
     resp = step_response(gains, plant, cfg, settle=settle)
     if responses is not None:
         responses.append(resp)

@@ -10,6 +10,7 @@ import numpy as np
 
 from pidtune import (
     EvaluationRecord,
+    ImproperLoop,
     PidGains,
     SimConfig,
     StepResponse,
@@ -180,6 +181,37 @@ def loop_step_map(plant, gains, dt=0.01):
     ss = tf_to_state_space(close_unity_feedback(pid_transfer_function(PidGains(*gains)), plant))
     m, v = _rk4_step_map(ss.a, ss.b, dt)
     return m, v, np.ascontiguousarray(ss.c.ravel()), ss.d
+
+
+# The limits seeded loops are scanned at: the program's, and two that only
+# tests use, at which the bound clears fewer blocks.
+LIMITS = (1e6, 10.0, 3.0)
+
+
+def _growing(step_mat) -> bool:
+    eig = np.linalg.eigvals(step_mat)
+    return bool(np.any((eig.imag != 0.0) & (np.abs(eig) > 1.0) & (np.abs(eig) < 1.03)))
+
+
+def draw_loops(rng, count, growing):
+    """Yield count (plant index, gains, limit, scan arguments) PID loops
+    around ORACLE_PLANTS, gains uniform in [-10, 10]^3 and limits drawn from
+    LIMITS. With growing, only loops whose step map has a complex pair of
+    modulus in (1, 1.03) are kept, at limit 1e6. Overflow is left to the
+    caller's np.errstate, as in loop_step_map."""
+    kept = 0
+    while kept < count:
+        plant = int(rng.integers(len(ORACLE_PLANTS)))
+        gains = tuple(float(g) for g in rng.uniform(-10.0, 10.0, 3))
+        limit = 1e6 if growing else LIMITS[int(rng.integers(len(LIMITS)))]
+        try:
+            args = loop_step_map(ORACLE_PLANTS[plant], gains)
+        except ImproperLoop:
+            continue
+        if growing and not _growing(args[0]):
+            continue
+        kept += 1
+        yield plant, gains, limit, args
 
 
 def scan_error_bound(step_mat, step_vec, c_row, feed, n_samples):

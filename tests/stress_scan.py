@@ -4,12 +4,13 @@
     PYTHONPATH=src python tests/stress_scan.py --growing --loops 400
     PYTHONPATH=src python tests/stress_scan.py --settle --loops 1000 --seed 1
 
-Each loop is a PID loop around one of helpers.ORACLE_PLANTS with gains
-drawn uniformly from [-10, 10]^3, sampled 3,001 times as in
-test_lti.py::test_matches_sequential_oracle. Uniform loops take the test's
-limits (1e6, 10 or 3). With --growing only loops whose step map has a
-complex pair of modulus in (1, 1.03) are kept, at limit 1e6: the growing
-oscillations on which a step table's rounding adds up over the most samples.
+Each loop, drawn by helpers.draw_loops, is a PID loop around one of
+helpers.ORACLE_PLANTS with gains drawn uniformly from [-10, 10]^3, sampled
+3,001 times as in test_lti.py::test_matches_sequential_oracle. Uniform loops
+take the test's limits (1e6, 10 or 3). With --growing only loops whose step
+map has a complex pair of modulus in (1, 1.03) are kept, at limit 1e6: the
+growing oscillations on which a step table's rounding adds up over the most
+samples.
 
 Prints the number of loops, the kernel's BLOCK, how many diverged, the
 divergence-flag, first-clamped-index and clamped-tail mismatches, the loops
@@ -36,13 +37,15 @@ from dataclasses import astuple
 
 import numpy as np
 
-from pidtune import ImproperLoop, PidGains, SimConfig, _kernels, evaluate, step_response
-from pidtune.objective import BAND_LOWER, BAND_UPPER, RISE_LEVEL
+from pidtune import PidGains, SimConfig, _kernels, evaluate, step_response
+from pidtune.objective import BAND_LOWER, BAND_UPPER
 
 from helpers import (
+    LIMITS,
     ORACLE_PLANTS,
     counting_full_tables,
     decimal_scan,
+    draw_loops,
     first_clamped,
     full_table_scan,
     loop_step_map,
@@ -51,31 +54,6 @@ from helpers import (
 )
 
 N_SAMPLES = 3001
-LIMITS = (1e6, 10.0, 3.0)
-
-
-def _growing(step_mat) -> bool:
-    eig = np.linalg.eigvals(step_mat)
-    return bool(np.any((eig.imag != 0.0) & (np.abs(eig) > 1.0) & (np.abs(eig) < 1.03)))
-
-
-def draw_loops(rng, count, growing):
-    """Yield count (plant index, gains, limit, scan arguments) draws."""
-    kept = 0
-    while kept < count:
-        plant = int(rng.integers(len(ORACLE_PLANTS)))
-        gains = tuple(float(g) for g in rng.uniform(-10.0, 10.0, 3))
-        limit = 1e6 if growing else LIMITS[int(rng.integers(len(LIMITS)))]
-        try:
-            args = loop_step_map(ORACLE_PLANTS[plant], gains)
-        except ImproperLoop:
-            continue
-        if growing and not _growing(args[0]):
-            continue
-        kept += 1
-        yield plant, gains, limit, args
-
-
 def _bits(value):
     """An ObjectiveValue's fields, floats as their exact hex."""
     return [f.hex() if isinstance(f, float) else f for f in astuple(value)]
@@ -84,7 +62,7 @@ def _bits(value):
 def settle_main(rng, loops):
     """The --settle comparison; returns the exit status."""
     cfg = SimConfig()
-    settle = (RISE_LEVEL, BAND_LOWER, BAND_UPPER)
+    settle = (BAND_LOWER, BAND_UPPER)
     mismatches, skipped, refused, settled, built = [], 0, 0, 0, 0
     with np.errstate(all="ignore"):
         for plant, gains, _, _ in draw_loops(rng, loops, False):
@@ -96,7 +74,7 @@ def settle_main(rng, loops):
             skipped += cfg.n_samples - kept
             if _bits(evaluate(*args)) != _bits(evaluate(*args, [])):
                 mismatches.append((plant, gains))
-            if full.max() >= RISE_LEVEL and BAND_LOWER <= full[-1] <= BAND_UPPER:
+            if BAND_LOWER <= full[-1] <= BAND_UPPER:
                 settled += 1
                 refused += kept == cfg.n_samples
     print(f"loops {loops} (settle, {cfg.n_samples} samples), mismatches {len(mismatches)}"

@@ -185,10 +185,28 @@ class TestSimulateCommand:
 
     def test_every_float_option_takes_an_exponent(self):
         parser = cli.build_parser()
-        for option in sorted(cli.FLOAT_OPTIONS):
-            command = "tune" if option in ("--step", "--min-step") else "simulate"
-            args = parser.parse_args(cli._join_floats([command, option, "-5e-1"]))
-            assert getattr(args, option[2:].replace("-", "_")) == -0.5
+        commands = next(action.choices for action in parser._actions if action.dest == "command")
+        for command, sub in commands.items():
+            for action in sub._actions:
+                if action.type is float:
+                    args = parser.parse_args([command, action.option_strings[0], "-5e-1"])
+                    assert getattr(args, action.dest) == -0.5
+
+    def test_abbreviated_option_takes_a_negative_exponent(self):
+        # tune --min is --min-step; its value reaches SearchConfig's check
+        # as it does written --min=-1e-3
+        spaced = run_cli("tune", "--min", "-1e-3", "--max-evals", "3")
+        joined = run_cli("tune", "--min=-1e-3", "--max-evals", "3")
+        assert spaced.returncode == joined.returncode == 2
+        assert spaced.stderr.startswith("error: InvalidInput: ")
+        assert "Traceback" not in spaced.stderr
+        assert spaced.stderr == joined.stderr
+
+    def test_argv_from_the_command_line_takes_a_negative_exponent(self):
+        spaced = run_cli("simulate", "--tmax", "5", "--kp", "-5e-1")
+        joined = run_cli("simulate", "--tmax", "5", "--kp=-0.5")
+        assert spaced.returncode == joined.returncode == 0
+        assert spaced.stdout == joined.stdout
 
 
 def test_import_leaves_numpy_random_unloaded():
@@ -535,34 +553,41 @@ FUZZ_TMAX = _ordinary_or_edge(st.sampled_from(("2", "1", "0.5")), EDGE_VALUES)
 FUZZ_LONG_HORIZON = st.tuples(
     st.one_of(st.floats(2.0, 1e308), st.sampled_from((3e305, 3.2e305, 1e308, 1.7e308))),
     st.integers(1, 1000),
-).map(lambda h: [f"--tmax={h[0]!r}", f"--dt={h[0] / h[1]!r}"])
+).map(lambda h: (repr(h[0]), repr(h[0] / h[1])))
 FUZZ_MAX_EVALS = _ordinary_or_edge(st.integers(1, 4), st.integers(-2, 0))
 
 
+def _spelled(option: str, value) -> st.SearchStrategy:
+    """--option=value or --option value, the two ways argparse reads a value."""
+    return st.sampled_from(([f"--{option}={value}"], [f"--{option}", str(value)]))
+
+
 def _maybe(option: str, values) -> st.SearchStrategy:
-    # --name=value, so a negative value is not read as an option
-    return st.one_of(st.just([]), values.map(lambda v: [f"--{option}={v}"]))
+    return st.one_of(st.just([]), values.flatmap(lambda v: _spelled(option, v)))
 
 
 @st.composite
 def cli_argv(draw) -> list[str]:
     """argparse-valid simulate or tune argv whose responses have at most 1,001
-    samples (or that SimConfig rejects) and budgets of at most 4 evaluations."""
+    samples (or that SimConfig rejects) and budgets of at most 4 evaluations.
+    Each option is spelled either way, and tune's --min-step and --max-evals
+    sometimes by their abbreviations --min and --max."""
     command = draw(st.sampled_from(("simulate", "tune")))
-    argv = [command, f"--plant={draw(FUZZ_PLANTS)}"]
+    argv = [command, *draw(_spelled("plant", draw(FUZZ_PLANTS)))]
     if draw(st.booleans()):
-        argv += [f"--tmax={draw(FUZZ_TMAX)}", *draw(_maybe("dt", FUZZ_DT))]
+        argv += [*draw(_spelled("tmax", draw(FUZZ_TMAX))), *draw(_maybe("dt", FUZZ_DT))]
     else:
-        argv += draw(FUZZ_LONG_HORIZON)
+        tmax, dt = draw(FUZZ_LONG_HORIZON)
+        argv += [*draw(_spelled("tmax", tmax)), *draw(_spelled("dt", dt))]
     if command == "simulate":
         for option in ("kp", "ki", "kd"):
             argv += draw(_maybe(option, FUZZ_VALUES))
         return argv
-    argv.append(f"--start={draw(st.sampled_from(('zn', 'random')))}")
-    argv.append(f"--max-evals={draw(FUZZ_MAX_EVALS)}")
+    argv += draw(_spelled("start", draw(st.sampled_from(("zn", "random")))))
+    argv += draw(_spelled(draw(st.sampled_from(("max-evals", "max"))), draw(FUZZ_MAX_EVALS)))
     argv += draw(_maybe("seed", st.integers(-5, 2**70)))
     argv += draw(_maybe("step", FUZZ_VALUES))
-    argv += draw(_maybe("min-step", FUZZ_VALUES))
+    argv += draw(_maybe(draw(st.sampled_from(("min-step", "min"))), FUZZ_VALUES))
     if draw(st.booleans()):
         argv.append("--ensure-unstable")
     return argv

@@ -23,6 +23,7 @@ from pidtune import (
 from pidtune import _kernels
 from pidtune._kernels import BLOCK
 from pidtune.lti import BLOW_UP_LIMIT, MAX_SAMPLES
+from pidtune.objective import BAND_LOWER, BAND_UPPER
 from pidtune.tuning import ultimate_point, zn_pid_gains
 
 from helpers import (
@@ -30,6 +31,7 @@ from helpers import (
     ORACLE_PLANTS,
     counting_full_tables,
     decimal_scan,
+    draw_loops,
     first_clamped,
     full_table_scan,
     loop_step_map,
@@ -623,20 +625,10 @@ class TestScan:
 
 
 def _seeded_loops(count, seed):
-    """count (plant index, gains, limit, scan arguments) PID loops around
-    ORACLE_PLANTS, gains uniform in [-10, 10]^3, limits 1e6, 10 or 3."""
-    rng = np.random.default_rng(seed)
-    loops = []
-    while len(loops) < count:
-        plant = int(rng.integers(len(ORACLE_PLANTS)))
-        gains = tuple(float(g) for g in rng.uniform(-10.0, 10.0, 3))
-        limit = (1e6, 10.0, 3.0)[int(rng.integers(3))]
-        with np.errstate(all="ignore"):
-            try:
-                loops.append((plant, gains, limit, loop_step_map(ORACLE_PLANTS[plant], gains)))
-            except ImproperLoop:
-                continue
-    return loops
+    """count (plant index, gains, limit, scan arguments) uniform draws of
+    helpers.draw_loops, seeded."""
+    with np.errstate(all="ignore"):
+        return list(draw_loops(np.random.default_rng(seed), count, False))
 
 
 # A map whose powers overflow float64 from A^4 on, though not long double.
@@ -726,8 +718,8 @@ class TestStepTable:
         assert np.array_equal(rows[-1, 1:], fast[BLOCK:])
 
 
-# The objective's settle levels: rise, then the band's lower and upper edge.
-SETTLE = (0.98, 0.98, 1.02)
+# The objective's band, which evaluate hands the settle rule.
+SETTLE = (BAND_LOWER, BAND_UPPER)
 
 
 def _decay(a, c0, feed):
@@ -749,18 +741,16 @@ def _late_hump(sign):
 def _assert_settles_soundly(args, n_samples, settle, limit=BLOW_UP_LIMIT):
     """scan with settle against the full scan: its values are the full
     scan's first ones, bit for bit and no more than n_samples of them, and
-    where they stop early, a written sample is at or above rise, no sample
-    diverges, and every later one lies in [lower, upper]. Returns how many
-    values it gave."""
+    where they stop early, no sample diverges, and the last value and every
+    later sample lie in [lower, upper]. Returns how many values it gave."""
     full, diverged = _kernels.scan(*args, n_samples, limit)
     part, part_diverged = _kernels.scan(*args, n_samples, limit, settle)
     k = len(part)
     assert k <= n_samples and np.array_equal(part, full[:k])
     if k < n_samples:
-        rise, lower, upper = settle
+        lower, upper = settle
         assert not (diverged or part_diverged)
-        assert part.max() >= rise
-        assert np.all((lower <= full[k:]) & (full[k:] <= upper)), k
+        assert np.all((lower <= full[k - 1 :]) & (full[k - 1 :] <= upper)), k
     else:
         assert part_diverged == diverged
     return k
@@ -789,12 +779,10 @@ class TestSettle:
         last = _kernels.scan(*args, k, BLOW_UP_LIMIT)[0][-1]
         assert k < 4001 and abs(last - 1.0) <= 0.01
 
-    def test_waits_for_a_sample_at_the_rise_level(self):
-        # z = 1 - 0.99^k settles inside the band from below and never
-        # reaches 1.001.
+    def test_stops_once_settled_from_below(self):
+        # z = 1 - 0.99^k settles inside the band from below.
         args = _decay(0.99, 1.0, 0.0)
         assert _assert_settles_soundly(args, 4001, SETTLE) < 4001
-        assert _assert_settles_soundly(args, 4001, (1.001, 0.98, 1.02)) == 4001
 
     def test_unstable_mode_is_refused(self):
         # x1 departs from 1e-4 below its fixed point by 1.005 per step, so z
@@ -843,5 +831,5 @@ class TestSettle:
         lower, upper = (0.98, edge) if sign > 0 else (edge, 1.02)
         first = _kernels.CHECK_START
         assert lower <= full[first - 1] <= upper and first < 400
-        k = _assert_settles_soundly(args, 6001, (0.98, lower, upper))
+        k = _assert_settles_soundly(args, 6001, (lower, upper))
         assert 1000 < k < 6001

@@ -291,9 +291,14 @@ class TestSettledEvaluate:
     certified settled; it must give the same ObjectiveValue, bit for bit,
     as evaluate with responses, which always scans the full horizon."""
 
+    def test_a_prefix_in_the_band_holds_the_rise(self):
+        # evaluate hands the settle rule the band alone: a prefix that ends
+        # at or above BAND_LOWER has crossed RISE_LEVEL only if it is no higher.
+        assert RISE_LEVEL <= BAND_LOWER
+
     def test_zn_response_is_scored_from_a_prefix(self):
         cfg = SimConfig()
-        settle = (RISE_LEVEL, BAND_LOWER, BAND_UPPER)
+        settle = (BAND_LOWER, BAND_UPPER)
         assert len(step_response(ZN, BENCH3, cfg, settle=settle).values) < cfg.n_samples // 4
         assert value_bits(evaluate(ZN, BENCH3, cfg)) == value_bits(evaluate(ZN, BENCH3, cfg, []))
 
