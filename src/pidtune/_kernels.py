@@ -50,28 +50,29 @@ table is only as accurate as one built in float64.
 
 A block's state rows, apart from its last, serve only the band test. So
 scan keeps a fast table: the BLOCK output rows over the n rows
-[M^BLOCK | x[BLOCK]] of the block's last state. Before each block it bounds
-the block from the carried state x, in Python floats:
+[M^BLOCK | x[BLOCK]] of the block's last state, and zero rows up to a
+multiple of four (see the BLAS below). Before each block it bounds the
+block from the carried state x, in Python floats:
 
     b = size (1 + sum_i |x_i|),
 
 where size is at least (1 + 4 (n + 2) eps) S + tiny, S the largest row sum
 sum_i (|high_i| + |low_i|) of the step table, eps the float64 epsilon and
 tiny the smallest normal float. If b <= limit the block is cleared: one
-matvec of the fast table writes its outputs straight into the output array
-and its last state into the n slots after them, which the next block
-overwrites, and the state is copied into both halves of [x, 1, x, 1]. No
-value of a cleared block can be out of band. In exact arithmetic a row
-[h | l] times [x, 1, x, 1] is at most sum_i (|h_i| + |l_i|) |x_i| + |h_n| +
-|l_n| <= S (1 + sum_i |x_i|) in magnitude. Rounded, a dot of 2n + 2
-products, summed in any order, with or without fused multiply-adds, is at
-most 1 + gamma(2n + 2) times the sum of their magnitudes, gamma(m) being
-about m u with u = eps / 2 (Higham 2002, "Accuracy and Stability of
-Numerical Algorithms", ch. 3). Summing a row in float64, rounding size, the
-sum over x and b itself take at most 3n + 5 more factors 1 + u, so about
-(5n + 7) u of the margin's 8 (n + 2) u is spent, and tiny covers products
-that underflow. A NaN or infinite state, or a table entry that is not
-finite, makes b NaN or inf, which fails the test.
+matvec of the fast table writes its outputs straight into the output array,
+and its last state and the zero rows into the slots after them, which the
+next block overwrites, and the state is copied into both halves of
+[x, 1, x, 1]. No value of a cleared block can be out of band. In exact
+arithmetic a row [h | l] times [x, 1, x, 1] is at most
+sum_i (|h_i| + |l_i|) |x_i| + |h_n| + |l_n| <= S (1 + sum_i |x_i|) in
+magnitude. Rounded, a dot of 2n + 2 products, summed in any order, with or
+without fused multiply-adds, is at most 1 + gamma(2n + 2) times the sum of
+their magnitudes, gamma(m) being about m u with u = eps / 2 (Higham 2002,
+"Accuracy and Stability of Numerical Algorithms", ch. 3). Summing a row in
+float64, rounding size, the sum over x and b itself take at most 3n + 5 more
+factors 1 + u, so about (5n + 7) u of the margin's 8 (n + 2) u is spent, and
+tiny covers products that underflow. A NaN or infinite state, or a table
+entry that is not finite, makes b NaN or inf, which fails the test.
 
 size takes the output rows' sums as they are, and bounds the state rows,
 which a call that clears every block never forms, by submultiplicativity
@@ -91,16 +92,20 @@ that overflows while no entry does.
 
 A block that is not cleared takes the full path: the whole table's matvec,
 built at the call's first such block, the test np.abs(block).max() <=
-limit, which NaN fails, and only when that fails the in-order read of its
-live rows for the trigger, the first entry of [z, x...] out of band (an
-output wins over the states of its sample); then its z column is copied out
-and its last state carried. A row has the same bits in either table only if
-the BLAS computes each row's dot from that row and the vector alone, as
-OpenBLAS on x86-64 does; tests/test_lti.py pins scan bit for bit to
-tests/helpers.full_table_scan, which takes every block through the whole
-table. A BLAS that summed a row by its place would move a cleared block's
-samples within rounding, but not with n_samples, which the bound does not
-read.
+limit, which NaN fails, and only when that fails one out-of-band mask of
+its live rows for the trigger: the first row with any entry out of band,
+then the first such column, so an output wins over the states of its
+sample; otherwise its z column is copied out and its last state carried.
+A row has the same bits in either table only if the BLAS computes its dot
+the same way at either place. OpenBLAS's dgemv (0.3.31, Haswell kernels)
+takes the rows four at a time and the last len % 4 rows with another
+kernel, which sums in another order; the whole table's BLOCK (n + 1) rows
+are a multiple of four, and the fast table is padded to one, so every row
+goes through the four-row kernel. tests/test_lti.py pins scan bit for bit
+to tests/helpers.full_table_scan, which takes every block through the
+whole table. A BLAS that summed a row by its place would move a cleared
+block's samples within rounding, but not with n_samples, which the bound
+does not read.
 
 Products that overflow leave the clamp's sign to the order of the sums: on
 step_mat [[1e308, 1e308], [0, 0]] from state [9.99, -10], the scalar oracle
@@ -124,10 +129,14 @@ full scan bit for bit, once it has shown that the last of them and every
 later sample of the full scan lie in [lower, upper] and that none of them
 diverges. Then anything read only from the samples outside [lower, upper],
 and from the first sample at or above a level no higher than lower, reads
-the same from the prefix. The test runs before a cleared block that starts
-at or after a checkpoint; the first checkpoint is sample CHECK_START, and
-each next one is half as far again, so a call pays for O(log n_samples) of
-them. It requires, in this order:
+the same from the prefix. A diverged scan given settle ends just after its
+first clamped sample, or after sample 1 when sample 0 is clamped, or at
+n_samples: every later sample of the full scan is that clamp, so the prefix
+has the full scan's max, its min after any sample, and its first sample at
+or above any level. The test runs before a cleared block that starts at or
+after a checkpoint; the first checkpoint is sample CHECK_START, and each
+next one is half as far again, so a call pays for O(log n_samples) of them.
+It requires, in this order:
 
 1. the last written output lies in [lower, upper];
 2. a certificate, built once per call: with x_ref the solution of
@@ -217,7 +226,7 @@ def _fast_table(step_mat, step_vec, c_row, feed):
     it is built from, and the bound's size with its margin and tiny. powers
     holds A, A^2, A^4, ..., A^BLOCK in long double, each over A's last row;
     fast the BLOCK output rows [c M^j | c x[j] + feed] over A^BLOCK's state
-    rows, split."""
+    rows, split, over zero rows up to a multiple of four."""
     n = len(step_vec)
     margin = 1.0 + 4 * (n + 2) * EPS
     powers = np.zeros((BLOCK.bit_length(), n + 1, n + 1), np.longdouble)
@@ -233,7 +242,8 @@ def _fast_table(step_mat, step_vec, c_row, feed):
         np.dot(rows[:k], power, out=rows[k : 2 * k])
     rows[:BLOCK, n] += feed
     rows[BLOCK:] = powers[-1, :n]
-    fast = _split(rows, np.empty((BLOCK + n, 2 * n + 2)))
+    fast = np.zeros((BLOCK + n + -(BLOCK + n) % 4, 2 * n + 2))
+    _split(rows, fast[: BLOCK + n])
     # Each square's row-sum norm, at least 1 by A's last row; numpy's max
     # keeps a NaN, which Python's would drop.
     norms = np.abs(powers).sum(axis=2).max(axis=1).astype(float) * margin
@@ -314,15 +324,15 @@ def _certificate(step_mat, step_vec, c_row, feed, limit, settle, size):
 # perfbench/tracer.py reads n_samples at position 4 of this signature.
 def scan(step_mat, step_vec, c_row, feed, n_samples, limit, settle=None):
     """Sample the response, BLOCK samples per matvec; returns (values,
-    diverged). With settle = (lower, upper) the values may end early, at a
-    block boundary, under the settle rule."""
+    diverged). With settle = (lower, upper) the values may end early under
+    the settle rule: at a block boundary, or just after the clamp begins."""
     n = step_mat.shape[0]
     fast, powers, size = _fast_table(step_mat, step_vec, c_row, feed)
     # The whole table, built at the first block the bound does not clear.
     table = None
-    # Whole blocks after sample 0, then n slots for a cleared last block's
-    # state; the dead rows are cut off.
-    out = np.empty(1 + -(-(n_samples - 1) // BLOCK) * BLOCK + n)
+    # Whole blocks after sample 0, then the slots for a cleared last block's
+    # state and fast's zero rows; the dead rows are cut off.
+    out = np.empty(1 + -(-(n_samples - 1) // BLOCK) * BLOCK + len(fast) - BLOCK)
     block = np.empty((BLOCK, n + 1))
     # [x, 1, x, 1], a copy of [x, 1] for each half of a row; states writes
     # both copies of x at once.
@@ -336,15 +346,19 @@ def scan(step_mat, step_vec, c_row, feed, n_samples, limit, settle=None):
     block[-1] = [feed] + [0.0] * n
     live, start = block[-1:], 0
     while True:
-        if not np.abs(live).max() <= limit:
-            for j, row in enumerate(live.tolist()):
-                trigger = next((e for e in row if not abs(e) <= limit), None)
-                if trigger is not None:
-                    clamp = -limit if trigger < 0.0 else limit
-                    out[start : start + j] = live[:j, 0]
-                    out[start + j] = row[0] if abs(row[0]) <= limit else clamp
-                    out[start + j + 1 :] = clamp
-                    return out[:n_samples], True
+        mags = np.abs(live)
+        if not mags.max() <= limit:
+            # The first entry out of band, NaN too, in row order: the first
+            # such row, then its first such column, the output before states.
+            j, col = divmod(int((~(mags <= limit)).argmax()), n + 1)
+            clamp = -limit if live[j, col] < 0.0 else limit
+            out[start : start + j] = live[:j, 0]
+            out[start + j] = live[j, 0] if col else clamp
+            # A triggering state leaves its sample's output as computed.
+            first = start + j + (col > 0)
+            stop = n_samples if settle is None else min(max(first, 1) + 1, n_samples)
+            out[first:stop] = clamp
+            return out[:stop], True
         out[start : start + len(live)] = live[:, 0]
         states[:] = live[-1, 1:]
         start += len(live)
@@ -360,7 +374,7 @@ def scan(step_mat, step_vec, c_row, feed, n_samples, limit, settle=None):
                         check = n_samples
                     elif (e := x - cert[0]) @ cert[1] @ e <= cert[2]:
                         return out[:start], False
-            np.dot(fast, x_one, out=out[start : start + BLOCK + n])
+            np.dot(fast, x_one, out=out[start : start + len(fast)])
             start += BLOCK
             states[:] = out[start : start + n]
         if start >= n_samples:

@@ -11,10 +11,11 @@ from .errors import ImproperLoop, ImproperSystem, InvalidInput
 
 
 def _as_coeffs(seq, name: str) -> tuple[float, ...]:
-    coeffs = tuple(float(c) for c in seq)
+    # tolist gives Python floats, which float() returns as they are.
+    coeffs = tuple(map(float, seq.tolist() if isinstance(seq, np.ndarray) else seq))
     if not coeffs:
         raise InvalidInput(f"{name} must have at least one coefficient")
-    if not all(math.isfinite(c) for c in coeffs):
+    if not all(map(math.isfinite, coeffs)):
         raise InvalidInput(f"{name} coefficients must be finite, got {coeffs}")
     return coeffs
 
@@ -100,12 +101,10 @@ class StateSpace:
             raise InvalidInput(
                 f"inconsistent dimensions a{self.a.shape} b{self.b.shape} c{self.c.shape}"
             )
-        if not (
-            np.all(np.isfinite(self.a))
-            and np.all(np.isfinite(self.b))
-            and np.all(np.isfinite(self.c))
-            and math.isfinite(self.d)
-        ):
+        # One pass over Python floats: at a loop's order it costs less than
+        # a numpy test per array.
+        entries = [*self.a.ravel().tolist(), *self.b.ravel().tolist(), *self.c.ravel().tolist()]
+        if not all(map(math.isfinite, [*entries, self.d])):
             raise InvalidInput("state-space entries must be finite")
 
     @property
@@ -185,17 +184,23 @@ def close_unity_feedback(
     improperness with a low-relative-degree plant), or when leading-coefficient
     cancellation in the sum leaves an improper ratio.
     """
-    num = np.convolve(controller.num, plant.num)
-    den_open = np.convolve(controller.den, plant.den)
+    num = np.convolve(controller.num, plant.num).tolist()
+    den_open = np.convolve(controller.den, plant.den).tolist()
     if poly_degree(num) > poly_degree(den_open):
         raise ImproperLoop(
             f"open-loop product has relative degree "
             f"{poly_degree(den_open) - poly_degree(num)}; the closed loop is not proper"
         )
-    # An overflowing sum is left to TransferFunction, which rejects
-    # non-finite coefficients, so numpy has nothing to warn about.
-    with np.errstate(all="ignore"):
-        den = np.polyadd(den_open, num)
+    # np.polyadd's sum in Python floats: the shorter list is padded with
+    # leading zeros, which turn a -0.0 into +0.0. An overflowing sum is
+    # left to TransferFunction, which rejects non-finite coefficients.
+    width = max(len(num), len(den_open))
+    den = [
+        a + b
+        for a, b in zip(
+            [0.0] * (width - len(den_open)) + den_open, [0.0] * (width - len(num)) + num
+        )
+    ]
     lead = next((i for i, c in enumerate(den) if c != 0.0), None)
     if lead is None or poly_degree(num) > len(den) - 1 - lead:
         raise ImproperLoop(
@@ -245,11 +250,9 @@ def _rk4_step_map(a: np.ndarray, b: np.ndarray, dt: float):
     x+ = (sum_{j<=4} (dt a)^j / j!) x + dt (sum_{j<=3} (dt a)^j / (j+1)!) b,
     so the whole trajectory is an iterated affine update.
     """
-    n = a.shape[0]
     ha = dt * a
-    m = np.eye(n)
-    vc = np.eye(n)
-    power = np.eye(n)
+    # Every update below makes a new array, so the three may share one eye.
+    m = vc = power = np.eye(a.shape[0])
     fact = 1.0
     for j in range(1, 5):
         power = power @ ha
@@ -277,9 +280,19 @@ def simulate_step(
     match stepping the map one sample at a time to within rounding
     (tests/helpers.py's scan_error_bound), and sample k does not depend on
     how many samples follow it. _kernels describes how the scan gets them.
-    Given settle = (lower, upper), the values may end early, at a block
+    Given settle = (lower, upper), the values may end early: at a block
     boundary, once _kernels' settle rule shows that the last value and
-    every later sample lie in [lower, upper].
+    every later sample lie in [lower, upper], or, for a diverged response,
+    just after its first clamped sample (after sample 1 when sample 0 is
+    clamped), since every later sample is that clamp.
+
+    The scan's step table is built in np.longdouble and carried as float64
+    pairs. Its accuracy, and so the last bits of the samples, depend on the
+    platform: long double is 80-bit on x86-64 Linux, but only double on some
+    platforms, such as Windows and macOS on arm64, where the table is as
+    accurate as one built in float64. The same inputs then give samples
+    that differ within rounding, and scores that may differ in their last
+    bits.
     """
     # Huge gains overflow the step map and the states on the way to the
     # clamp: the defined divergent outcome, not a fault to warn of. Every

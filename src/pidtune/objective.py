@@ -126,11 +126,15 @@ def evaluate(
     to it, so callers that also need the samples (frames, CSV output) do not
     simulate a second time. Without it the simulation may stop once a
     Lyapunov certificate shows that the rest of the risen response stays
-    inside the band, which leaves every field the same to the bit.
+    inside the band, or just after a diverged response's first clamped
+    sample; either leaves every field the same to the bit. A response that
+    never rose is scored at cfg.t_max, however many samples it kept.
     """
     cfg = cfg if cfg is not None else SimConfig()
-    # A kept prefix ends in the band, at or above BAND_LOWER >= RISE_LEVEL, so
-    # it holds the first crossing of RISE_LEVEL and every sample outside the band.
+    # A settled prefix ends in the band, at or above BAND_LOWER >= RISE_LEVEL,
+    # so it holds the first crossing of RISE_LEVEL and every sample outside
+    # the band; a diverged one holds its clamp after sample 0, which every
+    # later sample repeats.
     settle = (BAND_LOWER, BAND_UPPER) if responses is None else None
     resp = step_response(gains, plant, cfg, settle=settle)
     if responses is not None:

@@ -118,16 +118,91 @@ def check_frame_horizon(t_end: float) -> None:
         )
 
 
+# The parts of a frame that depend on nothing: its head and its tail.
+_FRAME_HEAD = (
+    f'<svg xmlns="http://www.w3.org/2000/svg" width="{_SVG_WIDTH}" '
+    f'height="{_SVG_HEIGHT}" viewBox="0 0 {_SVG_WIDTH} {_SVG_HEIGHT}">\n'
+    f'<rect width="{_SVG_WIDTH}" height="{_SVG_HEIGHT}" fill="white"/>'
+)
+_FRAME_TAIL = (
+    f'<text x="{(_PLOT[0] + _PLOT[2]) / 2:.2f}" y="{_SVG_HEIGHT - 8}" font-family="sans-serif" '
+    f'font-size="13" text-anchor="middle">time [s]</text>\n</svg>\n'
+)
+
+
+@functools.cache
+def _digit_cells():
+    """(whole, cents): item i of whole is i, 0 <= i < 1000, printed in
+    three bytes, NUL-padded on the left, and item i of cents is i,
+    0 <= i < 100, in two digits; each item is one numpy void."""
+    whole = "".join("%3d" % i for i in range(1000)).replace(" ", "\0").encode()
+    cents = "".join("%02d" % i for i in range(100)).encode()
+    return np.frombuffer(whole, "V3"), np.frombuffer(cents, "V2")
+
+
 @functools.lru_cache(maxsize=1)
 def _curve_grid(n_samples: int, dt: float):
-    """The sample indices a curve keeps, their x coordinates already printed,
-    and the points format. They depend on the sample grid alone, so every
-    frame of a film shares one copy; printing the x half of the vertices
-    once per film instead of once per frame saves about 40% of a frame."""
+    """(idx, x_cells, axes): the sample indices a curve keeps, the x half
+    of its vertices, and the frame's axes with the time ticks. They depend
+    on the sample grid alone, so every frame of a film shares one copy.
+    Row i of the byte matrix x_cells is vertex i's x coordinate, printed
+    with "%.2f", then a comma, NUL-padded on the left."""
+    t_end = (n_samples - 1) * dt
     idx = np.linspace(0, n_samples - 1, min(n_samples, _MAX_CURVE_POINTS)).round().astype(int)
     idx.setflags(write=False)
-    x_text = tuple("%.2f" % x for x in _plot_x(idx * dt, (n_samples - 1) * dt).tolist())
-    return idx, x_text, " ".join(["%s,%.2f"] * len(idx))
+    x_text = ["%.2f," % x for x in _plot_x(idx * dt, t_end).tolist()]
+    width = max(map(len, x_text))
+    x_cells = np.frombuffer("".join(x.rjust(width, "\0") for x in x_text).encode(), np.uint8)
+    x0, y0, x1, y1 = _PLOT
+    axes = [
+        f'<line x1="{x0:.2f}" y1="{y0:.2f}" x2="{x0:.2f}" y2="{y1:.2f}" stroke="black"/>',
+        f'<line x1="{x0:.2f}" y1="{y1:.2f}" x2="{x1:.2f}" y2="{y1:.2f}" stroke="black"/>',
+    ]
+    for t in _ticks(0.0, t_end):
+        px = _plot_x(t, t_end)
+        axes.append(
+            f'<line x1="{px:.2f}" y1="{y1:.2f}" x2="{px:.2f}" y2="{y1 + 5:.2f}" stroke="black"/>'
+        )
+        axes.append(
+            f'<text x="{px:.2f}" y="{y1 + 18:.2f}" font-family="sans-serif" '
+            f'font-size="11" text-anchor="middle">{t:.4g}</text>'
+        )
+    return idx, x_cells.reshape(len(idx), width), "\n".join(axes)
+
+
+def _points(x_cells, y) -> str:
+    """A polyline's points: the x halves in x_cells beside the pixel rows y,
+    each y printed as "%.2f" prints it. "%.2f" rounds y's exact value
+    correctly (Gay 1990, "Correctly rounded binary-decimal and
+    decimal-binary conversions"), so it prints rint(100 y) hundredths
+    wherever 100 y lies farther than 1e-7 from a rounding tie, which is
+    far beyond the product's rounding error, under 1e-11 below 1e5. Python
+    prints the rest: y within 1e-9 of a tie, negative (-0.0 too), from
+    999.99 on, or not finite. Each vertex is one row of a byte matrix,
+    NUL-padded, and the rows are joined by dropping the NULs."""
+    h = y * 100.0
+    # fmax and fmin map NaN and the infinities into [0, 99999], so nothing
+    # below warns; the tests on h itself send those rows to Python.
+    clipped = np.fmin(np.fmax(h, 0.0), 99999.0)
+    hundredths = np.rint(clipped)
+    simple = (np.abs(clipped - hundredths) < 0.5 - 1e-7) & (h < 99999.0) & ~np.signbit(h)
+    rest = np.flatnonzero(~simple)
+    texts = {i: b"%.2f" % v for i, v in zip(rest.tolist(), y[rest].tolist())}
+    # y's field, "ddd.dd" or as wide as Python's widest text, and a space.
+    width = max([6, *map(len, texts.values())])
+    start = x_cells.shape[1]
+    rows = np.zeros((len(y), start + width + 1), np.uint8)
+    rows[:, :start] = x_cells
+    whole, cents = _digit_cells()
+    ints, fracs = np.divmod(hundredths.astype(np.int32), 100)
+    end = start + width
+    rows[:, end - 6 : end - 3].view("V3")[:, 0] = whole[ints]
+    rows[:, end - 3] = ord(".")
+    rows[:, end - 2 : end].view("V2")[:, 0] = cents[fracs]
+    rows[:, end] = ord(" ")
+    for i, text in texts.items():
+        rows[i, start:end] = np.frombuffer(text.rjust(width, b"\0"), np.uint8)
+    return rows.tobytes().replace(b"\0", b"")[:-1].decode("ascii")
 
 
 def render_frame(record: EvaluationRecord, response: StepResponse) -> str:
@@ -153,42 +228,13 @@ def render_frame(record: EvaluationRecord, response: StepResponse) -> str:
     y_hi += margin
     x0, y0, x1, y1 = _PLOT
 
-    # sx and sy take scalars (ticks, guides) or arrays (the curve) alike;
-    # either way each coordinate is the same sequence of IEEE operations.
-    def sx(t):
-        return _plot_x(t, t_end)
-
+    # sy takes scalars (ticks, guides) or arrays (the curve) alike; either
+    # way each coordinate is the same sequence of IEEE operations.
     def sy(z):
         return y1 - (y1 - y0) * (z - y_lo) / (y_hi - y_lo)
 
-    idx, x_text, points_format = _curve_grid(len(vals), response.dt)
-    vertices = [None] * (2 * len(idx))
-    vertices[0::2] = x_text
-    vertices[1::2] = sy(vals[idx]).tolist()
-    points = points_format % tuple(vertices)
-
-    parts = [
-        f'<svg xmlns="http://www.w3.org/2000/svg" width="{_SVG_WIDTH}" '
-        f'height="{_SVG_HEIGHT}" viewBox="0 0 {_SVG_WIDTH} {_SVG_HEIGHT}">',
-        f'<rect width="{_SVG_WIDTH}" height="{_SVG_HEIGHT}" fill="white"/>',
-        _title(record),
-    ]
-    # axes
-    parts.append(
-        f'<line x1="{x0:.2f}" y1="{y0:.2f}" x2="{x0:.2f}" y2="{y1:.2f}" stroke="black"/>'
-    )
-    parts.append(
-        f'<line x1="{x0:.2f}" y1="{y1:.2f}" x2="{x1:.2f}" y2="{y1:.2f}" stroke="black"/>'
-    )
-    for t in _ticks(0.0, t_end):
-        px = sx(t)
-        parts.append(
-            f'<line x1="{px:.2f}" y1="{y1:.2f}" x2="{px:.2f}" y2="{y1 + 5:.2f}" stroke="black"/>'
-        )
-        parts.append(
-            f'<text x="{px:.2f}" y="{y1 + 18:.2f}" font-family="sans-serif" '
-            f'font-size="11" text-anchor="middle">{t:.4g}</text>'
-        )
+    idx, x_cells, axes = _curve_grid(len(vals), response.dt)
+    parts = [_FRAME_HEAD, _title(record), axes]
     for z in _ticks(y_lo, y_hi):
         py = sy(z)
         parts.append(
@@ -205,13 +251,9 @@ def render_frame(record: EvaluationRecord, response: StepResponse) -> str:
             f'<line class="band-line" x1="{x0:.2f}" y1="{py:.2f}" x2="{x1:.2f}" '
             f'y2="{py:.2f}" stroke="black" stroke-dasharray="6,4"/>'
         )
-    parts.append(f'{_curve_head(record)}{points}"/>')
-    parts.append(
-        f'<text x="{(x0 + x1) / 2:.2f}" y="{_SVG_HEIGHT - 8}" font-family="sans-serif" '
-        f'font-size="13" text-anchor="middle">time [s]</text>'
-    )
-    parts.append("</svg>")
-    return "\n".join(parts) + "\n"
+    parts.append(f'{_curve_head(record)}{_points(x_cells, sy(vals[idx]))}"/>')
+    parts.append(_FRAME_TAIL)
+    return "\n".join(parts)
 
 
 # The two parts of a frame that differ between two records at one point; the

@@ -95,10 +95,12 @@ def full_table_scan(step_mat, step_vec, c_row, feed, n_samples, limit, carried=N
     """pidtune._kernels.scan's blocks with no bound: every block is the
     whole step table of scan's refusal path, _kernels._full_table, times
     [x, 1, x, 1], and its rows are read in order under sequential_scan's
-    rule. scan gives the same bits only where the BLAS computes each row's
-    dot from that row and the vector alone. A list given as carried gets
-    the state each block starts from, as a list of floats: one per block
-    that scan tests against its bound. Returns (values, diverged)."""
+    rule. scan gives the same bits only where the BLAS computes a row's dot
+    the same way in the fast table as in the whole table, which is why the
+    fast table is padded to OpenBLAS's groups of four rows (see _kernels).
+    A list given as carried gets the state each block starts from, as a
+    list of floats: one per block that scan tests against its bound.
+    Returns (values, diverged)."""
     n = step_mat.shape[0]
     fast, powers, _ = _kernels._fast_table(step_mat, step_vec, c_row, feed)
     table = _kernels._full_table(fast, powers)

@@ -1,0 +1,187 @@
+"""Mutation checks for the scan kernel: does some test fail on each mutant?
+
+    python tests/mutate_kernel.py              # every mutant
+    python tests/mutate_kernel.py --list       # names and reasons
+    python tests/mutate_kernel.py NAME [NAME...]
+
+The kernel's soundness rests on terms of the arguments in the _kernels
+docstring (the clearing bound, the settle certificate, the divergence rule
+and the BLAS layout), and the tests pin their outcomes, not each term. Each
+mutant below breaks one term by an exact text replacement. For each, the
+tool copies src/, tests/ and pyproject.toml into a temporary directory,
+makes the replacement there, runs tests/test_lti.py and
+tests/test_objective.py on the copy with pytest, and prints the tests that
+failed (or pytest's exit status, or a timeout), or SURVIVED when none did.
+The unmutated copy runs first and must pass. An anchor that does not occur
+exactly once stops the tool with an error, so a mutant cannot silently
+test nothing after the code moves. One run of every mutant takes a few
+minutes.
+
+Not here: max_i |x_i| in place of sum_i |x_i| in the bound. A row's sum
+of magnitudes times max(1, max_i |x_i|) bounds its dot with [x, 1, x, 1]
+too, so that bound is sound as well and changes no sample, only which
+blocks take the full path.
+
+Exit status: 0 when every mutant is killed, 1 when one survives, 2 when an
+anchor is missing or the unmutated copy fails. A surviving mutant is a gap
+in the tests: close it with a test, not by deleting the mutant.
+"""
+
+import argparse
+import os
+import shutil
+import subprocess
+import sys
+import tempfile
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parents[1]
+KERNEL = "src/pidtune/_kernels.py"
+TESTS = ["tests/test_lti.py", "tests/test_objective.py"]
+
+# name: (file, anchor, replacement, what it breaks)
+MUTANTS = {
+    "gate_always_clears": (
+        KERNEL,
+        "size * (1.0 + sum(map(abs, x.tolist()))) <= limit",
+        "True",
+        "every block is cleared, so no block is tested against the limit",
+    ),
+    "half_the_bound": (
+        KERNEL,
+        "while start < n_samples and size *",
+        "while start < n_samples and 0.5 * size *",
+        "the bound is half what it must be",
+    ),
+    "python_max_for_size": (
+        KERNEL,
+        "float(np.append(sums, [norms[:-1].prod(), norms[-1]]).max())",
+        "float(max([norms[:-1].prod(), norms[-1], *sums]))",
+        "Python's max drops a NaN output row sum that follows a finite norm",
+    ),
+    "no_top_square_norm": (
+        KERNEL,
+        "[norms[:-1].prod(), norms[-1]]",
+        "[norms[:-1].prod()]",
+        "size leaves out the norm of A^BLOCK, which may exceed the others' product",
+    ),
+    "room_is_the_whole_distance": (
+        KERNEL,
+        "room = min(z_ref - lower, upper - z_ref) / 2",
+        "room = min(z_ref - lower, upper - z_ref)",
+        "the certificate keeps no margin for rounding",
+    ),
+    "no_positive_definite_check": (
+        KERNEL,
+        "and mu >= 0.5 and",
+        "and",
+        "an indefinite P may certify an unstable mode",
+    ),
+    "no_residual_check": (
+        KERNEL,
+        " and resid_norm <= 0.5)",
+        ")",
+        "a P that does not solve the Lyapunov equation may certify",
+    ),
+    "certificate_past_the_block": (
+        KERNEL,
+        "                        return out[:start], False",
+        "                        np.dot(fast, x_one, out=out[start : start + len(fast)])\n"
+        "                        return out[: start + BLOCK], False",
+        "a settled scan returns the next block too, past n_samples when it ends inside it",
+    ),
+    "trigger_column_is_the_output": (
+        KERNEL,
+        "j, col = divmod(int((~(mags <= limit)).argmax()), n + 1)",
+        "j, col = divmod(int((~(mags <= limit)).argmax()), n + 1)[0], 0",
+        "a triggering state's sign is read from the output, which is clamped too",
+    ),
+    "diverged_prefix_one_short": (
+        KERNEL,
+        "min(max(first, 1) + 1, n_samples)",
+        "min(max(first, 1), n_samples)",
+        "a diverged settled scan ends before its first clamped sample",
+    ),
+    "fast_table_unpadded": (
+        KERNEL,
+        "np.zeros((BLOCK + n + -(BLOCK + n) % 4, 2 * n + 2))",
+        "np.zeros((BLOCK + n, 2 * n + 2))",
+        "the fast table's last rows go through another BLAS kernel than the whole table's",
+    ),
+}
+
+
+def _copy(into: Path) -> None:
+    shutil.copytree(ROOT / "src", into / "src", ignore=shutil.ignore_patterns("__pycache__"))
+    shutil.copytree(ROOT / "tests", into / "tests", ignore=shutil.ignore_patterns("__pycache__"))
+    shutil.copy(ROOT / "pyproject.toml", into)
+
+
+def _failures(copy: Path) -> list[str]:
+    """What fails on copy: the failed and erroring tests' ids, or the
+    pytest exit status when none is named; an empty list when all pass."""
+    try:
+        proc = subprocess.run(
+            [sys.executable, "-m", "pytest", "-q", "-rfE", "-p", "no:cacheprovider", *TESTS],
+            cwd=copy, capture_output=True, text=True, timeout=1800,
+            # No bytecode: a mutant and its restored source may share a size
+            # and an mtime second, which a cached .pyc cannot tell apart.
+            env={**os.environ, "PYTHONDONTWRITEBYTECODE": "1"},
+        )
+    except subprocess.TimeoutExpired:
+        return ["(timed out after 1800 s)"]
+    failed = [
+        line.split()[1] for line in proc.stdout.splitlines()
+        if line.startswith(("FAILED ", "ERROR "))
+    ]
+    return failed or ([f"(pytest exit {proc.returncode})"] if proc.returncode else [])
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("names", nargs="*", help="mutants to run (default: all)")
+    parser.add_argument("--list", action="store_true", help="list the mutants and exit")
+    opts = parser.parse_args(argv)
+    if opts.list:
+        for name, (_, _, _, reason) in MUTANTS.items():
+            print(f"{name}: {reason}")
+        return 0
+    unknown = [n for n in opts.names if n not in MUTANTS]
+    if unknown:
+        parser.error(f"unknown mutants {unknown}; see --list")
+    names = opts.names or list(MUTANTS)
+
+    for name in names:
+        path, anchor, _, _ = MUTANTS[name]
+        count = (ROOT / path).read_text().count(anchor)
+        if count != 1:
+            print(f"{name}: anchor found {count} times in {path}: {anchor!r}")
+            return 2
+    with tempfile.TemporaryDirectory() as tmp:
+        copy = Path(tmp)
+        _copy(copy)
+        failed = _failures(copy)
+        if failed:
+            print(f"the unmutated copy fails {failed[:3]}; no mutant was run")
+            return 2
+        survived = []
+        for name in names:
+            path, anchor, replacement, _ = MUTANTS[name]
+            source = (copy / path).read_text()
+            (copy / path).write_text(source.replace(anchor, replacement))
+            try:
+                failed = _failures(copy)
+            finally:
+                (copy / path).write_text(source)
+            if failed:
+                shown = ", ".join(failed[:3]) + (", ..." if len(failed) > 3 else "")
+                print(f"{name}: killed by {len(failed)} tests: {shown}")
+            else:
+                print(f"{name}: SURVIVED")
+                survived.append(name)
+    print(f"{len(names) - len(survived)} of {len(names)} mutants killed")
+    return 1 if survived else 0
+
+
+if __name__ == "__main__":
+    raise SystemExit(main())

@@ -473,29 +473,19 @@ class TestScan:
     def test_matches_full_table_bit_for_bit(self):
         # A cleared block reads its rows from the fast table, at other
         # places than in the whole table; their bits agree only where the
-        # BLAS computes each row's dot from that row and the vector alone.
-        # Of these loops about 90% clear a block, 80% refuse one and 70% do
+        # BLAS computes each row's dot the same way at either place. Of
+        # these loops about 90% clear a block, 80% refuse one and 70% do
         # both, so both paths and the moves between them are covered.
-        rng = np.random.default_rng(20261019)
-        mismatches, diverged, loops = [], 0, 0
-        while loops < 1000:
-            plant = int(rng.integers(len(ORACLE_PLANTS)))
-            gains = tuple(float(g) for g in rng.uniform(-10.0, 10.0, 3))
-            limit = (1e6, 10.0, 3.0)[int(rng.integers(3))]
-            n_samples = int(rng.integers(1, 10002))
-            with np.errstate(all="ignore"):
-                try:
-                    args = loop_step_map(ORACLE_PLANTS[plant], gains)
-                except ImproperLoop:
-                    continue
-                out, flag = _kernels.scan(*args, n_samples, limit)
-                ref, ref_flag = full_table_scan(*args, n_samples, limit)
-            loops += 1
-            diverged += ref_flag
-            if flag != ref_flag or not np.array_equal(out, ref):
-                mismatches.append((plant, gains, limit, n_samples))
-        assert mismatches == []
-        assert 0 < diverged < loops
+        _assert_matches_full_table(ORACLE_PLANTS, 20261019, 1000)
+
+    def test_matches_full_table_at_every_row_count_mod_4(self):
+        # ORACLE_PLANTS' loops have orders 2 and 4, where an unpadded fast
+        # table agreed with the whole table. At orders 3, 5 and 6 its last
+        # (BLOCK + n) % 4 rows went through the remainder kernel of
+        # OpenBLAS's dgemv (0.3.31, Haswell) and moved 32, 31 and 62 of 200
+        # such scans.
+        plants = [TransferFunction((1.0,), tuple(np.poly([-1.0] * k))) for k in (2, 4, 5)]
+        _assert_matches_full_table(plants, 20261020, 600)
 
     @pytest.mark.parametrize("loop", [*range(len(GROWING)), "zn"])
     def test_step_table_matches_exact_powers(self, loop):
@@ -624,6 +614,32 @@ class TestScan:
         assert np.array_equal(out, ref) and np.all(out == 0.5)
 
 
+def _assert_matches_full_table(plants, seed, count):
+    """scan against helpers.full_table_scan, bit for bit, on count seeded
+    PID loops around plants, gains uniform in [-10, 10]^3, at limits and
+    lengths drawn as well; some of them diverge and some do not."""
+    rng = np.random.default_rng(seed)
+    mismatches, diverged, loops = [], 0, 0
+    while loops < count:
+        plant = int(rng.integers(len(plants)))
+        gains = tuple(float(g) for g in rng.uniform(-10.0, 10.0, 3))
+        limit = (1e6, 10.0, 3.0)[int(rng.integers(3))]
+        n_samples = int(rng.integers(1, 10002))
+        with np.errstate(all="ignore"):
+            try:
+                args = loop_step_map(plants[plant], gains)
+            except ImproperLoop:
+                continue
+            out, flag = _kernels.scan(*args, n_samples, limit)
+            ref, ref_flag = full_table_scan(*args, n_samples, limit)
+        loops += 1
+        diverged += ref_flag
+        if flag != ref_flag or not np.array_equal(out, ref):
+            mismatches.append((plant, gains, limit, n_samples))
+    assert mismatches == []
+    assert 0 < diverged < loops
+
+
 def _seeded_loops(count, seed):
     """count (plant index, gains, limit, scan arguments) uniform draws of
     helpers.draw_loops, seeded."""
@@ -709,13 +725,15 @@ class TestStepTable:
     @pytest.mark.parametrize("loop", [*range(len(GROWING)), "zn"])
     def test_fast_rows_recur_in_the_full_table(self, loop):
         # Row block j of the whole table holds fast's output row j, and row
-        # block BLOCK A^BLOCK's state rows, rebuilt as A^(BLOCK/2) squared.
+        # block BLOCK A^BLOCK's state rows, rebuilt as A^(BLOCK/2) squared;
+        # fast's zero rows make its length a multiple of four.
         args = _growing_or_zn_loop(loop)
         n = len(args[1])
         fast, powers, _ = _kernels._fast_table(*args)
         rows = _kernels._full_table(fast, powers).reshape(BLOCK, n + 1, 2 * n + 2)
         assert np.array_equal(rows[:, 0], fast[:BLOCK])
-        assert np.array_equal(rows[-1, 1:], fast[BLOCK:])
+        assert np.array_equal(rows[-1, 1:], fast[BLOCK : BLOCK + n])
+        assert len(fast) - BLOCK - n == -(BLOCK + n) % 4 and not fast[BLOCK + n :].any()
 
 
 # The objective's band, which evaluate hands the settle rule.
@@ -740,19 +758,25 @@ def _late_hump(sign):
 
 def _assert_settles_soundly(args, n_samples, settle, limit=BLOW_UP_LIMIT):
     """scan with settle against the full scan: its values are the full
-    scan's first ones, bit for bit and no more than n_samples of them, and
-    where they stop early, no sample diverges, and the last value and every
-    later sample lie in [lower, upper]. Returns how many values it gave."""
-    full, diverged = _kernels.scan(*args, n_samples, limit)
-    part, part_diverged = _kernels.scan(*args, n_samples, limit, settle)
+    scan's first ones, bit for bit and no more than n_samples of them, with
+    the same flag. A diverged scan ends just after its first clamped sample
+    (after sample 1 if that is sample 0), or at n_samples, and every later
+    sample is that clamp. Where a scan that did not diverge stops early, the
+    last value and every later sample lie in [lower, upper]. Returns how
+    many values it gave."""
+    with np.errstate(all="ignore"):
+        full, diverged = _kernels.scan(*args, n_samples, limit)
+        part, part_diverged = _kernels.scan(*args, n_samples, limit, settle)
     k = len(part)
     assert k <= n_samples and np.array_equal(part, full[:k])
-    if k < n_samples:
+    assert part_diverged == diverged
+    if diverged:
+        first = first_clamped(full, limit)
+        assert k == min(max(first, 1) + 1, n_samples), (k, first)
+        assert first == n_samples or np.all(full[first:] == full[k - 1]), first
+    elif k < n_samples:
         lower, upper = settle
-        assert not (diverged or part_diverged)
         assert np.all((lower <= full[k - 1 :]) & (full[k - 1 :] <= upper)), k
-    else:
-        assert part_diverged == diverged
     return k
 
 
@@ -815,6 +839,21 @@ class TestSettle:
             "kronecker": (np.diag([2.0, 0.5]), np.array([0.0, 0.5]), np.array([0.0, 1.0]), 0.0),
         }[loop]
         assert _kernels._certificate(*args, BLOW_UP_LIMIT, SETTLE, 10.0) == ()
+
+    def test_diverged_scan_ends_after_its_clamp(self):
+        # Seeded loops at the three limits, at one, two and 3,001 samples,
+        # and the rule's hand-built cases, whose triggers include outputs
+        # and states at sample 0 and states that keep their sample's output.
+        diverged = 0
+        for _, _, limit, args in _seeded_loops(300, 20261021):
+            for n_samples in (1, 2, 3001):
+                _assert_settles_soundly(args, n_samples, SETTLE, limit)
+            diverged += _kernels.scan(*args, 3001, limit)[1]
+        assert 50 < diverged < 250
+        for mat, vec, c, feed, limit, _, _ in RULE_CASES.values():
+            args = (np.array(mat, float), np.array(vec, float), np.array(c, float), feed)
+            for n_samples in (1, 2, 3, 6):
+                _assert_settles_soundly(args, n_samples, SETTLE, limit)
 
     @pytest.mark.parametrize("sign", [1, -1], ids=["upper", "lower"])
     @pytest.mark.parametrize("leaves", [False, True], ids=["grazes", "leaves"])

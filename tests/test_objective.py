@@ -29,6 +29,7 @@ from helpers import (
     ORACLE_PLANTS,
     brute_force_deviation,
     brute_force_score,
+    first_clamped,
     random_stable_cases,
 )
 
@@ -286,6 +287,24 @@ SETTLE_PLANTS = (
 )
 
 
+# Diverging responses: plant, gains, t_max, the first clamped sample and
+# the samples a settled scan keeps, up to and including the first clamped
+# one after sample 0, or all of them.
+DIVERGING = {
+    # feedthrough kd / (1 + kd) beyond the limit: clamped from sample 0
+    "sample_0_plus": (ORACLE_PLANTS[3], (0.0, 0.0, -1.0000001), 100.0, 0, 2),
+    "sample_0_minus": (ORACLE_PLANTS[3], (0.0, 0.0, -0.9999999), 100.0, 0, 2),
+    # a state leaves first, at sample 6,047: its output, -167,418.67, stands
+    # and the clamp, +limit, takes the state's sign
+    "state_keeps_its_output": (ORACLE_PLANTS[3], (0.07, -0.28, 0.47), 100.0, 6048, 6049),
+    # -582,882.5 at sample 3, then +limit: the clamp is the first rise
+    "clamp_is_the_first_rise": (BENCH3, (1.5e5, -8e5, 6.7e5), 100.0, 4, 5),
+    "output_in_the_last_sample": (BENCH3, (1.5e5, -8e5, 6.7e5), 0.045, 4, 5),
+    # a state leaves at sample 7,617, the last: no sample is clamped
+    "state_in_the_last_sample": (SETTLE_PLANTS[4], (0.075, 0.155, -0.114), 76.175, 7618, 7618),
+}
+
+
 class TestSettledEvaluate:
     """evaluate without responses may stop the scan once the response is
     certified settled; it must give the same ObjectiveValue, bit for bit,
@@ -318,10 +337,30 @@ class TestSettledEvaluate:
     # ki = 0 around a plant without an integrator: the response settles at
     # kp / (1 + kp), below the band, and never rises
     @example(plant=BENCH3, kp=2.0, ki=0.0, kd=1.0, t_max=100.0)
+    # diverging responses, scored from a prefix that ends after the clamp
+    # begins (DIVERGING names each case)
+    @example(plant=ORACLE_PLANTS[3], kp=0.0, ki=0.0, kd=-1.0000001, t_max=100.0)
+    @example(plant=ORACLE_PLANTS[3], kp=0.0, ki=0.0, kd=-0.9999999, t_max=100.0)
+    @example(plant=ORACLE_PLANTS[3], kp=0.07, ki=-0.28, kd=0.47, t_max=100.0)
+    @example(plant=BENCH3, kp=1.5e5, ki=-8e5, kd=6.7e5, t_max=100.0)
+    @example(plant=BENCH3, kp=1.5e5, ki=-8e5, kd=6.7e5, t_max=0.045)
+    @example(plant=SETTLE_PLANTS[4], kp=0.075, ki=0.155, kd=-0.114, t_max=76.175)
     def test_equals_the_full_scan_bit_for_bit(self, plant, kp, ki, kd, t_max):
         gains, cfg = PidGains(kp, ki, kd), SimConfig(t_max=t_max)
         try:
             want = evaluate(gains, plant, cfg, [])
         except ImproperLoop:
             return
+        assert value_bits(evaluate(gains, plant, cfg)) == value_bits(want)
+
+    @pytest.mark.parametrize("case", DIVERGING.values(), ids=DIVERGING.keys())
+    def test_diverged_response_is_scored_from_a_prefix(self, case):
+        plant, gains, t_max, first, kept = case
+        gains, cfg = PidGains(*gains), SimConfig(t_max=t_max)
+        full = step_response(gains, plant, cfg)
+        part = step_response(gains, plant, cfg, settle=(BAND_LOWER, BAND_UPPER))
+        assert full.diverged and part.diverged
+        assert first_clamped(full.values, BLOW_UP_LIMIT) == first
+        assert len(part.values) == kept and np.array_equal(part.values, full.values[:kept])
+        want = evaluate(gains, plant, cfg, [])
         assert value_bits(evaluate(gains, plant, cfg)) == value_bits(want)

@@ -21,7 +21,7 @@ from pidtune import (
     render_animation,
     render_frame,
 )
-from pidtune.render import CSV_HEADER, export_trace
+from pidtune.render import CSV_HEADER, _curve_grid, _points, export_trace
 
 from helpers import BENCH3, film_finished, gain_bits, polyline_points
 
@@ -150,6 +150,26 @@ class TestExportJson:
         assert obj["incumbent"]["total"] == 0.4
 
 
+def _ulps(values):
+    """values with each one's neighbours one ulp below and above."""
+    values = np.asarray(values, float)
+    return np.concatenate((np.nextafter(values, -np.inf), values, np.nextafter(values, np.inf)))
+
+
+# Pixel rows for the vertex formatter: exact ties in hundredths (j/8), the
+# decimal ties k/200 (odd k), which round to the nearest double either way,
+# and their neighbours; the plot's extremes 18 and 434; the edges of two,
+# three and more digits; and rows Python prints because no digit path can.
+VERTEX_ROWS = {
+    "eighths": np.arange(8000) / 8,
+    "two_hundredths": _ulps(np.arange(1, 200_000, 2) / 200),
+    "extremes": _ulps([18.0, 18.005, 434.0, 433.995, 0.0, 0.005, 9.995, 10.0, 99.995, 999.985,
+                       999.99, 999.995]),
+    "outside": np.array([-0.0, -0.004, -0.005, -1.5, np.nan, np.inf, -np.inf, 1000.0,
+                         1234.565, 1e6, 1e300, 5e-324]),
+}
+
+
 class TestRenderFrame:
     def test_improving_record_is_green(self):
         trace = make_trace([0.5])
@@ -237,6 +257,18 @@ class TestRenderFrame:
         root = ET.fromstring(render_frame(make_trace([0.5]).records[0], resp))
         curve = [e for e in root.iter(f"{SVG_NS}polyline") if e.get("class") == "response-curve"][0]
         assert curve.get("points") == polyline_points(resp)
+
+    @pytest.mark.parametrize("case", sorted(VERTEX_ROWS))
+    def test_vertex_rows_print_as_printf(self, case):
+        # _points prints rint(100 y) hundredths, except near a tie and off
+        # its digit range, where Python prints; either way "%.2f"'s text.
+        y = VERTEX_ROWS[case]
+        for start in range(0, len(y), 1200):
+            rows = y[start : start + 1200]
+            _, x_cells, _ = _curve_grid(len(rows), 0.01)
+            points = _points(x_cells, rows)
+            printed = [p.split(",")[1] for p in points.split(" ")]
+            assert printed == ["%.2f" % v for v in rows.tolist()]
 
     def test_frames_on_different_grids_keep_their_own_x(self):
         # at 2,001 samples, 31 x coordinates print differently for dt 0.01
