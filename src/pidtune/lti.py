@@ -11,8 +11,7 @@ from .errors import ImproperLoop, ImproperSystem, InvalidInput
 
 
 def _as_coeffs(seq, name: str) -> tuple[float, ...]:
-    # tolist gives Python floats, which float() returns as they are.
-    coeffs = tuple(map(float, seq.tolist() if isinstance(seq, np.ndarray) else seq))
+    coeffs = tuple(map(float, seq))
     if not coeffs:
         raise InvalidInput(f"{name} must have at least one coefficient")
     if not all(map(math.isfinite, coeffs)):
@@ -191,16 +190,10 @@ def close_unity_feedback(
             f"open-loop product has relative degree "
             f"{poly_degree(den_open) - poly_degree(num)}; the closed loop is not proper"
         )
-    # np.polyadd's sum in Python floats: the shorter list is padded with
-    # leading zeros, which turn a -0.0 into +0.0. An overflowing sum is
-    # left to TransferFunction, which rejects non-finite coefficients.
-    width = max(len(num), len(den_open))
-    den = [
-        a + b
-        for a, b in zip(
-            [0.0] * (width - len(den_open)) + den_open, [0.0] * (width - len(num)) + num
-        )
-    ]
+    # An overflowing sum is left to TransferFunction, which rejects
+    # non-finite coefficients, so numpy has nothing to warn about.
+    with np.errstate(all="ignore"):
+        den = np.polyadd(den_open, num).tolist()
     lead = next((i for i, c in enumerate(den) if c != 0.0), None)
     if lead is None or poly_degree(num) > len(den) - 1 - lead:
         raise ImproperLoop(
