@@ -593,12 +593,13 @@ def cli_argv(draw) -> list[str]:
     return argv
 
 
-def check_cli_run(argv: list[str], film: bool) -> None:
+def check_cli_run(argv: list[str], film: bool) -> int:
     """Run the CLI on argv, filming into a fresh directory when film is set
     and argv is a tune, and check that it gives a result or a typed error:
     no warnings and no inf or nan in any frame; then either exit 0 with
     nothing on stderr (for a film, one frame per trace record, listed in
-    order by index.json) or exit 2 naming a PidTuneError."""
+    order by index.json) or exit 2 naming a PidTuneError. Returns the exit
+    status."""
     film = film and argv[0] == "tune"
     with tempfile.TemporaryDirectory() as out, warnings.catch_warnings(record=True) as caught, \
             redirect_stdout(io.StringIO()), redirect_stderr(io.StringIO()) as err:
@@ -616,19 +617,27 @@ def check_cli_run(argv: list[str], film: bool) -> None:
     stderr = err.getvalue()
     if rc == 0:
         assert stderr == ""
-        return
+        return rc
     assert rc == 2
     named = re.match(r"error: ([A-Z]\w+): ", stderr)
     assert named, stderr
     # a subclass, never the bare base class, so the message names the kind
     error = getattr(errors, named[1])
     assert issubclass(error, PidTuneError) and error is not PidTuneError
+    return rc
 
 
 @settings(max_examples=500, deadline=None)
 @given(argv=cli_argv(), film=st.booleans())
 def test_any_input_gives_a_result_or_a_typed_error(argv, film):
     check_cli_run(argv, film)
+
+
+def test_overflowing_closed_loop_stops_the_search_with_a_typed_error():
+    # a poll at step 1e308 overflows the closed loop's coefficients in
+    # close_unity_feedback, and the search stops on that error
+    argv = ["tune", "--step", "1e308", "--plant", "num: 10 / den: 1 3 3 1", "--max-evals", "20"]
+    assert check_cli_run(argv, film=False) == 2
 
 
 # Filmed runs of ordinary plants, most of which exit 0: the fuzz test above

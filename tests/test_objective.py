@@ -27,7 +27,6 @@ from pidtune.tuning import ultimate_point, zn_pid_gains
 from helpers import (
     BENCH3,
     ORACLE_PLANTS,
-    brute_force_deviation,
     brute_force_score,
     first_clamped,
     random_stable_cases,
@@ -87,34 +86,26 @@ class TestRiseTime:
 class TestBandDeviation:
     def test_monotone_exponential_has_none(self):
         t = np.arange(0.0, 100.0 + 1e-9, 0.01)
-        resp = make_resp(1 - np.exp(-t), dt=0.01)
-        rt, rose = rise_time(resp)
-        assert band_deviation(resp, rt, rose) == 0.0
+        assert band_deviation(make_resp(1 - np.exp(-t), dt=0.01)) == 0.0
 
     def test_overshoot(self):
-        resp = make_resp([0.0, 0.5, 0.99, 1.30, 1.0, 1.0])
-        rt, rose = rise_time(resp)
-        dev = band_deviation(resp, rt, rose)
+        dev = band_deviation(make_resp([0.0, 0.5, 0.99, 1.30, 1.0, 1.0]))
         assert dev == pytest.approx(1.30 - 1.02, abs=1e-15)
 
     def test_undershoot_after_rise(self):
-        resp = make_resp([0.0, 0.99, 0.90, 0.95, 1.0, 1.0])
-        rt, rose = rise_time(resp)
-        dev = band_deviation(resp, rt, rose)
+        dev = band_deviation(make_resp([0.0, 0.99, 0.90, 0.95, 1.0, 1.0]))
         assert dev == pytest.approx(0.98 - 0.90, abs=1e-15)
 
     def test_no_under_window_when_never_rose(self):
         # dips far below but never reached the rise level: only over counts
         resp = make_resp([0.0, 0.5, -5.0, 0.5, 0.5])
-        rt, rose = rise_time(resp)
-        assert not rose
-        assert band_deviation(resp, rt, rose) == 0.0
+        assert not rise_time(resp)[1]
+        assert band_deviation(resp) == 0.0
 
     def test_t0_sample_excluded_from_over(self):
         resp = make_resp([5.0, 1.0, 1.0, 1.0])
-        rt, rose = rise_time(resp)
-        assert (rt, rose) == (0.0, True)
-        assert band_deviation(resp, rt, rose) == 0.0
+        assert rise_time(resp) == (0.0, True)
+        assert band_deviation(resp) == 0.0
 
     def test_horizon_exclusion_isolates_each_term(self):
         # one response only overshoots, one only undershoots after its rise,
@@ -122,31 +113,10 @@ class TestBandDeviation:
         over_only = make_resp([0.0, 0.99, 1.50, 1.0, 1.0, 1.0])
         under_only = make_resp([0.0, 0.99, 1.0, 0.90, 1.0, 1.0])
         both = make_resp([0.0, 0.99, 1.50, 0.90, 1.0, 1.0])
-        over, under, full = (
-            band_deviation(r, *rise_time(r)) for r in (over_only, under_only, both)
-        )
+        over, under, full = (band_deviation(r) for r in (over_only, under_only, both))
         assert over == pytest.approx(1.50 - 1.02, abs=1e-15)
         assert under == pytest.approx(0.98 - 0.90, abs=1e-15)
         assert full == max(over, under)
-
-    @settings(max_examples=300, deadline=None)
-    @given(
-        values=st.lists(st.floats(-2.0, 3.0), min_size=1, max_size=60),
-        dt=STEPS,
-        k=st.integers(0, 62),
-        nudge=st.sampled_from([-1, 0, 1]),
-    )
-    # 3 * 0.7 / 0.7 rounds below 3, so the guess from rise / dt lands on the
-    # boundary sample itself, which must stay excluded
-    @example(values=[0.0, 0.0, 0.0, -1.0, 1.0], dt=0.7, k=3, nudge=0)
-    def test_under_window_matches_scan_on_grid_boundaries(self, values, dt, k, nudge):
-        # rise exactly on a sample time k * dt, or one ulp either side of it
-        rise = k * dt
-        if nudge:
-            rise = float(np.nextafter(rise, nudge * np.inf))
-        resp = make_resp(values, dt=dt)
-        got = band_deviation(resp, rise, True)
-        assert got == brute_force_deviation(values, dt, rise, True)
 
     @settings(max_examples=300, deadline=None)
     @given(
@@ -157,7 +127,8 @@ class TestBandDeviation:
     )
     def test_score_matches_brute_force_on_grid_crossings(self, head, tail, dt, on_grid):
         # with a sample exactly at the rise level the interpolated rise time
-        # is that sample's own k * dt
+        # is that sample's own k * dt: the reference leaves it out of the
+        # under window, and band_deviation reads it
         values = [*head, RISE_LEVEL if on_grid else 0.99, *tail]
         resp = make_resp(values, dt=dt)
         rt, rose = rise_time(resp)
@@ -166,22 +137,13 @@ class TestBandDeviation:
         t_max = resp.t_end if len(values) > 1 else dt
         want_total, want_rt, want_dev, want_rose = brute_force_score(values, dt, t_max)
         assert (rt, rose) == (want_rt, want_rose)
-        assert band_deviation(resp, rt, rose) == want_dev
+        assert band_deviation(resp) == want_dev
 
-    @pytest.mark.parametrize("values, rise", [
-        ([5.0], 0.0),  # one sample: no t > 0 for over, no t > rise for under
-        ([0.0, 0.99, 0.5], 2.5),  # a rise past the last sample: no under window
-    ], ids=["one_sample", "rise_past_the_end"])
-    def test_empty_windows_score_zero(self, values, rise):
-        got = band_deviation(make_resp(values), rise, True)
-        assert got == 0.0 == brute_force_deviation(values, 1.0, rise, True)
-
-    def test_under_window_for_a_rise_off_the_grid(self):
-        resp = make_resp([0.0, 0.99, 0.5, 1.0], dt=0.1)
-        cases = ((0.1, 0.48), (0.2, 0.0), (float("inf"), 0.0), (float("nan"), 0.0),
-                 (float("-inf"), 0.98))
-        for rise, want in cases:
-            assert band_deviation(resp, rise, True) == pytest.approx(want, abs=1e-15)
+    @pytest.mark.parametrize("values", [
+        [5.0],  # one sample: no t > 0 for over, and the under window is that sample
+    ], ids=["one_sample"])
+    def test_empty_windows_score_zero(self, values):
+        assert band_deviation(make_resp(values)) == 0.0
 
 
 class TestStepResponse:
@@ -311,9 +273,13 @@ class TestSettledEvaluate:
     as evaluate with responses, which always scans the full horizon."""
 
     def test_a_prefix_in_the_band_holds_the_rise(self):
-        # evaluate hands the settle rule the band alone: a prefix that ends
-        # at or above BAND_LOWER has crossed RISE_LEVEL only if it is no higher.
-        assert RISE_LEVEL <= BAND_LOWER
+        # Both scoring shortcuts rest on RISE_LEVEL == BAND_LOWER. evaluate
+        # hands the settle rule the band alone: a prefix that ends at or above
+        # BAND_LOWER has crossed RISE_LEVEL only if BAND_LOWER >= RISE_LEVEL.
+        # band_deviation's under window starts at the first sample at or above
+        # RISE_LEVEL, which may sit exactly at the rise time: reading it
+        # cannot lower the minimum only if RISE_LEVEL >= BAND_LOWER.
+        assert RISE_LEVEL == BAND_LOWER
 
     def test_zn_response_is_scored_from_a_prefix(self):
         cfg = SimConfig()
