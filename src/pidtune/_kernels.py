@@ -19,13 +19,14 @@ from any state gives
     x[s+j] = M^j x[s] + x[j],
     z[s+j] = c M^j x[s] + c x[j] + feed,    j = 1..BLOCK,
 
-where x[j] is the response from x[0] = 0. Row block j of the step table is
-the output row [c M^j | c x[j] + feed] above the state rows [M^j | x[j]],
-so a block of samples s+1..s+BLOCK is one matvec with [x[s], 1], the last
-state of the block before. Sample 0, [feed, 0...0], is a block of one row,
-and block k holds samples 1+k*BLOCK..(k+1)*BLOCK. Every block is computed
-whole, the last one too, of which only the live rows are kept, so the bits
-of sample k do not depend on n_samples.
+where x[j] is the response from x[0] = 0. The step table holds the
+output rows [c M^j | c x[j] + feed], j = 1..BLOCK, then for each j in turn
+the state rows [M^j | x[j]], so a block of samples s+1..s+BLOCK is one
+matvec with [x[s], 1], the last state of the block before, which gives the
+block's outputs in sample order and then its states. Sample 0 is feed over
+the zero state, and block k holds samples 1+k*BLOCK..(k+1)*BLOCK. Every
+block is computed whole, the last one too, of which only the live rows are
+kept, so the bits of sample k do not depend on n_samples.
 
 The table is built in np.longdouble by doubling, the up-sweep of
 Blelloch's prefix sums ("Prefix sums and their applications", 1990) on the
@@ -42,11 +43,14 @@ come out as the same dots as the square's, bit for bit. Whatever error the
 table holds, every block applies again, so on a growing oscillation it
 adds up coherently, where per-step rounding does not. So each row of the
 table is [high | low]: its long-double entries rounded to float64, then
-what the rounding left out. One dot with [x, 1, x, 1] sums both halves and
-so carries the long-double table's accuracy (CHANGES.md gives the
-measurements). np.longdouble is 80-bit on x86-64 Linux, but equals double
-on some platforms, such as Windows; there the low half is zero and the
-table is only as accurate as one built in float64.
+what the rounding left out, which is 0 beside a high that is not finite;
+the split looks for such a high only when the highs do not sum to a finite
+value, as they do not when one of them is inf or NaN. One dot with
+[x, 1, x, 1] sums both halves and so carries the long-double table's
+accuracy (CHANGES.md gives the measurements). np.longdouble is 80-bit on
+x86-64 Linux, but equals double on some platforms, such as Windows; there
+the low half is zero and the table is only as accurate as one built in
+float64.
 
 A block's state rows, apart from its last, serve only the band test. So
 scan keeps a fast table: the BLOCK output rows over the n rows
@@ -88,14 +92,17 @@ high and low differ in sign only when high is the farther from the entry),
 the norms' cast to float64 and the five float64 products; the added tiny
 covers underflow. A norm or an output row's sum that is inf or NaN makes
 size inf or NaN, so every block is refused; so does a product of the norms
-that overflows while no entry does.
+that overflows while no entry does. size's largest term is taken by
+numpy's max, which keeps a NaN where Python's max may drop it.
 
 A block that is not cleared takes the full path: the whole table's matvec,
-built at the call's first such block, the test np.abs(block).max() <=
-limit, which NaN fails, and only when that fails one out-of-band mask of
-its live rows for the trigger: the first row with any entry out of band,
-then the first such column, so an output wins over the states of its
-sample; otherwise its z column is copied out and its last state carried.
+built at the call's first such block, written straight into the output
+array, its outputs in place and its states after them, where the next
+block overwrites them; then the test max(np.abs(block)) <= limit over all
+of it, which NaN fails, and only when that fails one out-of-band mask of
+its live rows, each as [z, x], for the trigger: the first row with any
+entry out of band, then the first such column, so an output wins over the
+states of its sample. A block in band carries its last live state.
 A row has the same bits in either table only if the BLAS computes its dot
 the same way at either place. OpenBLAS's dgemv (0.3.31, Haswell kernels)
 takes the rows four at a time and the last len % 4 rows with another
@@ -199,6 +206,7 @@ must not exceed 1/2. rho is computed with its rounding added. A singular
 I - M or Kronecker system refuses the certificate, and so does c = 0.
 """
 
+import functools
 import math
 
 import numpy as np
@@ -210,14 +218,29 @@ EPS = float(np.finfo(float).eps)
 TINY = float(np.finfo(float).tiny)
 
 
+@functools.cache
+def _identity(n: int) -> np.ndarray:
+    """Read-only n x n identity."""
+    eye = np.eye(n)
+    eye.setflags(write=False)
+    return eye
+
+
 def _split(rows, out):
     """Writes long-double rows into out as [high | low]: their entries
     rounded to float64, then what the rounding left out, so that a dot with
-    [x, 1, x, 1] sums to the long-double row's."""
-    high, low = out[..., : rows.shape[-1]], out[..., rows.shape[-1] :]
+    [x, 1, x, 1] sums to the long-double row's. A low beside a high that is
+    not finite is 0."""
+    m = rows.shape[-1]
+    high, low = out[..., :m], out[..., m:]
     high[...] = rows
-    # An infinite entry would leave inf - inf = NaN beside it.
-    low[...] = np.where(np.isfinite(high), rows - high, 0.0)
+    low[...] = rows - high
+    # A high that is not finite, and only such a high, leaves a low that is
+    # not finite (inf - inf, or a long double past float64's range less
+    # inf), and it makes the sum of the highs infinite or NaN; a finite sum
+    # shows that every entry is finite.
+    if not math.isfinite(np.add.reduce(high, axis=None)):
+        low[~np.isfinite(high)] = 0.0
     return out
 
 
@@ -238,35 +261,39 @@ def _fast_table(step_mat, step_vec, c_row, feed):
     rows[0] = c_row @ powers[0, :n]
     for i, power in enumerate(powers[:-1]):
         k = 1 << i
-        np.dot(power[:n], power, out=powers[i + 1, :n])
-        np.dot(rows[:k], power, out=rows[k : 2 * k])
+        power[:n].dot(power, out=powers[i + 1, :n])
+        rows[:k].dot(power, out=rows[k : 2 * k])
     rows[:BLOCK, n] += feed
     rows[BLOCK:] = powers[-1, :n]
     fast = np.zeros((BLOCK + n + -(BLOCK + n) % 4, 2 * n + 2))
     _split(rows, fast[: BLOCK + n])
-    # Each square's row-sum norm, at least 1 by A's last row; numpy's max
-    # keeps a NaN, which Python's would drop.
-    norms = np.abs(powers).sum(axis=2).max(axis=1).astype(float) * margin
-    sums = np.abs(fast[:BLOCK]).sum(axis=1)
-    size = float(np.append(sums, [norms[:-1].prod(), norms[-1]]).max()) * margin + TINY
+    # size's terms: each output row's sum, then the product of the squares'
+    # row-sum norms (each at least 1, by A's last row) but the last, and the
+    # last; numpy's max keeps a NaN, which Python's may drop.
+    norms = (np.abs(powers).sum(axis=2).max(axis=1).astype(float) * margin).tolist()
+    terms = np.empty(BLOCK + 2)
+    np.abs(fast[:BLOCK]).sum(axis=1, out=terms[:BLOCK])
+    terms[BLOCK:] = math.prod(norms[:-1]), norms[-1]
+    size = float(terms.max()) * margin + TINY
     return fast, powers, size
 
 
 def _full_table(fast, powers):
-    """The whole step table, for the blocks the bound does not clear: row
-    block j, j = 1..BLOCK, is fast's output row j over A^j's state rows
-    [M^j | x[j]], split. Given A^1..A^k, A^(k + j) is A^j A^k, so A^2k is
-    the same dots as its square and fast's last rows recur bit for bit."""
+    """The whole step table, for the blocks the bound does not clear: fast's
+    BLOCK output rows [c M^j | c x[j] + feed], then for j = 1..BLOCK the n
+    state rows [M^j | x[j]] of A^j, split. Given A^1..A^k, A^(k + j) is
+    A^j A^k, so A^2k is the same dots as its square and fast's state rows
+    recur bit for bit as the last n."""
     n = powers.shape[1] - 1
     states = np.empty((BLOCK * n, n + 1), np.longdouble)
     states[:n] = powers[0, :n]
     for i, power in enumerate(powers[:-1]):
         k = n << i
-        np.dot(states[:k], power, out=states[k : 2 * k])
-    table = np.empty((BLOCK, n + 1, 2 * n + 2))
-    table[:, 0] = fast[:BLOCK]
-    _split(states.reshape(BLOCK, n, n + 1), table[:, 1:])
-    return table.reshape(-1, 2 * n + 2)
+        states[:k].dot(power, out=states[k : 2 * k])
+    table = np.empty((BLOCK * (n + 1), 2 * n + 2))
+    table[:BLOCK] = fast[:BLOCK]
+    _split(states, table[BLOCK:])
+    return table
 
 
 def _certificate(step_mat, step_vec, c_row, feed, limit, settle, size):
@@ -282,7 +309,7 @@ def _certificate(step_mat, step_vec, c_row, feed, limit, settle, size):
     # M^T P M - P = -I as (M^T kron M^T - I) vec(P) = -vec(I).
     kron = (step_mat.T[:, None, :, None] * step_mat.T[None, :, None, :]).reshape(n * n, n * n)
     kron.reshape(-1)[:: n * n + 1] -= 1.0
-    eye = np.eye(n).reshape(-1)
+    eye = _identity(n).reshape(-1)
     try:
         x_ref = np.linalg.solve(shifted, step_vec)
         p = np.linalg.solve(kron, -eye).reshape(n, n)
@@ -294,7 +321,7 @@ def _certificate(step_mat, step_vec, c_row, feed, limit, settle, size):
     room = min(z_ref - lower, upper - z_ref) / 2
     if not (room > 0.0 and c_row.any() and -limit <= lower <= upper <= limit):
         return ()
-    low, high = float(lams[0]), float(lams[-1])
+    low, high = lams[[0, -1]].tolist()
     omega = 8 * (n + 2) ** 2 * EPS * high
     lam, mu = high + omega, low - omega
     resid = kron @ p.reshape(-1) + eye
@@ -306,12 +333,13 @@ def _certificate(step_mat, step_vec, c_row, feed, limit, settle, size):
     # An upper bound on h, and never 0.
     h = math.sqrt(float((vecs.T @ c_row) ** 2 @ (1 / lams)) * (1 + omega)) + TINY
     radius = room / h
-    x_max, x_sum = float(np.abs(x_ref).max()), float(np.abs(x_ref).sum())
+    x_abs = np.abs(x_ref)
+    x_max, x_sum = float(x_abs.max()), float(x_abs.sum())
     rho = float(np.abs(step_vec - shifted @ x_ref).max())
     rho += (n + 2) * EPS * (n * (size + 1) * x_max + size)
     drift = BLOCK * math.sqrt(n * lam) * rho
     row_err = (BLOCK + 4 * (n + 2)) * EPS * size * (x_sum + math.sqrt(2 * n) * radius + 1)
-    z_err = (n + 1) * EPS * (float(np.abs(c_row) @ np.abs(x_ref)) + abs(feed))
+    z_err = (n + 1) * EPS * (float(np.abs(c_row) @ x_abs) + abs(feed))
     if not (
         drift + math.sqrt(n * lam) * row_err <= min(0.5, BLOCK / (8 * lam)) * radius / 2
         and h * drift + row_err + z_err <= room / 2
@@ -321,6 +349,15 @@ def _certificate(step_mat, step_vec, c_row, feed, limit, settle, size):
     return x_ref, p, (radius / (1 + omega)) ** 2
 
 
+def _clamped(out, first, clamp, n_samples, settle):
+    """(values, True) for a scan that clamps from sample first on: the clamp
+    fills out to n_samples, or with settle given to just after the first
+    clamped sample (after sample 1 when sample 0 is clamped)."""
+    stop = n_samples if settle is None else min(max(first, 1) + 1, n_samples)
+    out[first:stop] = clamp
+    return out[:stop], True
+
+
 # perfbench/tracer.py reads n_samples at position 4 of this signature.
 def scan(step_mat, step_vec, c_row, feed, n_samples, limit, settle=None):
     """Sample the response, BLOCK samples per matvec; returns (values,
@@ -328,40 +365,29 @@ def scan(step_mat, step_vec, c_row, feed, n_samples, limit, settle=None):
     the settle rule: at a block boundary, or just after the clamp begins."""
     n = step_mat.shape[0]
     fast, powers, size = _fast_table(step_mat, step_vec, c_row, feed)
+    span = len(fast)
     # The whole table, built at the first block the bound does not clear.
     table = None
-    # Whole blocks after sample 0, then the slots for a cleared last block's
-    # state and fast's zero rows; the dead rows are cut off.
-    out = np.empty(1 + -(-(n_samples - 1) // BLOCK) * BLOCK + len(fast) - BLOCK)
-    block = np.empty((BLOCK, n + 1))
+    # Whole blocks after sample 0, then room for what a block writes past
+    # its outputs: a block of the whole table its BLOCK n states, which
+    # take more than a cleared block's last state and fast's zero rows.
+    # What lies past n_samples is cut off.
+    out = np.empty(1 + -(-(n_samples - 1) // BLOCK) * BLOCK + BLOCK * n)
     # [x, 1, x, 1], a copy of [x, 1] for each half of a row; states writes
-    # both copies of x at once.
-    x_one = np.ones(2 * n + 2)
+    # both copies of x at once. x starts at 0.
+    x_one = np.zeros(2 * n + 2)
+    x_one[n :: n + 1] = 1.0
     x = x_one[:n]
     states = x_one.reshape(2, n + 1)[:, :n]
     # The settle rule's next checkpoint, and its certificate once built.
     check = n_samples if settle is None else CHECK_START
     cert = None
-    # Sample 0 is [feed, 0...0], a block of one row.
-    block[-1] = [feed] + [0.0] * n
-    live, start = block[-1:], 0
+    # Sample 0 is feed over the zero state, which is in band.
+    out[0] = feed
+    if not abs(feed) <= limit:
+        return _clamped(out, 0, -limit if feed < 0.0 else limit, n_samples, settle)
+    start = 1
     while True:
-        mags = np.abs(live)
-        if not mags.max() <= limit:
-            # The first entry out of band, NaN too, in row order: the first
-            # such row, then its first such column, the output before states.
-            j, col = divmod(int((~(mags <= limit)).argmax()), n + 1)
-            clamp = -limit if live[j, col] < 0.0 else limit
-            out[start : start + j] = live[:j, 0]
-            out[start + j] = live[j, 0] if col else clamp
-            # A triggering state leaves its sample's output as computed.
-            first = start + j + (col > 0)
-            stop = n_samples if settle is None else min(max(first, 1) + 1, n_samples)
-            out[first:stop] = clamp
-            return out[:stop], True
-        out[start : start + len(live)] = live[:, 0]
-        states[:] = live[-1, 1:]
-        start += len(live)
         # Cleared blocks form only their outputs and last state.
         while start < n_samples and size * (1.0 + sum(map(abs, x.tolist()))) <= limit:
             if start >= check:
@@ -374,13 +400,31 @@ def scan(step_mat, step_vec, c_row, feed, n_samples, limit, settle=None):
                         check = n_samples
                     elif (e := x - cert[0]) @ cert[1] @ e <= cert[2]:
                         return out[:start], False
-            np.dot(fast, x_one, out=out[start : start + len(fast)])
+            fast.dot(x_one, out=out[start : start + span])
             start += BLOCK
             states[:] = out[start : start + n]
         if start >= n_samples:
             return out[:n_samples], False
-        # A block the bound does not clear: every row, then the band test.
+        # A block the bound does not clear: every row, written straight into
+        # out, the outputs in place and their states after them; then the
+        # band test. Rows past n_samples do not count.
         if table is None:
             table = _full_table(fast, powers)
-        np.dot(table, x_one, out=block.reshape(-1))
-        live = block[: n_samples - start]
+        live = min(BLOCK, n_samples - start)
+        block = out[start : start + BLOCK * (n + 1)]
+        table.dot(x_one, out=block)
+        if not np.maximum.reduce(np.abs(block)) <= limit:
+            # The live rows as [z, x]; the first entry out of band, NaN too,
+            # in row order: the first such row, then its first such column,
+            # the output before states.
+            live_rows = np.concatenate(
+                (block[:live, None], block[BLOCK : BLOCK + live * n].reshape(live, n)), axis=1
+            )
+            out_of_band = ~(np.abs(live_rows) <= limit)
+            j, col = divmod(int(out_of_band.argmax()), n + 1)
+            if out_of_band[j, col]:
+                clamp = -limit if live_rows[j, col] < 0.0 else limit
+                # A triggering state leaves its sample's output as computed.
+                return _clamped(out, start + j + (col > 0), clamp, n_samples, settle)
+        states[:] = block[BLOCK + (live - 1) * n : BLOCK + live * n]
+        start += live

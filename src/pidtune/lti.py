@@ -1,6 +1,7 @@
 """Linear time-invariant plumbing: transfer functions, PID loop closure,
 state-space realization and fixed-step unit-step simulation."""
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -181,25 +182,38 @@ def close_unity_feedback(
     common factors are never cancelled. Raises ImproperLoop when the open-loop
     product has numerator degree above denominator degree (a kd-driven
     improperness with a low-relative-degree plant), or when leading-coefficient
-    cancellation in the sum leaves an improper ratio.
+    cancellation in the sum leaves an improper ratio, and InvalidInput when a
+    coefficient of the closed loop overflows float64.
     """
     num = np.convolve(controller.num, plant.num).tolist()
     den_open = np.convolve(controller.den, plant.den).tolist()
-    if poly_degree(num) > poly_degree(den_open):
+    num_degree = poly_degree(num)
+    if num_degree > poly_degree(den_open):
         raise ImproperLoop(
             f"open-loop product has relative degree "
-            f"{poly_degree(den_open) - poly_degree(num)}; the closed loop is not proper"
+            f"{poly_degree(den_open) - num_degree}; the closed loop is not proper"
         )
-    # An overflowing sum is left to TransferFunction, which rejects
-    # non-finite coefficients, so numpy has nothing to warn about.
-    with np.errstate(all="ignore"):
-        den = np.polyadd(den_open, num).tolist()
+    # np.polyadd's sum on Python floats: the shorter list padded with leading
+    # zeros, and every entry added, so 0.0 + -0.0 gives 0.0 as it does there.
+    width = max(len(num), len(den_open))
+    den = [
+        a + b
+        for a, b in zip([0.0] * (width - len(den_open)) + den_open,
+                        [0.0] * (width - len(num)) + num)
+    ]
     lead = next((i for i, c in enumerate(den) if c != 0.0), None)
-    if lead is None or poly_degree(num) > len(den) - 1 - lead:
+    if lead is None or num_degree > len(den) - 1 - lead:
         raise ImproperLoop(
             "leading coefficients of 1 + C*G cancelled; the closed loop is not proper"
         )
-    return TransferFunction(num, den[lead:])
+    try:
+        return TransferFunction(num, den[lead:])
+    except InvalidInput:
+        # The inputs are finite, so a coefficient that is not has overflowed.
+        raise InvalidInput(
+            "the closed loop's coefficients overflow float64; the gains are too "
+            "large for this plant"
+        ) from None
 
 
 def tf_to_state_space(tf: TransferFunction) -> StateSpace:
@@ -210,30 +224,47 @@ def tf_to_state_space(tf: TransferFunction) -> StateSpace:
     [-a_0, ..., -a_{n-1}]; b = e_n; c holds the ascending coefficients of
     num - d*den; d is the leading-coefficient quotient when degrees tie, else 0.
     """
-    n = tf.den_degree
-    if tf.num_degree > n:
-        raise ImproperSystem(
-            f"numerator degree {tf.num_degree} exceeds denominator degree {n}"
-        )
-    den = np.asarray(tf.den, dtype=float)
-    lead = den[0]
-    num = np.zeros(n + 1)
-    src = np.asarray(tf.num, dtype=float)
+    n = len(tf.den) - 1
     deg = tf.num_degree
-    # A tiny leading coefficient can overflow the normalization; StateSpace
-    # rejects the non-finite result, so numpy has nothing to warn about.
-    # A zero numerator (degree -1) assigns an empty slice.
-    with np.errstate(all="ignore"):
-        den = den / lead
-        num[n - deg :] = src[len(src) - 1 - deg :] / lead
-        d = float(num[0])
-        rem = num[1:] - d * den[1:]  # descending, length n
-    a = np.eye(n, k=1)
-    a[-1:] = -den[1:][::-1]
+    if deg > n:
+        raise ImproperSystem(f"numerator degree {deg} exceeds denominator degree {n}")
+    # The normalization and num - d*den as numpy's elementwise operations,
+    # on Python floats, which round alike and never warn: a tiny leading
+    # coefficient that overflows the normalization is left to StateSpace,
+    # which rejects the non-finite result. A zero numerator (degree -1)
+    # keeps only the zeros.
+    lead = tf.den[0]
+    den = [a / lead for a in tf.den[1:]]
+    num = [0.0] * (n - deg) + [b / lead for b in tf.num[len(tf.num) - 1 - deg :]]
+    d = num[0]
+    rem = [b - d * a for a, b in zip(den, num[1:])]  # descending, length n
+    a = _companion(n).copy()
+    a[-1:] = [-c for c in reversed(den)]
+    return StateSpace(a=a, b=_last_unit(n), c=np.array([rem[::-1]]), d=d)
+
+
+@functools.cache
+def _companion(n: int) -> np.ndarray:
+    """Read-only n x n shift matrix: ones on the superdiagonal."""
+    return _read_only(np.eye(n, k=1))
+
+
+@functools.cache
+def _last_unit(n: int) -> np.ndarray:
+    """Read-only n x 1 column e_n."""
     b = np.zeros((n, 1))
     b[-1:] = 1.0
-    c = rem[::-1].reshape(1, n)
-    return StateSpace(a=a, b=b, c=c, d=d)
+    return _read_only(b)
+
+
+def _read_only(a: np.ndarray) -> np.ndarray:
+    a.setflags(write=False)
+    return a
+
+
+# Row 0 divides (dt a)^j by j!, j = 0..4, for m, and row 1 by (j + 1)!,
+# j = 0..3, for vc; its last 1 divides a term that is not used.
+_RK4_DIVISORS = np.array([[1.0, 1.0, 2.0, 6.0, 24.0], [1.0, 2.0, 6.0, 24.0, 1.0]])[..., None, None]
 
 
 def _rk4_step_map(a: np.ndarray, b: np.ndarray, dt: float):
@@ -243,16 +274,20 @@ def _rk4_step_map(a: np.ndarray, b: np.ndarray, dt: float):
     x+ = (sum_{j<=4} (dt a)^j / j!) x + dt (sum_{j<=3} (dt a)^j / (j+1)!) b,
     so the whole trajectory is an iterated affine update.
     """
+    n = a.shape[0]
     ha = dt * a
-    # Every update below makes a new array, so the three may share one eye.
-    m = vc = power = np.eye(a.shape[0])
-    fact = 1.0
+    # The powers (dt a)^0..4, each the last times dt a; every term in one
+    # division; then m's first four terms and vc's in one reduction, which
+    # adds each sum's terms in order, so the sums round as they would added
+    # one term at a time.
+    powers = np.empty((5, n, n))
+    powers[0] = _kernels._identity(n)
     for j in range(1, 5):
-        power = power @ ha
-        fact *= j
-        m = m + power / fact
-        if j <= 3:
-            vc = vc + power / (fact * (j + 1))
+        np.matmul(powers[j - 1], ha, out=powers[j])
+    terms = powers / _RK4_DIVISORS
+    sums = np.add.reduce(terms[:, :4], axis=1)
+    m = sums[0] + terms[0, 4]
+    vc = sums[1]
     v = dt * (vc @ b).ravel()
     return m, v
 

@@ -49,8 +49,8 @@ def rise_time(resp: StepResponse) -> tuple[float, bool]:
     distinguishes that sentinel from a genuine last-sample crossing.
     """
     vals = resp.values
-    hit = int(np.argmax(vals >= RISE_LEVEL))
-    if vals[hit] < RISE_LEVEL:  # argmax of all-False is 0
+    hit = int((vals >= RISE_LEVEL).argmax())
+    if not vals[hit] >= RISE_LEVEL:  # argmax of all-False is 0, maybe a NaN
         return resp.t_end, False
     if hit == 0:
         return 0.0, True

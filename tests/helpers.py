@@ -122,7 +122,18 @@ def full_table_scan(step_mat, step_vec, c_row, feed, n_samples, limit, carried=N
         if carried is not None:
             carried.append(rows[-1][1:])
         vec[:n] = vec[n + 1 : -1] = rows[-1][1:]
-        rows = np.dot(table, vec).reshape(-1, n + 1).tolist()
+        rows = table_blocks(np.dot(table, vec)[:, None]).reshape(-1, n + 1).tolist()
+
+
+def table_blocks(table):
+    """The rows of _kernels._full_table (or of its product with a vector,
+    as a column) as BLOCK row blocks: block j - 1 holds output row j over
+    the n state rows of A^j."""
+    n = len(table) // _kernels.BLOCK - 1
+    outputs, states = table[: _kernels.BLOCK], table[_kernels.BLOCK :]
+    return np.concatenate(
+        (outputs[:, None], states.reshape(_kernels.BLOCK, n, *table.shape[1:])), axis=1
+    )
 
 
 @contextlib.contextmanager

@@ -1,4 +1,5 @@
-"""Mutation checks for the scan kernel: does some test fail on each mutant?
+"""Mutation checks for the scan kernel and the step map's setup: does some
+test fail on each mutant?
 
     python tests/mutate_kernel.py              # every mutant
     python tests/mutate_kernel.py --list       # names and reasons
@@ -6,12 +7,15 @@
 
 The kernel's soundness rests on terms of the arguments in the _kernels
 docstring (the clearing bound, the settle certificate, the divergence rule
-and the BLAS layout), and the tests pin their outcomes, not each term. Each
-mutant below breaks one term by an exact text replacement. For each, the
-tool copies src/, tests/ and pyproject.toml into a temporary directory,
-makes the replacement there, runs tests/test_lti.py and
-tests/test_objective.py on the copy with pytest, and prints the tests that
-failed (or pytest's exit status, or a timeout), or SURVIVED when none did.
+and the BLAS layout), and the tests pin their outcomes, not each term. Loop
+closure, realization and the RK4 step map in lti repeat numpy's float
+operations in numpy's order, and tests/test_golden.py's seeded evaluation
+digest pins the bits that come of it. Each mutant below breaks one term,
+or one such order, by an exact text replacement. For each, the tool copies
+src/, tests/ and pyproject.toml into a temporary directory, makes the
+replacement there, runs tests/test_lti.py, tests/test_objective.py and the
+seeded digest on the copy with pytest, and prints the tests that failed
+(or pytest's exit status, or a timeout), or SURVIVED when none did.
 The unmutated copy runs first and must pass. An anchor that does not occur
 exactly once stops the tool with an error, so a mutant cannot silently
 test nothing after the code moves. One run of every mutant takes a few
@@ -20,7 +24,8 @@ minutes.
 Not here: max_i |x_i| in place of sum_i |x_i| in the bound. A row's sum
 of magnitudes times max(1, max_i |x_i|) bounds its dot with [x, 1, x, 1]
 too, so that bound is sound as well and changes no sample, only which
-blocks take the full path.
+blocks take the full path. Nor b + a in place of a + b in loop closure's
+sum: IEEE addition is commutative, so it changes no bit.
 
 Exit status: 0 when every mutant is killed, 1 when one survives, 2 when an
 anchor is missing or the unmutated copy fails. A surviving mutant is a gap
@@ -37,7 +42,12 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
 KERNEL = "src/pidtune/_kernels.py"
-TESTS = ["tests/test_lti.py", "tests/test_objective.py"]
+LTI = "src/pidtune/lti.py"
+TESTS = [
+    "tests/test_lti.py",
+    "tests/test_objective.py",
+    "tests/test_golden.py::test_seeded_evaluations_match_recorded_digest",
+]
 
 # name: (file, anchor, replacement, what it breaks)
 MUTANTS = {
@@ -55,15 +65,27 @@ MUTANTS = {
     ),
     "python_max_for_size": (
         KERNEL,
-        "float(np.append(sums, [norms[:-1].prod(), norms[-1]]).max())",
-        "float(max([norms[:-1].prod(), norms[-1], *sums]))",
+        "size = float(terms.max())",
+        "size = max(*terms[BLOCK:].tolist(), float(terms[:BLOCK].max()))",
         "Python's max drops a NaN output row sum that follows a finite norm",
+    ),
+    "nanmax_for_size": (
+        KERNEL,
+        "size = float(terms.max())",
+        "size = float(np.nanmax(terms))",
+        "size's reduction drops a NaN norm or row sum, so a NaN table may clear blocks",
     ),
     "no_top_square_norm": (
         KERNEL,
-        "[norms[:-1].prod(), norms[-1]]",
-        "[norms[:-1].prod()]",
+        "terms[BLOCK:] = math.prod(norms[:-1]), norms[-1]",
+        "terms[BLOCK:] = math.prod(norms[:-1])",
         "size leaves out the norm of A^BLOCK, which may exceed the others' product",
+    ),
+    "split_keeps_nonfinite_low": (
+        KERNEL,
+        "        low[~np.isfinite(high)] = 0.0",
+        "        pass",
+        "the split leaves NaN or inf in the low half beside a non-finite high",
     ),
     "room_is_the_whole_distance": (
         KERNEL,
@@ -92,8 +114,8 @@ MUTANTS = {
     ),
     "trigger_column_is_the_output": (
         KERNEL,
-        "j, col = divmod(int((~(mags <= limit)).argmax()), n + 1)",
-        "j, col = divmod(int((~(mags <= limit)).argmax()), n + 1)[0], 0",
+        "j, col = divmod(int(out_of_band.argmax()), n + 1)",
+        "j, col = divmod(int(out_of_band.argmax()), n + 1)[0], 0",
         "a triggering state's sign is read from the output, which is clamped too",
     ),
     "diverged_prefix_one_short": (
@@ -107,6 +129,28 @@ MUTANTS = {
         "np.zeros((BLOCK + n + -(BLOCK + n) % 4, 2 * n + 2))",
         "np.zeros((BLOCK + n, 2 * n + 2))",
         "the fast table's last rows go through another BLAS kernel than the whole table's",
+    ),
+    # The lti rewrites repeat numpy's float operations in numpy's order; each
+    # mutant below changes that order or those operations, which moves the
+    # bits that the seeded evaluation digest pins. Loop closure's sum has one
+    # commutative add per coefficient, so its mutant misaligns the lists.
+    "closure_sum_misaligned": (
+        LTI,
+        "[0.0] * (width - len(num)) + num)",
+        "num + [0.0] * (width - len(num)))",
+        "1 + C*G adds C*G's numerator aligned at its leading term, not its last",
+    ),
+    "realization_by_reciprocal": (
+        LTI,
+        "den = [a / lead for a in tf.den[1:]]",
+        "den = [a * (1.0 / lead) for a in tf.den[1:]]",
+        "the monic normalization multiplies by 1/lead, which rounds twice",
+    ),
+    "rk4_sums_reversed": (
+        LTI,
+        "sums = np.add.reduce(terms[:, :4], axis=1)",
+        "sums = np.add.reduce(terms[:, 3::-1], axis=1)",
+        "the step map's series is summed from its smallest term up",
     ),
 }
 

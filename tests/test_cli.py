@@ -150,10 +150,10 @@ class TestSimulateCommand:
         # the state-space check rejects it
         (["--plant", "num: 1 / den: 1e-300 1 1 1", "--tmax", "1", "--kp=-1", "--ki", "1e300"],
          "state-space entries must be finite"),
-        # den_C*den_G + num_C*num_G overflows to inf, and TransferFunction
-        # rejects it
+        # den_C*den_G + num_C*num_G overflows to inf, and loop closure
+        # names the overflow
         (["--plant", "num: 1 / den: 1e308 1e308 1e308 1e308", "--tmax", "2", "--kd", "1e308"],
-         "den coefficients must be finite"),
+         "the closed loop's coefficients overflow float64"),
     ], ids=["realization", "closure"])
     def test_overflow_prints_no_warnings(self, argv, message):
         # numpy must not warn on the way to the typed error
@@ -638,6 +638,11 @@ def test_overflowing_closed_loop_stops_the_search_with_a_typed_error():
     # close_unity_feedback, and the search stops on that error
     argv = ["tune", "--step", "1e308", "--plant", "num: 10 / den: 1 3 3 1", "--max-evals", "20"]
     assert check_cli_run(argv, film=False) == 2
+    with redirect_stdout(io.StringIO()), redirect_stderr(io.StringIO()) as err:
+        cli.main(argv)
+    assert err.getvalue().startswith(
+        "error: InvalidInput: the closed loop's coefficients overflow float64"
+    )
 
 
 # Filmed runs of ordinary plants, most of which exit 0: the fuzz test above

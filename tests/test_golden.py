@@ -1,8 +1,9 @@
-"""Golden outputs: three fixed runs of the CLI, compared by SHA-256 with the
-digests in golden_digests.json.
+"""Golden outputs: three fixed runs of the CLI and a set of seeded
+evaluations, compared by SHA-256 with the digests in golden_digests.json.
 
 Each run's stdout (with its output directory written as "D") and every file
-it writes must keep its exact bytes. A change that alters output bits on
+it writes must keep its exact bytes, and so must every seeded evaluation's
+scores, kept response and error type. A change that alters output bits on
 purpose records new digests with
 
     PYTHONPATH=src python tests/test_golden.py > tests/golden_digests.json
@@ -18,9 +19,10 @@ import tempfile
 from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
+import numpy as np
 import pytest
 
-from pidtune import cli
+from pidtune import PidGains, PidTuneError, SimConfig, TransferFunction, cli, evaluate
 
 DIGESTS = Path(__file__).with_name("golden_digests.json")
 
@@ -36,8 +38,50 @@ RUNS = {
 }
 
 
+# Seeded evaluate calls: random proper plants of order 1-5 and benchmark3,
+# gains of either sign from 1e-3 to 1e3, horizons of 100, 20 and 5 s, and
+# every other call keeping its response.
+SEEDED_CALLS = 2000
+HORIZONS = (SimConfig(100.0), SimConfig(20.0), SimConfig(5.0))
+
+
 def _sha(data: bytes) -> str:
     return hashlib.sha256(data).hexdigest()
+
+
+def _random_plant(rng) -> TransferFunction:
+    """A proper plant of order 1-5, or benchmark3 one time in six."""
+    order = int(rng.integers(0, 6))
+    if order == 0:
+        return cli.PLANT_PRESETS["benchmark3"]
+    # Mostly positive denominators, so that most loops have a stable region.
+    den = 10.0 ** rng.uniform(-1, 1, order + 1) * np.where(rng.random(order + 1) < 0.1, -1, 1)
+    num = rng.normal(size=int(rng.integers(1, order + 2))) * 10.0 ** rng.uniform(-1, 1)
+    return TransferFunction(num.tolist(), den.tolist())
+
+
+def seeded_evaluation_digest() -> str:
+    """SHA-256 over SEEDED_CALLS seeded evaluate calls: each ObjectiveValue's
+    fields (floats as hex), each kept response's flag and sample bytes, and
+    each raised PidTuneError's type name."""
+    rng = np.random.default_rng(28)
+    digest = hashlib.sha256()
+    for i in range(SEEDED_CALLS):
+        plant = _random_plant(rng)
+        gains = PidGains(*(rng.choice((-1.0, 1.0), 3) * 10.0 ** rng.uniform(-3, 3, 3)).tolist())
+        cfg = HORIZONS[int(rng.integers(0, 3))]
+        responses = [] if i % 2 else None
+        try:
+            value = evaluate(gains, plant, cfg, responses)
+        except PidTuneError as exc:
+            digest.update(f"{i} {type(exc).__name__}\n".encode())
+            continue
+        fields = (value.total, value.rise_time, value.rise_term, value.deviation)
+        digest.update(f"{i} {' '.join(map(float.hex, fields))} {value.rose}\n".encode())
+        for resp in responses or ():
+            digest.update(f"{resp.diverged} {len(resp.values)}\n".encode())
+            digest.update(resp.values.tobytes())
+    return digest.hexdigest()
 
 
 def run_digests(name: str, out: Path) -> dict[str, str]:
@@ -62,10 +106,16 @@ def test_outputs_match_recorded_digests(name, tmp_path):
     assert [k for k in want if got[k] != want[k]] == []
 
 
+def test_seeded_evaluations_match_recorded_digest():
+    want = json.loads(DIGESTS.read_text())["seeded_evaluations"]
+    assert seeded_evaluation_digest() == want
+
+
 if __name__ == "__main__":
     recorded = {}
     for run_name in RUNS:
         with tempfile.TemporaryDirectory() as tmp:
             recorded[run_name] = run_digests(run_name, Path(tmp))
+    recorded["seeded_evaluations"] = seeded_evaluation_digest()
     json.dump(recorded, sys.stdout, indent=1)
     print()

@@ -38,6 +38,7 @@ from helpers import (
     random_proper_tf,
     scan_error_bound,
     sequential_scan,
+    table_blocks,
 )
 
 
@@ -501,7 +502,7 @@ class TestScan:
         # only it builds.
         args = _growing_or_zn_loop(loop)
         fast, powers, _ = _kernels._fast_table(*args)
-        halves = np.hsplit(_kernels._full_table(fast, powers), 2)
+        halves = np.split(table_blocks(_kernels._full_table(fast, powers)), 2, axis=2)
         high, low = (half.reshape(BLOCK, -1).tolist() for half in halves)
         eps = Fraction(max(float(np.finfo(np.longdouble).eps), np.finfo(float).eps ** 2))
         for j, exact in enumerate(_fraction_step_table(*args), 1):
@@ -730,7 +731,7 @@ class TestStepTable:
         args = _growing_or_zn_loop(loop)
         n = len(args[1])
         fast, powers, _ = _kernels._fast_table(*args)
-        rows = _kernels._full_table(fast, powers).reshape(BLOCK, n + 1, 2 * n + 2)
+        rows = table_blocks(_kernels._full_table(fast, powers))
         assert np.array_equal(rows[:, 0], fast[:BLOCK])
         assert np.array_equal(rows[-1, 1:], fast[BLOCK : BLOCK + n])
         assert len(fast) - BLOCK - n == -(BLOCK + n) % 4 and not fast[BLOCK + n :].any()

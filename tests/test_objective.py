@@ -64,6 +64,13 @@ class TestRiseTime:
         assert not rose
         assert rt == pytest.approx(1.0)
 
+    def test_nan_first_sample_is_no_rise(self):
+        # argmax of an all-False mask is 0; a NaN there is not a crossing,
+        # as band_deviation, which finds no risen sample, agrees
+        resp = make_resp([np.nan, 0.5, 0.2])
+        assert rise_time(resp) == (2.0, False)
+        assert band_deviation(resp) == 0.0
+
     def test_interpolation_between_samples(self):
         # crosses 0.98 between samples 1 and 2: 0.5 + frac * 0.6 = 0.98
         rt, rose = rise_time(make_resp([0.0, 0.5, 1.1]))
