@@ -102,7 +102,8 @@ block overwrites them; then the test max(np.abs(block)) <= limit over all
 of it, which NaN fails, and only when that fails one out-of-band mask of
 its live rows, each as [z, x], for the trigger: the first row with any
 entry out of band, then the first such column, so an output wins over the
-states of its sample. A block in band carries its last live state.
+states of its sample. A block in band carries its last state, which past
+n_samples is never read. Every block, cleared or not, advances by BLOCK.
 A row has the same bits in either table only if the BLAS computes its dot
 the same way at either place. OpenBLAS's dgemv (0.3.31, Haswell kernels)
 takes the rows four at a time and the last len % 4 rows with another
@@ -387,9 +388,9 @@ def scan(step_mat, step_vec, c_row, feed, n_samples, limit, settle=None):
     if not abs(feed) <= limit:
         return _clamped(out, 0, -limit if feed < 0.0 else limit, n_samples, settle)
     start = 1
-    while True:
-        # Cleared blocks form only their outputs and last state.
-        while start < n_samples and size * (1.0 + sum(map(abs, x.tolist()))) <= limit:
+    while start < n_samples:
+        if size * (1.0 + sum(map(abs, x.tolist()))) <= limit:
+            # A cleared block forms only its outputs and last state.
             if start >= check:
                 check += check // 2
                 lower, upper = settle
@@ -403,20 +404,19 @@ def scan(step_mat, step_vec, c_row, feed, n_samples, limit, settle=None):
             fast.dot(x_one, out=out[start : start + span])
             start += BLOCK
             states[:] = out[start : start + n]
-        if start >= n_samples:
-            return out[:n_samples], False
+            continue
         # A block the bound does not clear: every row, written straight into
         # out, the outputs in place and their states after them; then the
         # band test. Rows past n_samples do not count.
         if table is None:
             table = _full_table(fast, powers)
-        live = min(BLOCK, n_samples - start)
         block = out[start : start + BLOCK * (n + 1)]
         table.dot(x_one, out=block)
         if not np.maximum.reduce(np.abs(block)) <= limit:
             # The live rows as [z, x]; the first entry out of band, NaN too,
             # in row order: the first such row, then its first such column,
             # the output before states.
+            live = min(BLOCK, n_samples - start)
             live_rows = np.concatenate(
                 (block[:live, None], block[BLOCK : BLOCK + live * n].reshape(live, n)), axis=1
             )
@@ -426,5 +426,6 @@ def scan(step_mat, step_vec, c_row, feed, n_samples, limit, settle=None):
                 clamp = -limit if live_rows[j, col] < 0.0 else limit
                 # A triggering state leaves its sample's output as computed.
                 return _clamped(out, start + j + (col > 0), clamp, n_samples, settle)
-        states[:] = block[BLOCK + (live - 1) * n : BLOCK + live * n]
-        start += live
+        states[:] = block[BLOCK + (BLOCK - 1) * n :]
+        start += BLOCK
+    return out[:n_samples], False

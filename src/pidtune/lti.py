@@ -223,16 +223,15 @@ def tf_to_state_space(tf: TransferFunction) -> StateSpace:
     + ... + a_0 the state matrix has ones on the superdiagonal and bottom row
     [-a_0, ..., -a_{n-1}]; b = e_n; c holds the ascending coefficients of
     num - d*den; d is the leading-coefficient quotient when degrees tie, else 0.
+    Raises InvalidInput when the realization overflows float64.
     """
     n = len(tf.den) - 1
     deg = tf.num_degree
     if deg > n:
         raise ImproperSystem(f"numerator degree {deg} exceeds denominator degree {n}")
     # The normalization and num - d*den as numpy's elementwise operations,
-    # on Python floats, which round alike and never warn: a tiny leading
-    # coefficient that overflows the normalization is left to StateSpace,
-    # which rejects the non-finite result. A zero numerator (degree -1)
-    # keeps only the zeros.
+    # on Python floats, which round alike and never warn. A zero numerator
+    # (degree -1) keeps only the zeros.
     lead = tf.den[0]
     den = [a / lead for a in tf.den[1:]]
     num = [0.0] * (n - deg) + [b / lead for b in tf.num[len(tf.num) - 1 - deg :]]
@@ -240,7 +239,14 @@ def tf_to_state_space(tf: TransferFunction) -> StateSpace:
     rem = [b - d * a for a, b in zip(den, num[1:])]  # descending, length n
     a = _companion(n).copy()
     a[-1:] = [-c for c in reversed(den)]
-    return StateSpace(a=a, b=_last_unit(n), c=np.array([rem[::-1]]), d=d)
+    try:
+        return StateSpace(a=a, b=_last_unit(n), c=np.array([rem[::-1]]), d=d)
+    except InvalidInput:
+        # The inputs are finite, so an entry that is not has overflowed.
+        raise InvalidInput(
+            "the closed loop's realization overflows float64; its leading "
+            f"denominator coefficient {lead:g} is too small to normalize by"
+        ) from None
 
 
 @functools.cache

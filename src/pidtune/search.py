@@ -79,7 +79,9 @@ def optimize(
     strictly improving point is accepted immediately, the step doubles (capped
     at initial_step) and the poll restarts there. A full cycle without
     improvement halves the step. Stops when the step falls below min_step or
-    the evaluation budget is spent. Every evaluation lands in the trace,
+    the evaluation budget is spent; when the last poll of a failed cycle
+    spends the budget and the halving takes the step below min_step, it
+    ends step-converged. Every evaluation lands in the trace,
     rejected polls included. Polls often return to a point already scored
     (most often the previous incumbent); such a repeat reuses the score of
     the first record at that point, keyed on the exact bits of the gains (so
@@ -117,15 +119,9 @@ def optimize(
 
     best = poll(start, math.inf)
     step = cfg.initial_step
-    termination = None
-    while termination is None:
-        if step < cfg.min_step:
-            termination = STEP_CONVERGED
-            break
-        moved = False
+    while step >= cfg.min_step and len(records) < cfg.max_evals:
         for dkp, dki, dkd in _DIRECTIONS:
             if len(records) >= cfg.max_evals:
-                termination = BUDGET_EXHAUSTED
                 break
             coords = (
                 best.gains.kp + step * dkp,
@@ -141,14 +137,13 @@ def optimize(
             if rec.improved:
                 best = rec
                 step = min(step * cfg.expand, cfg.initial_step)
-                moved = True
                 break
-        if termination is None and not moved:
+        else:
             step *= cfg.shrink
     return SearchTrace(
         records=tuple(records),
         incumbent=best.gains,
         incumbent_value=best.objective,
-        termination=termination,
+        termination=STEP_CONVERGED if step < cfg.min_step else BUDGET_EXHAUSTED,
         config=cfg,
     )

@@ -58,27 +58,20 @@ def ultimate_point(plant: TransferFunction) -> UltimatePoint:
     """
     if not plant.is_proper:
         raise InvalidInput("plant must be proper")
-    k_lo = None
+    # Each hunt stops at its first probe with the wanted sign; a NaN margin
+    # has neither, so it halves on down and counts as stable going up.
     k = 1.0
-    while k >= _K_SEARCH_MIN:
-        if _stability_margin(plant, k) < 0.0:
-            k_lo = k
-            break
+    while k >= _K_SEARCH_MIN and not _stability_margin(plant, k) < 0.0:
         k /= 2.0
-    if k_lo is None:
+    if k < _K_SEARCH_MIN:
         raise NoUltimateGain(
             "proportional loop is unstable for every gain down to "
             f"{_K_SEARCH_MIN}; no stable-to-unstable transition exists"
         )
-    k_hi = None
-    k = k_lo * 2.0
-    while k <= K_SEARCH_MAX:
-        if _stability_margin(plant, k) >= 0.0:
-            k_hi = k
-            break
-        k_lo = k
-        k *= 2.0
-    if k_hi is None:
+    k_lo, k_hi = k, k * 2.0
+    while k_hi <= K_SEARCH_MAX and not _stability_margin(plant, k_hi) >= 0.0:
+        k_lo, k_hi = k_hi, k_hi * 2.0
+    if k_hi > K_SEARCH_MAX:
         raise NoUltimateGain(
             f"stability indicator never changes sign for k in (0, {K_SEARCH_MAX:g}]"
         )

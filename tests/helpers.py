@@ -378,15 +378,21 @@ def random_proper_tf(rng: np.random.Generator, max_degree: int = 5) -> TransferF
     return TransferFunction(tuple(num), tuple(den))
 
 
+def random_pole_plant(rng: np.random.Generator) -> TransferFunction:
+    """A plant of 2-4 real stable poles, each in [-4, -0.2), over a constant
+    gain in [0.3, 3)."""
+    n_poles = int(rng.integers(2, 5))
+    poles = -rng.uniform(0.2, 4.0, n_poles)
+    return TransferFunction((float(rng.uniform(0.3, 3.0)),), tuple(np.poly(poles)))
+
+
 def random_stable_cases(rng: np.random.Generator, count: int):
     """(gains, plant) pairs whose closed-loop step response stays clamped-free
     over the default horizon."""
     cfg = SimConfig()
     cases = []
     while len(cases) < count:
-        n_poles = int(rng.integers(2, 5))
-        poles = -rng.uniform(0.2, 4.0, n_poles)
-        plant = TransferFunction((float(rng.uniform(0.3, 3.0)),), tuple(np.poly(poles)))
+        plant = random_pole_plant(rng)
         kp, ki, kd = rng.uniform(0.0, 2.0, 3)
         gains = PidGains(float(kp), float(ki), float(kd))
         if not step_response(gains, plant, cfg).diverged:

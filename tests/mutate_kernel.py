@@ -59,8 +59,8 @@ MUTANTS = {
     ),
     "half_the_bound": (
         KERNEL,
-        "while start < n_samples and size *",
-        "while start < n_samples and 0.5 * size *",
+        "if size * (1.0 + sum(",
+        "if 0.5 * size * (1.0 + sum(",
         "the bound is half what it must be",
     ),
     "python_max_for_size": (
@@ -117,6 +117,12 @@ MUTANTS = {
         "j, col = divmod(int(out_of_band.argmax()), n + 1)",
         "j, col = divmod(int(out_of_band.argmax()), n + 1)[0], 0",
         "a triggering state's sign is read from the output, which is clamped too",
+    ),
+    "refused_block_carries_its_first_state": (
+        KERNEL,
+        "states[:] = block[BLOCK + (BLOCK - 1) * n :]",
+        "states[:] = block[BLOCK : BLOCK + n]",
+        "a block in band carries its first state, not its last, to the next block",
     ),
     "diverged_prefix_one_short": (
         KERNEL,

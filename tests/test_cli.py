@@ -147,14 +147,16 @@ class TestSimulateCommand:
 
     @pytest.mark.parametrize("argv, message", [
         # den 1e-300 s^3 + ... overflows the monic normalization to inf, and
-        # the state-space check rejects it
+        # realization names the overflow
         (["--plant", "num: 1 / den: 1e-300 1 1 1", "--tmax", "1", "--kp=-1", "--ki", "1e300"],
-         "state-space entries must be finite"),
+         "the closed loop's realization overflows float64"),
+        # a leading denominator coefficient of 1e-320 overflows it at any gains
+        (["--plant", "num: 1 / den: 1e-320 1"], "the closed loop's realization overflows float64"),
         # den_C*den_G + num_C*num_G overflows to inf, and loop closure
         # names the overflow
         (["--plant", "num: 1 / den: 1e308 1e308 1e308 1e308", "--tmax", "2", "--kd", "1e308"],
          "the closed loop's coefficients overflow float64"),
-    ], ids=["realization", "closure"])
+    ], ids=["realization", "subnormal_lead", "closure"])
     def test_overflow_prints_no_warnings(self, argv, message):
         # numpy must not warn on the way to the typed error
         with warnings.catch_warnings(record=True) as caught, \
@@ -642,6 +644,20 @@ def test_overflowing_closed_loop_stops_the_search_with_a_typed_error():
         cli.main(argv)
     assert err.getvalue().startswith(
         "error: InvalidInput: the closed loop's coefficients overflow float64"
+    )
+
+
+def test_overflowing_realization_stops_the_search_with_a_typed_error():
+    # the start scores a loop whose leading denominator coefficient, 1e-320,
+    # overflows the monic normalization; the search prints its start line,
+    # then stops on that error
+    argv = ["tune", "--start", "random", "--seed", "2", "--plant", "num: 1 / den: 1e-320 1 1",
+            "--max-evals", "3"]
+    assert check_cli_run(argv, film=False) == 2
+    with redirect_stdout(io.StringIO()), redirect_stderr(io.StringIO()) as err:
+        cli.main(argv)
+    assert err.getvalue().startswith(
+        "error: InvalidInput: the closed loop's realization overflows float64"
     )
 
 

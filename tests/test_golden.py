@@ -1,10 +1,11 @@
-"""Golden outputs: three fixed runs of the CLI and a set of seeded
-evaluations, compared by SHA-256 with the digests in golden_digests.json.
+"""Golden outputs: three fixed runs of the CLI, a set of seeded evaluations
+and a set of Ziegler-Nichols hunts on seeded plants, compared by SHA-256
+with the digests in golden_digests.json.
 
 Each run's stdout (with its output directory written as "D") and every file
 it writes must keep its exact bytes, and so must every seeded evaluation's
-scores, kept response and error type. A change that alters output bits on
-purpose records new digests with
+scores, kept response and error type, and every hunt's ultimate point or
+error. A change that alters output bits on purpose records new digests with
 
     PYTHONPATH=src python tests/test_golden.py > tests/golden_digests.json
 
@@ -22,7 +23,17 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from pidtune import PidGains, PidTuneError, SimConfig, TransferFunction, cli, evaluate
+from pidtune import (
+    PidGains,
+    PidTuneError,
+    SimConfig,
+    TransferFunction,
+    cli,
+    evaluate,
+    ultimate_point,
+)
+
+from helpers import ORACLE_PLANTS, random_pole_plant, random_proper_tf
 
 DIGESTS = Path(__file__).with_name("golden_digests.json")
 
@@ -84,6 +95,29 @@ def seeded_evaluation_digest() -> str:
     return digest.hexdigest()
 
 
+def zn_hunt_digest() -> str:
+    """SHA-256 over ultimate_point on ORACLE_PLANTS (benchmark3 among them),
+    150 seeded plants of 2-4 real stable poles and 100 seeded random proper
+    plants: each (ku, tu) as float hex, or the type and message of the
+    PidTuneError raised. Most of the random proper plants raise before the
+    bisection, each NoUltimateGain message among them."""
+    rng = np.random.default_rng(29)
+    plants = [
+        *ORACLE_PLANTS,
+        *(random_pole_plant(rng) for _ in range(150)),
+        *(random_proper_tf(rng) for _ in range(100)),
+    ]
+    digest = hashlib.sha256()
+    for i, plant in enumerate(plants):
+        try:
+            up = ultimate_point(plant)
+        except PidTuneError as exc:
+            digest.update(f"{i} {type(exc).__name__}: {exc}\n".encode())
+            continue
+        digest.update(f"{i} {up.ku.hex()} {up.tu.hex()}\n".encode())
+    return digest.hexdigest()
+
+
 def run_digests(name: str, out: Path) -> dict[str, str]:
     """Run RUNS[name] into the empty directory out through cli.main; returns
     the digest of its stdout and of each file it wrote, by relative path."""
@@ -111,11 +145,17 @@ def test_seeded_evaluations_match_recorded_digest():
     assert seeded_evaluation_digest() == want
 
 
+def test_zn_hunts_match_recorded_digest():
+    want = json.loads(DIGESTS.read_text())["zn_hunts"]
+    assert zn_hunt_digest() == want
+
+
 if __name__ == "__main__":
     recorded = {}
     for run_name in RUNS:
         with tempfile.TemporaryDirectory() as tmp:
             recorded[run_name] = run_digests(run_name, Path(tmp))
     recorded["seeded_evaluations"] = seeded_evaluation_digest()
+    recorded["zn_hunts"] = zn_hunt_digest()
     json.dump(recorded, sys.stdout, indent=1)
     print()

@@ -59,6 +59,17 @@ class TestOptimize:
         cycles = math.ceil(math.log2(1.0 / 1e-6))
         assert len(trace.records) == 1 + 6 * cycles
 
+    @pytest.mark.parametrize("max_evals, records, termination", [
+        # the 20th failed cycle spends the budget and takes the step below
+        # min_step at once: the step decides
+        (121, 121, STEP_CONVERGED),
+        (115, 115, BUDGET_EXHAUSTED),
+    ])
+    def test_budget_and_step_ending_together(self, max_evals, records, termination):
+        trace = optimize(PidGains(3.0, -2.0, 0.5), lambda g: synth(7.0),
+                         SearchConfig(max_evals=max_evals))
+        assert (len(trace.records), trace.termination) == (records, termination)
+
     def test_single_eval_budget(self):
         start = PidGains(1.0, 2.0, 3.0)
         trace = optimize(start, sphere, SearchConfig(max_evals=1))
