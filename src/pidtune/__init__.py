@@ -5,7 +5,6 @@ compass-search optimization with full evaluation traces."""
 from .errors import (
     GainOverflow,
     ImproperLoop,
-    ImproperSystem,
     InvalidInput,
     NonFiniteStart,
     NoUltimateGain,
@@ -21,7 +20,6 @@ from .lti import (
     StepResponse,
     TransferFunction,
     close_unity_feedback,
-    pid_transfer_function,
     simulate_step,
     tf_to_state_space,
 )
@@ -45,7 +43,6 @@ __all__ = [
     "EvaluationRecord",
     "GainOverflow",
     "ImproperLoop",
-    "ImproperSystem",
     "InvalidInput",
     "NoUltimateGain",
     "NonFiniteStart",
@@ -67,7 +64,6 @@ __all__ = [
     "evaluate",
     "export_trace",
     "optimize",
-    "pid_transfer_function",
     "render_animation",
     "render_frame",
     "rise_time",

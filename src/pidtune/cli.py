@@ -52,15 +52,9 @@ def parse_plant(text: str) -> TransferFunction:
     num = _parse_coeff_part(text, 0, slash, "num:")
     den = _parse_coeff_part(text, slash + 1, len(text), "den:")
     try:
-        tf = TransferFunction(num, den)
+        return TransferFunction(num, den)
     except InvalidInput as exc:
         raise PlantParseError(str(exc), slash + 1) from exc
-    if not tf.is_proper:
-        raise PlantParseError(
-            f"plant is improper (num degree {tf.num_degree} > den degree {tf.den_degree})",
-            0,
-        )
-    return tf
 
 
 def _parse_coeff_part(text: str, start: int, end: int, keyword: str) -> list[float]:
@@ -101,7 +95,14 @@ def _sample_rows(resp):
         yield rows.encode("utf-8")
 
 
+def _output_path(value: str | None, option: str) -> Path | None:
+    if value == "":
+        raise InvalidInput(f"{option} needs a non-empty path")
+    return None if value is None else Path(value)
+
+
 def cmd_simulate(args) -> int:
+    samples = _output_path(args.samples, "--samples")
     plant = parse_plant(args.plant)
     cfg = SimConfig(t_max=args.tmax, dt=args.dt)
     gains = PidGains(kp=args.kp, ki=args.ki, kd=args.kd)
@@ -111,10 +112,10 @@ def cmd_simulate(args) -> int:
         f"total={value.total:.6g} rise_time={value.rise_time:.6g} "
         f"deviation={value.deviation:.6g} rose={'true' if value.rose else 'false'}"
     )
-    if args.samples:
+    if samples is not None:
         (resp,) = responses
-        write_output(Path(args.samples), _sample_rows(resp))
-        print(f"samples written to {args.samples}")
+        write_output(samples, _sample_rows(resp))
+        print(f"samples written to {samples}")
     return 0
 
 
@@ -147,7 +148,8 @@ def _starting_gains(args, plant, cfg):
 
 
 def cmd_tune(args) -> int:
-    if args.frames and not args.out:
+    out = _output_path(args.out, "--out")
+    if args.frames and out is None:
         raise InvalidInput("--frames requires --out")
     plant = parse_plant(args.plant)
     cfg = SimConfig(t_max=args.tmax, dt=args.dt)
@@ -164,7 +166,6 @@ def cmd_tune(args) -> int:
             f"is improper for every kd != 0, so tune needs relative degree >= 1"
         )
     gains, start_desc = _starting_gains(args, plant, cfg)
-    out = Path(args.out) if args.out else None
     if out is not None:
         make_output_dir(out / "frames" if args.frames else out)
 

@@ -10,11 +10,7 @@ class InvalidInput(PidTuneError, ValueError):
 
 
 class ImproperLoop(PidTuneError):
-    """Controller/plant pair whose unity-feedback loop is not proper."""
-
-
-class ImproperSystem(PidTuneError):
-    """Transfer function with numerator degree above denominator degree."""
+    """Gains and plant whose ideal-PID unity-feedback loop is not proper."""
 
 
 class NoUltimateGain(PidTuneError):

@@ -8,7 +8,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import _kernels
-from .errors import ImproperLoop, ImproperSystem, InvalidInput
+from .errors import ImproperLoop, InvalidInput
 
 
 def _as_coeffs(seq, name: str) -> tuple[float, ...]:
@@ -30,13 +30,11 @@ def poly_degree(coeffs) -> int:
 
 @dataclass(frozen=True)
 class TransferFunction:
-    """Ratio of real polynomials in the Laplace variable, highest degree first.
+    """Proper ratio of real polynomials in the Laplace variable, highest degree first.
 
-    The denominator must be non-empty with a nonzero leading coefficient.
-    Improper ratios (numerator degree above denominator degree) are
-    representable: the ideal PID controller is one whenever kd != 0.
-    Properness is enforced where it matters, at loop closure and at
-    state-space realization.
+    The denominator must be non-empty with a nonzero leading coefficient,
+    and the numerator's degree may not exceed the denominator's, so every
+    instance can be realized in state space.
     """
 
     num: tuple[float, ...]
@@ -47,6 +45,10 @@ class TransferFunction:
         object.__setattr__(self, "den", _as_coeffs(den, "den"))
         if self.den[0] == 0.0:
             raise InvalidInput("den leading coefficient must be nonzero")
+        if self.num_degree > self.den_degree:
+            raise InvalidInput(
+                f"improper ratio: num degree {self.num_degree} > den degree {self.den_degree}"
+            )
 
     @property
     def num_degree(self) -> int:
@@ -54,15 +56,11 @@ class TransferFunction:
 
     @property
     def den_degree(self) -> int:
-        return poly_degree(self.den)
+        return len(self.den) - 1
 
     @property
     def relative_degree(self) -> int:
         return self.den_degree - self.num_degree
-
-    @property
-    def is_proper(self) -> bool:
-        return self.num_degree <= self.den_degree
 
     def to_text(self) -> str:
         """Serialize as ``num: c_n ... c_0 / den: d_m ... d_0``."""
@@ -164,29 +162,20 @@ class StepResponse:
         return np.arange(len(self.values)) * self.dt
 
 
-def pid_transfer_function(gains: PidGains) -> TransferFunction:
-    """Ideal parallel PID, C(s) = (kd s^2 + kp s + ki) / s.
+def close_unity_feedback(gains: PidGains, plant: TransferFunction) -> TransferFunction:
+    """Unity-feedback closed loop T = C G / (1 + C G) of the plant G under the
+    ideal parallel PID C(s) = (kd s^2 + kp s + ki) / s, kept in product form.
 
-    No derivative filter and no pole-zero cancellation: the coefficient
-    layout is always [kd, kp, ki] over [1, 0], even for zero gains.
+    C has no derivative filter: it is [kd, kp, ki] over [1, 0], even for zero
+    gains. The numerator is num_C*num_G and the denominator den_C*den_G +
+    num_C*num_G; common factors are never cancelled. Raises ImproperLoop when
+    the open-loop product has numerator degree above denominator degree (a
+    kd-driven improperness with a low-relative-degree plant), or when
+    leading-coefficient cancellation in the sum leaves an improper ratio, and
+    InvalidInput when a coefficient of the closed loop overflows float64.
     """
-    return TransferFunction((gains.kd, gains.kp, gains.ki), (1.0, 0.0))
-
-
-def close_unity_feedback(
-    controller: TransferFunction, plant: TransferFunction
-) -> TransferFunction:
-    """Unity-feedback closed loop T = C G / (1 + C G), kept in product form.
-
-    The numerator is num_C*num_G and the denominator den_C*den_G + num_C*num_G;
-    common factors are never cancelled. Raises ImproperLoop when the open-loop
-    product has numerator degree above denominator degree (a kd-driven
-    improperness with a low-relative-degree plant), or when leading-coefficient
-    cancellation in the sum leaves an improper ratio, and InvalidInput when a
-    coefficient of the closed loop overflows float64.
-    """
-    num = np.convolve(controller.num, plant.num).tolist()
-    den_open = np.convolve(controller.den, plant.den).tolist()
+    num = np.convolve((gains.kd, gains.kp, gains.ki), plant.num).tolist()
+    den_open = np.convolve((1.0, 0.0), plant.den).tolist()
     num_degree = poly_degree(num)
     if num_degree > poly_degree(den_open):
         raise ImproperLoop(
@@ -201,13 +190,13 @@ def close_unity_feedback(
         for a, b in zip([0.0] * (width - len(den_open)) + den_open,
                         [0.0] * (width - len(num)) + num)
     ]
-    lead = next((i for i, c in enumerate(den) if c != 0.0), None)
-    if lead is None or num_degree > len(den) - 1 - lead:
+    den_degree = poly_degree(den)
+    if num_degree > den_degree:
         raise ImproperLoop(
             "leading coefficients of 1 + C*G cancelled; the closed loop is not proper"
         )
     try:
-        return TransferFunction(num, den[lead:])
+        return TransferFunction(num, den[len(den) - 1 - den_degree :])
     except InvalidInput:
         # The inputs are finite, so a coefficient that is not has overflowed.
         raise InvalidInput(
@@ -225,10 +214,8 @@ def tf_to_state_space(tf: TransferFunction) -> StateSpace:
     num - d*den; d is the leading-coefficient quotient when degrees tie, else 0.
     Raises InvalidInput when the realization overflows float64.
     """
-    n = len(tf.den) - 1
+    n = tf.den_degree
     deg = tf.num_degree
-    if deg > n:
-        raise ImproperSystem(f"numerator degree {deg} exceeds denominator degree {n}")
     # The normalization and num - d*den as numpy's elementwise operations,
     # on Python floats, which round alike and never warn. A zero numerator
     # (degree -1) keeps only the zeros.

@@ -20,7 +20,6 @@ from .lti import (
     StepResponse,
     TransferFunction,
     close_unity_feedback,
-    pid_transfer_function,
     simulate_step,
     tf_to_state_space,
 )
@@ -91,8 +90,7 @@ def step_response(
     closure) when kd makes the loop improper, and InvalidInput when the
     closed loop's coefficients or its realization overflow float64."""
     cfg = cfg if cfg is not None else SimConfig()
-    loop = close_unity_feedback(pid_transfer_function(gains), plant)
-    return simulate_step(tf_to_state_space(loop), cfg, settle=settle)
+    return simulate_step(tf_to_state_space(close_unity_feedback(gains, plant)), cfg, settle=settle)
 
 
 def evaluate(

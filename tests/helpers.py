@@ -17,7 +17,6 @@ from pidtune import (
     TransferFunction,
     _kernels,
     close_unity_feedback,
-    pid_transfer_function,
     render_animation,
     step_response,
     tf_to_state_space,
@@ -191,7 +190,7 @@ def loop_step_map(plant, gains, dt=0.01):
     around plant: the arguments of scan before n_samples. Raises
     ImproperLoop where the loop has no realization; overflow is left to the
     caller's np.errstate."""
-    ss = tf_to_state_space(close_unity_feedback(pid_transfer_function(PidGains(*gains)), plant))
+    ss = tf_to_state_space(close_unity_feedback(PidGains(*gains), plant))
     m, v = _rk4_step_map(ss.a, ss.b, dt)
     return m, v, np.ascontiguousarray(ss.c.ravel()), ss.d
 

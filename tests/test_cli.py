@@ -66,8 +66,9 @@ class TestParsePlant:
             parse_plant("1 2 / den: 1 1")
 
     def test_improper_plant_rejected(self):
-        with pytest.raises(PlantParseError):
+        with pytest.raises(PlantParseError, match="num degree 2 > den degree 1") as info:
             parse_plant("num: 1 0 0 / den: 1 1")
+        assert info.value.position == 12  # the den: part
 
     def test_empty_coefficients(self):
         with pytest.raises(PlantParseError):
@@ -137,6 +138,12 @@ class TestSimulateCommand:
         growth = peak_kib("--samples", str(path)) - peak_kib()
         assert path.read_bytes().count(b"\n") == 300_002
         assert growth < 10 * 1024
+
+    def test_empty_samples_path_exits_2(self):
+        r = run_cli("simulate", "--kp", "1", "--tmax", "5", "--samples", "")
+        assert r.returncode == 2
+        assert r.stderr == "error: InvalidInput: --samples needs a non-empty path\n"
+        assert r.stdout == ""
 
     def test_samples_into_missing_directory_exits_2(self, tmp_path):
         r = run_cli("simulate", "--kp", "1", "--tmax", "5",
@@ -320,6 +327,14 @@ class TestTuneCommand:
         assert r.returncode == 2
         assert r.stderr == "error: InvalidInput: --frames requires --out\n"
         assert r.stdout == ""  # refused before the search runs
+
+    @pytest.mark.parametrize("frames", [[], ["--frames"]], ids=["trace", "frames"])
+    def test_empty_out_exits_2(self, frames):
+        r = run_cli("tune", "--plant", "benchmark3", "--start", "zn",
+                    "--max-evals", "5", "--out", "", *frames)
+        assert r.returncode == 2
+        assert r.stderr == "error: InvalidInput: --out needs a non-empty path\n"
+        assert r.stdout == ""
 
     def test_effective_config_echoed(self, tmp_path):
         r = run_cli("tune", "--plant", "benchmark3", "--start", "zn", "--max-evals", "5",

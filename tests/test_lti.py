@@ -10,12 +10,11 @@ from scipy import signal
 
 from pidtune import (
     ImproperLoop,
-    ImproperSystem,
+    InvalidInput,
     PidGains,
     SimConfig,
     TransferFunction,
     close_unity_feedback,
-    pid_transfer_function,
     simulate_step,
     step_response,
     tf_to_state_space,
@@ -62,81 +61,76 @@ class TestTransferFunction:
         assert tf.num_degree == 1
         assert tf.den_degree == 1
         assert tf.relative_degree == 0
-        assert tf.is_proper
+
+    def test_improper_rejected(self):
+        with pytest.raises(InvalidInput, match="num degree 2 > den degree 1"):
+            TransferFunction((1.0, 0.0, 0.0), (1.0, 1.0))
 
     def test_text_round_trip(self):
         tf = TransferFunction((1.0,), (1.0, 3.0, 3.0, 1.0))
         assert tf.to_text() == "num: 1 / den: 1 3 3 1"
 
 
-class TestPidTransferFunction:
-    def test_pure_proportional(self):
-        tf = pid_transfer_function(PidGains(1.0, 0.0, 0.0))
-        assert tf.num == (0.0, 1.0, 0.0)
-        assert tf.den == (1.0, 0.0)
-
-    def test_full_pid(self):
-        tf = pid_transfer_function(PidGains(2.0, 3.0, 0.5))
-        assert tf.num == (0.5, 2.0, 3.0)
-        assert tf.den == (1.0, 0.0)
-
-    def test_zero_controller(self):
-        tf = pid_transfer_function(PidGains(0.0, 0.0, 0.0))
-        assert tf.num == (0.0, 0.0, 0.0)
-        assert tf.den == (1.0, 0.0)
-
+class TestPidGains:
     def test_rejects_non_finite_gains(self):
         with pytest.raises(ValueError):
             PidGains(float("nan"), 0.0, 0.0)
         with pytest.raises(ValueError):
             PidGains(0.0, float("inf"), 0.0)
 
-    def test_negative_gains_permitted(self):
-        g = PidGains(-3.0, -1.0, -0.5)
-        assert pid_transfer_function(g).num == (-0.5, -3.0, -1.0)
+
+LAG1 = TransferFunction((1.0,), (1.0, 1.0))
 
 
 class TestCloseUnityFeedback:
-    def test_unit_controller_integrator_plant(self):
-        c = TransferFunction((1.0,), (1.0,))
-        g = TransferFunction((1.0,), (1.0, 0.0))
-        t = close_unity_feedback(c, g)
-        assert t.num == (1.0,)
-        assert t.den == (1.0, 1.0)
+    # The PID is [kd, kp, ki] over [1, 0] for every gain vector, so around
+    # 1/(s + 1) the loop is (kd s^2 + kp s + ki) / ((1 + kd) s^2 + (1 + kp) s + ki).
+    def test_pure_proportional(self):
+        t = close_unity_feedback(PidGains(1.0, 0.0, 0.0), LAG1)
+        assert t.num == (0.0, 1.0, 0.0)
+        assert t.den == (1.0, 2.0, 0.0)
 
-    def test_constant_controller_first_order_plant(self):
-        c = TransferFunction((2.0,), (1.0,))
-        g = TransferFunction((1.0,), (1.0, 1.0))
-        t = close_unity_feedback(c, g)
-        assert t.num == (2.0,)
-        assert t.den == (1.0, 3.0)
+    def test_full_pid(self):
+        t = close_unity_feedback(PidGains(2.0, 3.0, 0.5), LAG1)
+        assert t.num == (0.5, 2.0, 3.0)
+        assert t.den == (1.5, 3.0, 3.0)
+
+    def test_zero_controller(self):
+        # zero gains keep the integrator's pole at s = 0
+        t = close_unity_feedback(PidGains(0.0, 0.0, 0.0), LAG1)
+        assert t.num == (0.0, 0.0, 0.0)
+        assert t.den == (1.0, 1.0, 0.0)
+
+    def test_negative_gains_permitted(self):
+        t = close_unity_feedback(PidGains(-3.0, -1.0, -0.5), LAG1)
+        assert t.num == (-0.5, -3.0, -1.0)
+        assert t.den == (0.5, -2.0, -1.0)
 
     def test_kd_on_static_plant_is_improper(self):
-        c = pid_transfer_function(PidGains(1.0, 1.0, 1.0))
         g = TransferFunction((1.0,), (1.0,))
-        with pytest.raises(ImproperLoop):
-            close_unity_feedback(c, g)
+        with pytest.raises(ImproperLoop, match="relative degree -1"):
+            close_unity_feedback(PidGains(1.0, 1.0, 1.0), g)
 
     def test_degree_tie_is_accepted(self):
         # kd with a relative-degree-1 plant: product degrees tie at 2
-        c = pid_transfer_function(PidGains(1.0, 1.0, 1.0))
-        g = TransferFunction((1.0,), (1.0, 1.0))
-        t = close_unity_feedback(c, g)
+        t = close_unity_feedback(PidGains(1.0, 1.0, 1.0), LAG1)
         assert t.num == (1.0, 1.0, 1.0)
         assert t.den == (2.0, 2.0, 1.0)
 
     def test_leading_cancellation_is_improper(self):
         # kd = -1 against 1/(s+1): leading coefficients of 1 + C*G cancel
-        c = pid_transfer_function(PidGains(1.0, 1.0, -1.0))
-        g = TransferFunction((1.0,), (1.0, 1.0))
-        with pytest.raises(ImproperLoop):
-            close_unity_feedback(c, g)
+        with pytest.raises(ImproperLoop, match=r"leading coefficients of 1 \+ C\*G cancelled"):
+            close_unity_feedback(PidGains(1.0, 1.0, -1.0), LAG1)
+
+    def test_every_coefficient_cancelled_is_improper(self):
+        # kp = -1, ki = 0, kd = -1 against 1/(s+1): 1 + C*G is identically 0
+        with pytest.raises(ImproperLoop, match=r"leading coefficients of 1 \+ C\*G cancelled"):
+            close_unity_feedback(PidGains(-1.0, 0.0, -1.0), LAG1)
 
     def test_no_cancellation_of_common_factors(self):
         # C = s/s must stay second order over third, not collapse
-        c = pid_transfer_function(PidGains(1.0, 0.0, 0.0))
         g = TransferFunction((1.0,), (1.0, 0.0))
-        t = close_unity_feedback(c, g)
+        t = close_unity_feedback(PidGains(1.0, 0.0, 0.0), g)
         assert t.num == (0.0, 1.0, 0.0)
         assert t.den == (1.0, 1.0, 0.0)
 
@@ -181,10 +175,6 @@ class TestTfToStateSpace:
         assert np.array_equal(ss.a, a) and np.array_equal(ss.b, b)
         assert np.array_equal(ss.c, np.zeros((1, len(den) - 1)))
         assert ss.d == 0.0
-
-    def test_improper_rejected(self):
-        with pytest.raises(ImproperSystem):
-            tf_to_state_space(TransferFunction((1.0, 0.0, 0.0), (1.0, 1.0)))
 
     def test_round_trip_against_scipy(self):
         # realization recovered through an independent path (scipy ss2tf)

@@ -14,7 +14,6 @@ from pidtune import (
     band_deviation,
     close_unity_feedback,
     evaluate,
-    pid_transfer_function,
     rise_time,
     simulate_step,
     step_response,
@@ -161,7 +160,7 @@ class TestStepResponse:
     def test_is_the_loop_chain_and_what_evaluate_appends(self, gains, diverged):
         cfg = SimConfig(t_max=20.0)
         resp = step_response(gains, BENCH3, cfg)
-        loop = close_unity_feedback(pid_transfer_function(gains), BENCH3)
+        loop = close_unity_feedback(gains, BENCH3)
         chain = simulate_step(tf_to_state_space(loop), cfg)
         responses = []
         evaluate(gains, BENCH3, cfg, responses)

@@ -1,6 +1,7 @@
 import csv
 import io
 import json
+import re
 import xml.etree.ElementTree as ET
 
 import numpy as np
@@ -324,6 +325,13 @@ class TestRenderAnimation:
         trace = make_trace([0.5])
         with pytest.raises(OutputUnwritable):
             film_finished(trace, [make_resp([0.0, 1.0])], blocker / "frames")
+
+    def test_stale_index_that_cannot_be_removed(self, tmp_path):
+        stale = tmp_path / "index.json"
+        stale.mkdir()  # unlink fails on a directory
+        with pytest.raises(OutputUnwritable, match=re.escape(f"cannot remove {stale}: ")):
+            film_finished(make_trace([0.5]), [make_resp([0.0, 1.0])], tmp_path)
+        assert not list(tmp_path.glob("film_*.svg"))  # refused before the search ran
 
     def test_extra_response_rejected(self, tmp_path):
         trace = make_trace([0.5])
