@@ -2,6 +2,7 @@
 tuning search from Ziegler-Nichols or random starting gains."""
 
 import argparse
+import math
 import sys
 from pathlib import Path
 from types import SimpleNamespace
@@ -71,6 +72,8 @@ def _parse_coeff_part(text: str, start: int, end: int, keyword: str) -> list[flo
             coeffs.append(float(token))
         except ValueError:
             raise PlantParseError(f"invalid coefficient {token!r}", tok_pos) from None
+        if not math.isfinite(coeffs[-1]):
+            raise PlantParseError(f"coefficient {token!r} is not finite", tok_pos)
         pos = tok_pos + len(token)
     if not coeffs:
         raise PlantParseError(f"no coefficients after {keyword!r}", pos)

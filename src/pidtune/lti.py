@@ -3,6 +3,7 @@ state-space realization and fixed-step unit-step simulation."""
 
 import functools
 import math
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -162,6 +163,11 @@ class StepResponse:
         return np.arange(len(self.values)) * self.dt
 
 
+_CLOSURE_OVERFLOW = (
+    "the closed loop's coefficients overflow float64; the gains are too large for this plant"
+)
+
+
 def close_unity_feedback(gains: PidGains, plant: TransferFunction) -> TransferFunction:
     """Unity-feedback closed loop T = C G / (1 + C G) of the plant G under the
     ideal parallel PID C(s) = (kd s^2 + kp s + ki) / s, kept in product form.
@@ -174,8 +180,14 @@ def close_unity_feedback(gains: PidGains, plant: TransferFunction) -> TransferFu
     leading-coefficient cancellation in the sum leaves an improper ratio, and
     InvalidInput when a coefficient of the closed loop overflows float64.
     """
-    num = np.convolve((gains.kd, gains.kp, gains.ki), plant.num).tolist()
-    den_open = np.convolve((1.0, 0.0), plant.den).tolist()
+    # Each coefficient of num_C*num_G is the exact sum of its products
+    # rounded once (math.fsum), so no summation order shows in its bits.
+    pid, padded = (gains.ki, gains.kp, gains.kd), (0.0, 0.0, *plant.num, 0.0, 0.0)
+    try:
+        num = [math.fsum(map(operator.mul, pid, padded[i : i + 3])) for i in range(len(padded) - 2)]
+    except (OverflowError, ValueError):  # the exact sum overflows, or holds inf - inf
+        raise InvalidInput(_CLOSURE_OVERFLOW) from None
+    den_open = [*plant.den, 0.0]
     num_degree = poly_degree(num)
     if num_degree > poly_degree(den_open):
         raise ImproperLoop(
@@ -199,10 +211,7 @@ def close_unity_feedback(gains: PidGains, plant: TransferFunction) -> TransferFu
         return TransferFunction(num, den[len(den) - 1 - den_degree :])
     except InvalidInput:
         # The inputs are finite, so a coefficient that is not has overflowed.
-        raise InvalidInput(
-            "the closed loop's coefficients overflow float64; the gains are too "
-            "large for this plant"
-        ) from None
+        raise InvalidInput(_CLOSURE_OVERFLOW) from None
 
 
 def tf_to_state_space(tf: TransferFunction) -> StateSpace:

@@ -1,6 +1,7 @@
-"""Starting points for the search: classic Ziegler-Nichols gains from the
-proportional stability boundary, and seeded uniform random gains."""
+"""Starting points for the search: Ziegler-Nichols gains from the ultimate
+point, a root of the crossing equation, and seeded uniform random gains."""
 
+import contextlib
 import math
 from dataclasses import dataclass
 
@@ -11,7 +12,7 @@ from .lti import PidGains, TransferFunction
 
 K_SEARCH_MAX = 1e6
 _K_SEARCH_MIN = 1e-12
-_BISECT_RTOL = 1e-9
+_ROUNDING = 1e-9  # relative slack at the bracket's ends: the hunt and the equation round apart
 
 
 @dataclass(frozen=True)
@@ -26,36 +27,32 @@ class UltimatePoint:
             raise InvalidInput(f"ku and tu must be positive, got {self.ku}, {self.tu}")
 
 
-def _closed_loop_roots(plant: TransferFunction, k: float) -> np.ndarray:
-    """Roots of the characteristic polynomial den + k*num of the proportional
-    loop. Raises NoUltimateGain where the polynomial or np.roots'
-    normalization overflows, since stability is undecidable there."""
-    with np.errstate(all="ignore"):
-        poly = np.polyadd(plant.den, [k * c for c in plant.num])
-        try:
-            if np.all(np.isfinite(poly)):
-                return np.roots(poly)
-        except np.linalg.LinAlgError:
-            pass
-    raise NoUltimateGain(f"closed-loop roots at k={k:g} overflow floating point")
+def _roots(poly, what: str) -> np.ndarray:
+    """np.roots of poly; NoUltimateGain where it or np.roots' scaling overflows."""
+    with contextlib.suppress(np.linalg.LinAlgError):
+        if np.all(np.isfinite(poly)):
+            return np.roots(poly)
+    raise NoUltimateGain(f"{what} overflow floating point")
 
 
 def _stability_margin(plant: TransferFunction, k: float) -> float:
-    """Max real part of the proportional closed-loop roots; negative = stable."""
-    return float(np.max(_closed_loop_roots(plant, k).real, initial=-math.inf))
+    """Max real part of the roots of den + k*num; negative = stable."""
+    poly = np.polyadd(plant.den, [k * c for c in plant.num])
+    return float(np.max(_roots(poly, f"closed-loop roots at k={k:g}").real, initial=-math.inf))
 
 
+@np.errstate(all="ignore")
 def ultimate_point(plant: TransferFunction) -> UltimatePoint:
-    """Locate the proportional-only stability boundary by bisection on the
-    max real part of the closed-loop roots (companion-matrix eigenvalues).
-    The plant is proper, as every TransferFunction is, so den + k*num never outgrows den.
+    """The proportional-only stability boundary: the first gain k above a
+    stable one at which den + k*num has a root s = jw.
 
-    The bracket hunt doubles upward from the largest stable gain (halving
-    below 1 first if the loop is already unstable there). Raises
-    NoUltimateGain when the stability indicator never changes sign for
-    k in (0, K_SEARCH_MAX], when the roots at a probed k overflow floating
-    point, or when the boundary crossing is through a real root, which has
-    no oscillation period.
+    A hunt brackets k, doubling upward from the largest stable gain (halving
+    below 1 first if the loop is unstable there). k is real where the crossing
+    equation Im(den(jw) conj num(jw)) = 0, a polynomial in w, holds: there
+    k = -Re(den(jw)/num(jw)). ku is the smallest in the bracket, tu = 2 pi / w.
+    Raises NoUltimateGain when the stability indicator never changes sign for
+    k in (0, K_SEARCH_MAX], when roots overflow, or when the first crossing is
+    through a real root (w = 0, or infinity when the degrees tie).
     """
     # Each hunt stops at its first probe with the wanted sign; a NaN margin
     # has neither, so it halves on down and counts as stable going up.
@@ -74,17 +71,20 @@ def ultimate_point(plant: TransferFunction) -> UltimatePoint:
         raise NoUltimateGain(
             f"stability indicator never changes sign for k in (0, {K_SEARCH_MAX:g}]"
         )
-    while (k_hi - k_lo) > _BISECT_RTOL * k_hi:
-        mid = 0.5 * (k_lo + k_hi)
-        if _stability_margin(plant, mid) < 0.0:
-            k_lo = mid
-        else:
-            k_hi = mid
-    ku = k_hi
-    roots = _closed_loop_roots(plant, ku)
-    boundary = roots[np.argmax(roots.real)]
-    omega = float(abs(boundary.imag))
-    if omega <= 1e-9:
+    # Each polynomial at s = jw as one in w (s^e's coefficient times j^e), over
+    # a power of two near its largest coefficient so their product stays in range.
+    num, den = (np.ldexp(c, -np.frexp(max(map(abs, c)))[1]) * 1j ** np.arange(len(c))[::-1]
+                for c in (plant.num, plant.den))
+    w = _roots(np.polymul(den, num.conj()).imag, "the crossing equation's roots")
+    w = w.real[(w.imag == 0.0) & (w.real >= 0.0)]
+    ks = -(np.polyval(plant.den, 1j * w) / np.polyval(plant.num, 1j * w)).real
+    crossings = [*zip(ks.tolist(), w.tolist())]
+    if plant.num_degree == plant.den_degree:
+        crossings.append((-plant.den[0] / plant.num[-1 - plant.num_degree], math.inf))
+    # A bracket in which no crossing is found changed sign through a real root.
+    lo, hi = k_lo * (1.0 - _ROUNDING), k_hi * (1.0 + _ROUNDING)
+    ku, omega = min((c for c in crossings if lo <= c[0] <= hi), default=(k_hi, 0.0))
+    if not 0.0 < omega < math.inf:
         raise NoUltimateGain(
             f"boundary crossing at k={ku:g} is through a real root; "
             "no oscillation period exists"

@@ -8,11 +8,13 @@ test fail on each mutant?
 The kernel's soundness rests on terms of the arguments in the _kernels
 docstring (the clearing bound, the settle certificate, the divergence rule
 and the BLAS layout), and the tests pin their outcomes, not each term. Loop
-closure, realization and the RK4 step map in lti repeat numpy's float
-operations in numpy's order, and tests/test_golden.py's seeded evaluation
-digest pins the bits that come of it. Each mutant below breaks one term,
-or one such order, by an exact text replacement. For each, the tool copies
-src/, tests/ and pyproject.toml into a temporary directory, makes the
+closure in lti rounds each numerator coefficient's exact sum of products
+once (math.fsum) and adds the denominator in np.polyadd's order;
+realization and the RK4 step map repeat numpy's float operations in
+numpy's order. tests/test_golden.py's seeded evaluation digest pins the
+bits that come of them. Each mutant below breaks one term, one such order
+or the single rounding, by an exact text replacement. For each, the tool
+copies src/, tests/ and pyproject.toml into a temporary directory, makes the
 replacement there, runs tests/test_lti.py, tests/test_objective.py and the
 seeded digest on the copy with pytest, and prints the tests that failed
 (or pytest's exit status, or a timeout), or SURVIVED when none did.
@@ -25,7 +27,9 @@ Not here: max_i |x_i| in place of sum_i |x_i| in the bound. A row's sum
 of magnitudes times max(1, max_i |x_i|) bounds its dot with [x, 1, x, 1]
 too, so that bound is sound as well and changes no sample, only which
 blocks take the full path. Nor b + a in place of a + b in loop closure's
-sum: IEEE addition is commutative, so it changes no bit.
+denominator sum, or another order of the products that math.fsum adds:
+IEEE addition is commutative and fsum's one rounding does not depend on
+the order, so neither changes a bit.
 
 Exit status: 0 when every mutant is killed, 1 when one survives, 2 when an
 anchor is missing or the unmutated copy fails. A surviving mutant is a gap
@@ -136,10 +140,16 @@ MUTANTS = {
         "np.zeros((BLOCK + n, 2 * n + 2))",
         "the fast table's last rows go through another BLAS kernel than the whole table's",
     ),
-    # The lti rewrites repeat numpy's float operations in numpy's order; each
-    # mutant below changes that order or those operations, which moves the
-    # bits that the seeded evaluation digest pins. Loop closure's sum has one
+    # Each lti mutant below changes an order or a rounding of the closure,
+    # the realization or the step map, which moves the bits that the seeded
+    # evaluation digest pins. Loop closure's denominator sum has one
     # commutative add per coefficient, so its mutant misaligns the lists.
+    "closure_sum_rounds_each_add": (
+        LTI,
+        "num = [math.fsum(map(",
+        "num = [sum(map(",
+        "the closed loop's numerator is summed left to right, rounding every add",
+    ),
     "closure_sum_misaligned": (
         LTI,
         "[0.0] * (width - len(num)) + num)",

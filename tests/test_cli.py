@@ -65,6 +65,14 @@ class TestParsePlant:
         with pytest.raises(PlantParseError):
             parse_plant("1 2 / den: 1 1")
 
+    def test_non_finite_coefficient_points_into_its_part(self):
+        with pytest.raises(PlantParseError, match="'inf' is not finite") as info:
+            parse_plant("num: inf / den: 1 1")
+        assert info.value.position == 5  # the numerator's token
+        with pytest.raises(PlantParseError, match="'nan' is not finite") as info:
+            parse_plant("num: 1 / den: 1 nan")
+        assert info.value.position == 16
+
     def test_improper_plant_rejected(self):
         with pytest.raises(PlantParseError, match="num degree 2 > den degree 1") as info:
             parse_plant("num: 1 0 0 / den: 1 1")

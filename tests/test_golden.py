@@ -9,12 +9,16 @@ error. A change that alters output bits on purpose records new digests with
 
     PYTHONPATH=src python tests/test_golden.py > tests/golden_digests.json
 
-and states the largest numeric difference it made in CHANGES.md.
+and states the largest numeric difference it made in CHANGES.md. The
+seeded evaluations and the films are checked again in a child process that
+runs another BLAS kernel, since the digests must not depend on it.
 """
 
 import hashlib
 import io
 import json
+import os
+import subprocess
 import sys
 import tempfile
 from contextlib import redirect_stderr, redirect_stdout
@@ -99,8 +103,9 @@ def zn_hunt_digest() -> str:
     """SHA-256 over ultimate_point on ORACLE_PLANTS (benchmark3 among them),
     150 seeded plants of 2-4 real stable poles and 100 seeded random proper
     plants: each (ku, tu) as float hex, or the type and message of the
-    PidTuneError raised. Most of the random proper plants raise before the
-    bisection, each NoUltimateGain message among them."""
+    PidTuneError raised. Most of the random proper plants raise, each
+    NoUltimateGain message among them, and seven cross through a real root,
+    two of them through infinity."""
     rng = np.random.default_rng(29)
     plants = [
         *ORACLE_PLANTS,
@@ -148,6 +153,19 @@ def test_seeded_evaluations_match_recorded_digest():
 def test_zn_hunts_match_recorded_digest():
     want = json.loads(DIGESTS.read_text())["zn_hunts"]
     assert zn_hunt_digest() == want
+
+
+def test_digests_hold_under_the_haswell_blas_kernel():
+    # OpenBLAS picks its compute kernel for the CPU at start-up, and
+    # OPENBLAS_CORETYPE overrides the pick; Haswell's is what AVX2-only and
+    # AMD Zen machines run. The digests must not depend on which one rounds.
+    proc = subprocess.run(
+        [sys.executable, "-m", "pytest", "-q", "-p", "no:cacheprovider", __file__,
+         "-k", "seeded_evaluations or film"],
+        cwd=Path(__file__).parents[1], capture_output=True, text=True, timeout=600,
+        env={**os.environ, "OPENBLAS_CORETYPE": "Haswell"},
+    )
+    assert proc.returncode == 0, proc.stdout[-3000:]
 
 
 if __name__ == "__main__":

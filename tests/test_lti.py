@@ -135,6 +135,24 @@ class TestCloseUnityFeedback:
         assert t.den == (1.0, 1.0, 0.0)
 
 
+    def test_numerator_coefficients_are_rounded_once(self):
+        # s^2's coefficient is ki + kp + kd = 1e16 + 2 exactly; adding from
+        # ki rounds 1e16 + 1 to 1e16 twice
+        g = TransferFunction((1.0, 1.0, 1.0), (1.0, 1.0, 1.0, 1.0))
+        t = close_unity_feedback(PidGains(1.0, 1e16, 1.0), g)
+        assert t.num[2] == 1e16 + 2
+
+    @pytest.mark.parametrize("gains, num", [
+        (PidGains(1e308, 0.0, 0.0), (10.0, 10.0)),  # a product overflows
+        (PidGains(1e308, 0.0, 1e308), (1.0, 1.0)),  # finite products, their sum overflows
+        (PidGains(1e308, 0.0, -1e308), (10.0, 10.0)),  # inf - inf
+    ], ids=["product", "sum", "inf_minus_inf"])
+    def test_overflowing_coefficient_is_invalid_input(self, gains, num):
+        g = TransferFunction(num, (1.0, 1.0, 1.0))
+        with pytest.raises(InvalidInput, match="closed loop's coefficients overflow float64"):
+            close_unity_feedback(gains, g)
+
+
 class TestTfToStateSpace:
     def test_first_order(self):
         ss = tf_to_state_space(TransferFunction((1.0,), (1.0, 1.0)))

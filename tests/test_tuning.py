@@ -84,6 +84,47 @@ class TestUltimatePoint:
             UltimatePoint(ku=1.0, tu=0.0)
 
 
+class TestCrossingEquation:
+    def test_triple_lag_gives_the_textbook_point(self):
+        up = ultimate_point(BENCH3)
+        tu = 2 * math.pi / math.sqrt(3)
+        assert up.ku == 8.0
+        assert abs(up.tu - tu) <= 2 * math.ulp(tu)
+        assert zn_pid_gains(up).kp == 4.8
+
+    @pytest.mark.parametrize("scale", [1e200, 1e-200])
+    def test_scaled_triple_lag_keeps_its_point(self, scale):
+        # num*den's coefficients overflow (underflow) float64 unless scaled
+        up = ultimate_point(TransferFunction((scale,), [scale * c for c in BENCH3.den]))
+        assert up.ku == pytest.approx(8.0, rel=1e-12)
+        assert up.tu == pytest.approx(2 * math.pi / math.sqrt(3), rel=1e-12)
+
+    def test_crossing_through_infinity_has_no_period(self):
+        # (1 - s)/(3s + 1): den + k*num = (3 - k) s + 1 + k loses its leading
+        # term at k = 3, where its real root passes through infinity
+        with pytest.raises(NoUltimateGain, match="at k=3 is through a real root"):
+            ultimate_point(TransferFunction((-1.0, 1.0), (3.0, 1.0)))
+
+    def test_crossing_at_zero_frequency_has_no_period(self):
+        # -1/(s + 3): den + k*num = s + 3 - k has its root at s = 0 at k = 3
+        with pytest.raises(NoUltimateGain, match="at k=3 is through a real root"):
+            ultimate_point(TransferFunction((-1.0,), (1.0, 3.0)))
+
+    def test_two_crossings_in_the_bracket_give_the_smaller(self):
+        # The hunt brackets (4, 8]: one pair crosses into the right half-plane
+        # near k = 5.156 (w = 3.06), another near k = 5.758 (w = 0.745)
+        plant = TransferFunction((5.0, -1.0, 3.0), (1.0, 3.0, 10.0, 4.0, 11.0, 0.0))
+
+        def unstable_roots(k):
+            return int((np.roots(np.polyadd(plant.den, k * np.array(plant.num))).real > 0).sum())
+
+        assert [unstable_roots(k) for k in (4.0, 5.5, 8.0)] == [0, 2, 4]
+        up = ultimate_point(plant)
+        assert up.ku == pytest.approx(5.156, abs=1e-3)
+        assert _stability_margin(plant, up.ku * (1 - 1e-9)) < 0.0
+        assert _stability_margin(plant, up.ku * (1 + 1e-9)) > 0.0
+
+
 class TestZnPidGains:
     def test_triple_lag_row(self):
         g = zn_pid_gains(UltimatePoint(ku=8.0, tu=3.6276))
