@@ -105,15 +105,16 @@ entry out of band, then the first such column, so an output wins over the
 states of its sample. A block in band carries its last state, which past
 n_samples is never read. Every block, cleared or not, advances by BLOCK.
 A row has the same bits in either table only if the BLAS computes its dot
-the same way at either place. OpenBLAS's dgemv (0.3.31, Haswell kernels)
-takes the rows four at a time and the last len % 4 rows with another
-kernel, which sums in another order; the whole table's BLOCK (n + 1) rows
-are a multiple of four, and the fast table is padded to one, so every row
-goes through the four-row kernel. tests/test_lti.py pins scan bit for bit
-to tests/helpers.full_table_scan, which takes every block through the
-whole table. A BLAS that summed a row by its place would move a cleared
-block's samples within rounding, but not with n_samples, which the bound
-does not read.
+the same way at either place. OpenBLAS's dgemv (0.3.31; its SkylakeX,
+Haswell and Prescott kernels) takes the rows four at a time and the last
+len % 4 rows with another kernel, which sums in another order; the whole
+table's BLOCK (n + 1) rows are a multiple of four, and the fast table is
+padded to one, so every row goes through the four-row kernel.
+tests/test_lti.py pins scan bit for bit to tests/helpers.full_table_scan,
+which takes every block through the whole table, under the kernel OpenBLAS
+picks for the CPU and under the Haswell and Prescott kernels. A BLAS that
+summed a row by its place would move a cleared block's samples within
+rounding, but not with n_samples, which the bound does not read.
 
 Products that overflow leave the clamp's sign to the order of the sums: on
 step_mat [[1e308, 1e308], [0, 0]] from state [9.99, -10], the scalar oracle

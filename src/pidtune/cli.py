@@ -183,21 +183,12 @@ def cmd_tune(args) -> int:
     )
     print(start_desc)
 
-    # With --frames, evaluate hands each response to render_animation, which
-    # writes its frame and drops it before the next evaluation runs; a poll
-    # that repeats a scored point is not evaluated again, and its frame is
-    # made from the first frame at that point.
-    responses = [] if args.frames else None
-
-    def run(on_record=None):
+    def run(on_record=None, responses=None):
         return optimize(
             gains, lambda g: evaluate(g, plant, cfg, responses), search, on_record
         )
 
-    if args.frames:
-        trace = render_animation(run, responses, out / "frames", plant)
-    else:
-        trace = run()
+    trace = render_animation(run, out / "frames", plant) if args.frames else run()
 
     print(_gain_line("initial", trace.records[0].gains, trace.records[0].objective))
     print(_gain_line("final", trace.incumbent, trace.incumbent_value))

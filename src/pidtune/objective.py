@@ -41,6 +41,14 @@ class ObjectiveValue:
     rose: bool
 
 
+def _first_risen(vals: np.ndarray) -> int | None:
+    """Index of the first sample at or above RISE_LEVEL, or None when no
+    sample gets there (a NaN sample never does)."""
+    risen = vals >= RISE_LEVEL
+    hit = int(risen.argmax())
+    return hit if risen[hit] else None  # argmax of all-False is 0
+
+
 def rise_time(resp: StepResponse) -> tuple[float, bool]:
     """Time of the first crossing of RISE_LEVEL, linearly interpolated.
 
@@ -48,8 +56,8 @@ def rise_time(resp: StepResponse) -> tuple[float, bool]:
     distinguishes that sentinel from a genuine last-sample crossing.
     """
     vals = resp.values
-    hit = int((vals >= RISE_LEVEL).argmax())
-    if not vals[hit] >= RISE_LEVEL:  # argmax of all-False is 0, maybe a NaN
+    hit = _first_risen(vals)
+    if hit is None:
         return resp.t_end, False
     if hit == 0:
         return 0.0, True
@@ -70,18 +78,15 @@ def band_deviation(resp: StepResponse) -> float:
     # of dispatch each, as much as one reduction of a settled prefix costs
     vals = resp.values
     over = max(0.0, float(vals[1:].max(initial=-np.inf)) - BAND_UPPER)
-    risen = vals >= RISE_LEVEL
-    hit = int(risen.argmax())
-    under = 0.0
-    if risen[hit]:  # argmax of all-False is 0
-        under = max(0.0, BAND_LOWER - float(vals[hit:].min()))
+    hit = _first_risen(vals)
+    under = 0.0 if hit is None else max(0.0, BAND_LOWER - float(vals[hit:].min()))
     return max(over, under)
 
 
 def step_response(
     gains: PidGains,
     plant: TransferFunction,
-    cfg: SimConfig | None = None,
+    cfg: SimConfig = SimConfig(),
     settle: tuple[float, float] | None = None,
 ) -> StepResponse:
     """Unit-step response of the plant under the ideal PID in unity feedback:
@@ -89,14 +94,13 @@ def step_response(
     settle passed on to simulate_step. Raises ImproperLoop (from loop
     closure) when kd makes the loop improper, and InvalidInput when the
     closed loop's coefficients or its realization overflow float64."""
-    cfg = cfg if cfg is not None else SimConfig()
     return simulate_step(tf_to_state_space(close_unity_feedback(gains, plant)), cfg, settle=settle)
 
 
 def evaluate(
     gains: PidGains,
     plant: TransferFunction,
-    cfg: SimConfig | None = None,
+    cfg: SimConfig = SimConfig(),
     responses: list[StepResponse] | None = None,
 ) -> ObjectiveValue:
     """Score a gain vector on a plant: take its step_response and decompose
@@ -115,7 +119,6 @@ def evaluate(
     the bit. A response that never rose is scored at cfg.t_max, however many
     samples it kept.
     """
-    cfg = cfg if cfg is not None else SimConfig()
     # A settled prefix ends in the band, at or above BAND_LOWER >= RISE_LEVEL,
     # so it holds the first crossing of RISE_LEVEL and every sample outside
     # the band; a diverged one holds its clamp after sample 0, which every

@@ -312,30 +312,35 @@ def read_output(path: Path) -> bytes:
 
 
 def render_animation(
-    run: Callable[[Callable[[EvaluationRecord, EvaluationRecord], None]], SearchTrace],
-    responses: list[StepResponse],
+    run: Callable[
+        [Callable[[EvaluationRecord, EvaluationRecord], None], list[StepResponse]],
+        SearchTrace,
+    ],
     out_dir: str | Path,
     plant: TransferFunction,
 ) -> SearchTrace:
     """Film a search as it runs; returns the trace that run returns.
 
-    run(on_record) runs the search and calls on_record(record, first) with
-    each evaluation record as it is made, and the first record at its point
-    (search.optimize's on_record hook). For a new point, first is record,
-    and its scored response must be the one response waiting in responses,
-    where objective.evaluate appends it. A repeat (first is not record) has
-    no response waiting, because the search reuses the first score; its
-    frame is the first frame at that point, read back from out_dir, with the
-    title (evaluation index) and the curve colour (improved flag) of the
-    repeat. Each record's frame, film_<index>.svg, is written at once and its
-    response dropped, so the film holds one response at a time, not one
-    response or frame per evaluation. index.json lists the frame files in
-    order with the playback rate hint (12 frames per second), the band levels
-    and the plant, and is written last, so it exists only for a complete
-    film. The film_*.svg files and index.json of an earlier film in out_dir
-    are removed before the search starts, and a search that raises leaves
-    the frames of its records so far and no index.json. Raises
-    OutputUnwritable when a first frame cannot be read back for its repeat.
+    run(on_record, responses) runs the search and calls on_record(record,
+    first) with each evaluation record as it is made, and the first record
+    at its point (search.optimize's on_record hook). responses starts empty
+    and is the one place a scored response waits for its frame: for a new
+    point, first is record, and its response must be the one response
+    waiting there, as objective.evaluate(gains, plant, cfg, responses)
+    appends it. A repeat (first is not record) has no response waiting,
+    because the search reuses the first score; its frame is the first frame
+    at that point, read back from out_dir, with the title (evaluation index)
+    and the curve colour (improved flag) of the repeat. Each record's frame,
+    film_<index>.svg, is written at once and its response dropped, so the
+    film holds one response at a time, not one response or frame per
+    evaluation. index.json lists the frame files in order with the playback
+    rate hint (12 frames per second), the band levels and the plant, and is
+    written last, so it exists only for a complete film. The film_*.svg
+    files and index.json of an earlier film in out_dir are removed before
+    the search starts, and a search that raises leaves the frames of its
+    records so far and no index.json. Raises ValueError when the responses
+    waiting do not match the records, and OutputUnwritable when a first
+    frame cannot be read back for its repeat.
     """
     out = Path(out_dir)
     make_output_dir(out)
@@ -346,7 +351,7 @@ def render_animation(
             stale.unlink(missing_ok=True)
         except OSError as exc:
             raise OutputUnwritable(f"cannot remove {stale}: {exc}") from exc
-    names = []
+    names, responses = [], []
 
     def on_record(rec: EvaluationRecord, first: EvaluationRecord):
         expected = 1 if first is rec else 0
@@ -363,7 +368,7 @@ def render_animation(
         write_output(out / name, svg)
         names.append(name)
 
-    trace = run(on_record)
+    trace = run(on_record, responses)
     if responses or len(names) != len(trace.records):
         raise ValueError(
             f"{len(names)} frames and {len(responses)} unclaimed responses "

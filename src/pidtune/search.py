@@ -70,7 +70,7 @@ class SearchTrace:
 def optimize(
     start: PidGains,
     score: Callable[[PidGains], ObjectiveValue],
-    cfg: SearchConfig | None = None,
+    cfg: SearchConfig = SearchConfig(),
     on_record: Callable[[EvaluationRecord, EvaluationRecord], None] | None = None,
 ) -> SearchTrace:
     """Minimize score by coordinate compass search with opportunistic polling.
@@ -95,7 +95,6 @@ def optimize(
     any record, when the start scores non-finite, and GainOverflow when a
     poll's gains overflow to a non-finite value.
     """
-    cfg = cfg if cfg is not None else SearchConfig()
     records = []
     firsts = {}  # gains bits -> the first record at that point
 

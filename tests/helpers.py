@@ -258,11 +258,10 @@ def film_finished(trace, responses, out_dir, plant=BENCH3) -> int:
     score there, and its response is dropped. Responses beyond the last
     record are left unclaimed. Returns the number of records in the trace
     render_animation returns."""
-    pending = []
     feed = iter(responses)
     firsts = {}
 
-    def run(on_record):
+    def run(on_record, pending):
         for rec in trace.records:
             response = list(itertools.islice(feed, 1))
             first = firsts.setdefault(gain_bits(rec.gains), rec)
@@ -272,7 +271,7 @@ def film_finished(trace, responses, out_dir, plant=BENCH3) -> int:
         pending.extend(feed)
         return trace
 
-    return len(render_animation(run, pending, out_dir, plant).records)
+    return len(render_animation(run, out_dir, plant).records)
 
 
 def compass_search_records(start, score, cfg) -> list[EvaluationRecord]:

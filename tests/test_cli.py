@@ -553,6 +553,29 @@ class TestFrameStreaming:
         assert "Traceback" not in err.getvalue()
         assert sorted(p.name for p in frames.iterdir()) == ["film_2.svg", "film_3.svg"]
 
+    @pytest.mark.parametrize("out_args", [[], ["--out", "run"], ["--out", "run", "--frames"]],
+                             ids=["no-out", "out", "frames"])
+    def test_only_a_filmed_search_keeps_its_responses(self, tmp_path, monkeypatch, out_args):
+        # evaluate may stop a scan early (the settle rule) only when it is
+        # handed no list; a film needs every sample of every response
+        inner = cli.evaluate
+        handed = []
+
+        def evaluate(gains, plant, cfg, responses):
+            handed.append(responses)
+            return inner(gains, plant, cfg, responses)
+
+        monkeypatch.setattr(cli, "evaluate", evaluate)
+        monkeypatch.chdir(tmp_path)
+        with redirect_stdout(io.StringIO()):
+            assert cli.main([*self.ARGS, *out_args]) == 0
+        assert len(handed) == 19  # one per distinct point
+        if "--frames" in out_args:
+            # one list, the one render_animation drains
+            assert type(handed[0]) is list and all(r is handed[0] for r in handed)
+        else:
+            assert handed == [None] * 19
+
 
 # Inputs for the fuzz test. Each draw is an ordinary value or an edge case
 # with even odds, so most runs get past input checks to the simulation and

@@ -1,6 +1,10 @@
+import os
+import subprocess
+import sys
 import tracemalloc
 import warnings
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -489,12 +493,30 @@ class TestScan:
 
     def test_matches_full_table_at_every_row_count_mod_4(self):
         # ORACLE_PLANTS' loops have orders 2 and 4, where an unpadded fast
-        # table agreed with the whole table. At orders 3, 5 and 6 its last
-        # (BLOCK + n) % 4 rows went through the remainder kernel of
-        # OpenBLAS's dgemv (0.3.31, Haswell) and moved 32, 31 and 62 of 200
-        # such scans.
+        # table agreed with the whole table under OpenBLAS's SkylakeX and
+        # Haswell dgemv (0.3.31), though not under its Prescott one. At
+        # orders 3, 5 and 6 its last (BLOCK + n) % 4 rows went through the
+        # remainder kernel of dgemv and moved 28-71 of 200 such scans under
+        # each of the three.
         plants = [TransferFunction((1.0,), tuple(np.poly([-1.0] * k))) for k in (2, 4, 5)]
         _assert_matches_full_table(plants, 20261020, 600)
+
+    @pytest.mark.parametrize("coretype", ["Haswell", "Prescott"])
+    def test_full_table_agreement_holds_under_other_blas_kernels(self, coretype):
+        # OpenBLAS picks its dgemv kernel for the CPU at start-up, and
+        # OPENBLAS_CORETYPE overrides the pick: Haswell's is what AVX2-only
+        # and AMD Zen machines run, and Prescott's uses no FMA. The fast
+        # table's padding must keep a cleared block's bits under each.
+        names = ["test_matches_full_table_bit_for_bit",
+                 "test_matches_full_table_at_every_row_count_mod_4"]
+        proc = subprocess.run(
+            [sys.executable, "-m", "pytest", "-q", "-p", "no:cacheprovider",
+             *(f"{__file__}::TestScan::{name}" for name in names)],
+            cwd=Path(__file__).parents[1], capture_output=True, text=True, timeout=600,
+            env={**os.environ, "OPENBLAS_CORETYPE": coretype},
+        )
+        assert proc.returncode == 0, proc.stdout[-3000:]
+        assert "2 passed" in proc.stdout
 
     @pytest.mark.parametrize("loop", [*range(len(GROWING)), "zn"])
     def test_step_table_matches_exact_powers(self, loop):

@@ -341,10 +341,9 @@ class TestRenderAnimation:
 
     def test_frame_written_as_record_arrives(self, tmp_path):
         trace = make_trace([0.5, 0.7, 0.4])
-        pending = []
         (tmp_path / "index.json").write_text("{}")  # left by an earlier film
 
-        def run(on_record):
+        def run(on_record, pending):
             for rec in trace.records:  # each at a new point
                 assert not (tmp_path / f"film_{rec.index}.svg").exists()
                 pending.append(make_resp([0.0, 0.5, 1.0]))
@@ -354,21 +353,20 @@ class TestRenderAnimation:
                 assert not (tmp_path / "index.json").exists()
             return trace
 
-        assert render_animation(run, pending, tmp_path, BENCH3) is trace
+        assert render_animation(run, tmp_path, BENCH3) is trace
         assert (tmp_path / "index.json").exists()
 
     def test_search_error_leaves_frames_without_index(self, tmp_path):
         trace = make_trace([0.5, 0.7, 0.4, 0.2])
-        pending = []
 
-        def run(on_record):
+        def run(on_record, pending):
             for rec in trace.records[:2]:
                 pending.append(make_resp([0.0, 0.5, 1.0]))
                 on_record(rec, rec)
             raise RuntimeError("search failed")
 
         with pytest.raises(RuntimeError, match="search failed"):
-            render_animation(run, pending, tmp_path, BENCH3)
+            render_animation(run, tmp_path, BENCH3)
         assert sorted(p.name for p in tmp_path.iterdir()) == ["film_1.svg", "film_2.svg"]
 
     @staticmethod
@@ -387,9 +385,9 @@ class TestRenderAnimation:
             improved = total < best
             best = min(best, total)
             records.append(EvaluationRecord(i, gains, make_value(total), improved, best))
-        pending, firsts = [], {}
+        firsts = {}
 
-        def run(on_record):
+        def run(on_record, pending):
             for rec in records:
                 first = firsts.setdefault(gain_bits(rec.gains), rec)
                 if first is rec:
@@ -399,7 +397,7 @@ class TestRenderAnimation:
 
         trace = SearchTrace(tuple(records), records[0].gains, records[0].objective,
                             "step-converged", SearchConfig())
-        render_animation(run, pending, tmp_path, BENCH3)
+        render_animation(run, tmp_path, BENCH3)
         return records, [first_resp[gain_bits(rec.gains)] for rec in records]
 
     def test_repeated_point_is_its_first_frame_redrawn(self, tmp_path):
@@ -437,15 +435,14 @@ class TestRenderAnimation:
     def test_response_waiting_for_a_repeat_rejected(self, tmp_path):
         first = make_trace([0.5]).records[0]
         repeat = EvaluationRecord(2, first.gains, first.objective, False, first.best_so_far)
-        pending = []
 
-        def run(on_record):
+        def run(on_record, pending):
             for rec in (first, repeat):
                 pending.append(make_resp([0.0, 1.0]))
                 on_record(rec, first)
 
         with pytest.raises(ValueError, match="waiting for record 2; expected 0"):
-            render_animation(run, pending, tmp_path, BENCH3)
+            render_animation(run, tmp_path, BENCH3)
 
     def test_earlier_longer_film_leaves_no_frames(self, tmp_path):
         film_finished(make_trace([0.5 + 0.01 * i for i in range(12)]),
