@@ -53,10 +53,10 @@ the low half is zero and the table is only as accurate as one built in
 float64.
 
 A block's state rows, apart from its last, serve only the band test. So
-scan keeps a fast table: the BLOCK output rows over the n rows
-[M^BLOCK | x[BLOCK]] of the block's last state, and zero rows up to a
-multiple of four (see the BLAS below). Before each block it bounds the
-block from the carried state x, in Python floats:
+scan keeps a fast table: the BLOCK output rows, zero rows up to a multiple
+of four (see the BLAS below), then the n rows [M^BLOCK | x[BLOCK]] of the
+block's last state, with which the whole table ends too. Before each block
+it bounds the block from the carried state x, in Python floats:
 
     b = size (1 + sum_i |x_i|),
 
@@ -64,9 +64,8 @@ where size is at least (1 + 4 (n + 2) eps) S + tiny, S the largest row sum
 sum_i (|high_i| + |low_i|) of the step table, eps the float64 epsilon and
 tiny the smallest normal float. If b <= limit the block is cleared: one
 matvec of the fast table writes its outputs straight into the output array,
-and its last state and the zero rows into the slots after them, which the
-next block overwrites, and the state is copied into both halves of
-[x, 1, x, 1]. No value of a cleared block can be out of band. In exact
+and its zero rows and last state into the slots after them, which the next
+block overwrites. No value of a cleared block can be out of band. In exact
 arithmetic a row [h | l] times [x, 1, x, 1] is at most
 sum_i (|h_i| + |l_i|) |x_i| + |h_n| + |l_n| <= S (1 + sum_i |x_i|) in
 magnitude. Rounded, a dot of 2n + 2 products, summed in any order, with or
@@ -102,14 +101,15 @@ block overwrites them; then the test max(np.abs(block)) <= limit over all
 of it, which NaN fails, and only when that fails one out-of-band mask of
 its live rows, each as [z, x], for the trigger: the first row with any
 entry out of band, then the first such column, so an output wins over the
-states of its sample. A block in band carries its last state, which past
-n_samples is never read. Every block, cleared or not, advances by BLOCK.
+states of its sample. Every block, cleared or in band, then carries the
+last n rows it wrote, its last state in either table, and advances by
+BLOCK; past n_samples that state is never read.
 A row has the same bits in either table only if the BLAS computes its dot
 the same way at either place. OpenBLAS's dgemv (0.3.31; its SkylakeX,
 Haswell and Prescott kernels) takes the rows four at a time and the last
 len % 4 rows with another kernel, which sums in another order; the whole
-table's BLOCK (n + 1) rows are a multiple of four, and the fast table is
-padded to one, so every row goes through the four-row kernel.
+table's BLOCK (n + 1) rows are a multiple of four, and so are the fast
+table's, by its zero rows, so every row goes through the four-row kernel.
 tests/test_lti.py pins scan bit for bit to tests/helpers.full_table_scan,
 which takes every block through the whole table, under the kernel OpenBLAS
 picks for the CPU and under the Haswell and Prescott kernels. A BLAS that
@@ -250,25 +250,24 @@ def _fast_table(step_mat, step_vec, c_row, feed):
     """(fast, powers, size): the table a cleared block reads, the squares
     it is built from, and the bound's size with its margin and tiny. powers
     holds A, A^2, A^4, ..., A^BLOCK in long double, each over A's last row;
-    fast the BLOCK output rows [c M^j | c x[j] + feed] over A^BLOCK's state
-    rows, split, over zero rows up to a multiple of four."""
+    fast the BLOCK output rows [c M^j | c x[j] + feed], zero rows up to a
+    multiple of four, then A^BLOCK's state rows, split."""
     n = len(step_vec)
     margin = 1.0 + 4 * (n + 2) * EPS
     powers = np.zeros((BLOCK.bit_length(), n + 1, n + 1), np.longdouble)
     powers[:, n, n] = 1.0
     powers[0, :n, :n] = step_mat
     powers[0, :n, n] = step_vec
-    # The output rows, then A^BLOCK's state rows.
-    rows = np.empty((BLOCK + n, n + 1), np.longdouble)
+    # The output rows, zero rows to a multiple of four, A^BLOCK's state rows.
+    rows = np.zeros((BLOCK + n + -(BLOCK + n) % 4, n + 1), np.longdouble)
     rows[0] = c_row @ powers[0, :n]
     for i, power in enumerate(powers[:-1]):
         k = 1 << i
         power[:n].dot(power, out=powers[i + 1, :n])
         rows[:k].dot(power, out=rows[k : 2 * k])
     rows[:BLOCK, n] += feed
-    rows[BLOCK:] = powers[-1, :n]
-    fast = np.zeros((BLOCK + n + -(BLOCK + n) % 4, 2 * n + 2))
-    _split(rows, fast[: BLOCK + n])
+    rows[len(rows) - n :] = powers[-1, :n]
+    fast = _split(rows, np.empty((len(rows), 2 * n + 2)))
     # size's terms: each output row's sum, then the product of the squares'
     # row-sum norms (each at least 1, by A's last row) but the last, and the
     # last; numpy's max keeps a NaN, which Python's may drop.
@@ -367,12 +366,11 @@ def scan(step_mat, step_vec, c_row, feed, n_samples, limit, settle=None):
     the settle rule: at a block boundary, or just after the clamp begins."""
     n = step_mat.shape[0]
     fast, powers, size = _fast_table(step_mat, step_vec, c_row, feed)
-    span = len(fast)
     # The whole table, built at the first block the bound does not clear.
     table = None
     # Whole blocks after sample 0, then room for what a block writes past
     # its outputs: a block of the whole table its BLOCK n states, which
-    # take more than a cleared block's last state and fast's zero rows.
+    # take more than a cleared block's zero rows and last state.
     # What lies past n_samples is cut off.
     out = np.empty(1 + -(-(n_samples - 1) // BLOCK) * BLOCK + BLOCK * n)
     # [x, 1, x, 1], a copy of [x, 1] for each half of a row; states writes
@@ -402,18 +400,15 @@ def scan(step_mat, step_vec, c_row, feed, n_samples, limit, settle=None):
                         check = n_samples
                     elif (e := x - cert[0]) @ cert[1] @ e <= cert[2]:
                         return out[:start], False
-            fast.dot(x_one, out=out[start : start + span])
-            start += BLOCK
-            states[:] = out[start : start + n]
-            continue
-        # A block the bound does not clear: every row, written straight into
-        # out, the outputs in place and their states after them; then the
-        # band test. Rows past n_samples do not count.
-        if table is None:
-            table = _full_table(fast, powers)
-        block = out[start : start + BLOCK * (n + 1)]
-        table.dot(x_one, out=block)
-        if not np.maximum.reduce(np.abs(block)) <= limit:
+            step = fast
+        else:
+            step = table = _full_table(fast, powers) if table is None else table
+        # The block's rows, written straight into out: its outputs in place,
+        # then the rows after them, which the next block overwrites.
+        block = out[start : start + len(step)]
+        step.dot(x_one, out=block)
+        # Only a block the bound does not clear can leave the band.
+        if step is table and not np.maximum.reduce(np.abs(block)) <= limit:
             # The live rows as [z, x]; the first entry out of band, NaN too,
             # in row order: the first such row, then its first such column,
             # the output before states.
@@ -427,6 +422,7 @@ def scan(step_mat, step_vec, c_row, feed, n_samples, limit, settle=None):
                 clamp = -limit if live_rows[j, col] < 0.0 else limit
                 # A triggering state leaves its sample's output as computed.
                 return _clamped(out, start + j + (col > 0), clamp, n_samples, settle)
-        states[:] = block[BLOCK + (BLOCK - 1) * n :]
+        # Both tables end with the block's last state.
+        states[:] = block[len(block) - n :]
         start += BLOCK
     return out[:n_samples], False

@@ -264,32 +264,21 @@ def _read_only(a: np.ndarray) -> np.ndarray:
     return a
 
 
-# Row 0 divides (dt a)^j by j!, j = 0..4, for m, and row 1 by (j + 1)!,
-# j = 0..3, for vc; its last 1 divides a term that is not used.
-_RK4_DIVISORS = np.array([[1.0, 1.0, 2.0, 6.0, 24.0], [1.0, 2.0, 6.0, 24.0, 1.0]])[..., None, None]
-
-
 def _rk4_step_map(a: np.ndarray, b: np.ndarray, dt: float):
     """Precompute the classical-RK4 one-step affine map for dx = a x + b.
 
     One RK4 step with constant unit input is exactly
     x+ = (sum_{j<=4} (dt a)^j / j!) x + dt (sum_{j<=3} (dt a)^j / (j+1)!) b,
-    so the whole trajectory is an iterated affine update.
+    so the whole trajectory is an iterated affine update. With ha = dt a,
+    both sums come from vc = I + ha/2 (I + ha/3 (I + ha/4)) by Horner's
+    rule: m = I + ha vc and v = dt vc b, three matrix products and a matvec.
     """
-    n = a.shape[0]
+    eye = _kernels._identity(a.shape[0])
     ha = dt * a
-    # The powers (dt a)^0..4, each the last times dt a; every term in one
-    # division; then m's first four terms and vc's in one reduction, which
-    # adds each sum's terms in order, so the sums round as they would added
-    # one term at a time.
-    powers = np.empty((5, n, n))
-    powers[0] = _kernels._identity(n)
-    for j in range(1, 5):
-        np.matmul(powers[j - 1], ha, out=powers[j])
-    terms = powers / _RK4_DIVISORS
-    sums = np.add.reduce(terms[:, :4], axis=1)
-    m = sums[0] + terms[0, 4]
-    vc = sums[1]
+    vc = eye + ha / 4
+    for j in (3, 2):
+        vc = eye + (ha / j) @ vc
+    m = eye + ha @ vc
     v = dt * (vc @ b).ravel()
     return m, v
 

@@ -2,11 +2,17 @@
 the library's fast paths, plus generators for randomized cases."""
 
 import contextlib
+import ctypes
 import decimal
 import itertools
+import os
 import struct
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
+import pytest
 
 from pidtune import (
     EvaluationRecord,
@@ -96,7 +102,8 @@ def full_table_scan(step_mat, step_vec, c_row, feed, n_samples, limit, carried=N
     [x, 1, x, 1], and its rows are read in order under sequential_scan's
     rule. scan gives the same bits only where the BLAS computes a row's dot
     the same way in the fast table as in the whole table, which is why the
-    fast table is padded to OpenBLAS's groups of four rows (see _kernels).
+    fast table has zero rows between its outputs and its state rows, up to
+    OpenBLAS's groups of four rows (see _kernels).
     A list given as carried gets the state each block starts from, as a
     list of floats: one per block that scan tests against its bound.
     Returns (values, diverged)."""
@@ -248,6 +255,46 @@ def scan_error_bound(step_mat, step_vec, c_row, feed, n_samples):
     # 2^-1075 itself rounds to 0.0, so halve the count, not the subnormal.
     tol += steps * (len(c_row) + 1) / 2 * np.finfo(float).smallest_subnormal
     return tol
+
+
+# The kernel OpenBLAS reports for each OPENBLAS_CORETYPE that tests run
+# under; it names Prescott's kernel Katmai.
+OPENBLAS_CORES = {"Haswell": "Haswell", "Prescott": "Katmai"}
+
+# A child that prints the kernel of the OpenBLAS numpy loaded, at the path
+# given first, then runs pytest on the rest of its arguments.
+_KERNEL_CHILD = """\
+import ctypes, sys
+import numpy, pytest
+corename = ctypes.CDLL(sys.argv[1]).scipy_openblas_get_corename64_
+corename.restype = ctypes.c_char_p
+print(corename().decode(), flush=True)
+sys.exit(pytest.main(sys.argv[2:]))
+"""
+
+
+def run_under_blas_kernel(coretype, pytest_args) -> str:
+    """Runs pytest on pytest_args in a child process under
+    OPENBLAS_CORETYPE=coretype, and asserts that it passes on the kernel
+    OPENBLAS_CORES names: OpenBLAS runs the CPU's own kernel, without a
+    word, for a core type it does not know. The child asks numpy's bundled
+    OpenBLAS through scipy_openblas_get_corename64_; the calling test skips
+    where that library or that symbol is absent. Returns pytest's report."""
+    libs = sorted(Path(np.__file__).parent.with_name("numpy.libs").glob("libscipy_openblas64_*.so"))
+    if not libs:
+        pytest.skip("numpy has no bundled OpenBLAS (numpy.libs/libscipy_openblas64_*.so)")
+    if not hasattr(ctypes.CDLL(str(libs[0])), "scipy_openblas_get_corename64_"):
+        pytest.skip(f"{libs[0].name} has no scipy_openblas_get_corename64_")
+    proc = subprocess.run(
+        [sys.executable, "-c", _KERNEL_CHILD, str(libs[0]), "-q", "-p", "no:cacheprovider",
+         *pytest_args],
+        cwd=Path(__file__).parents[1], capture_output=True, text=True, timeout=600,
+        env={**os.environ, "OPENBLAS_CORETYPE": coretype},
+    )
+    core, _, report = proc.stdout.partition("\n")
+    assert core == OPENBLAS_CORES[coretype], proc.stdout[-3000:] + proc.stderr[-3000:]
+    assert proc.returncode == 0, report[-3000:]
+    return report
 
 
 def film_finished(trace, responses, out_dir, plant=BENCH3) -> int:

@@ -10,9 +10,10 @@ docstring (the clearing bound, the settle certificate, the divergence rule
 and the BLAS layout), and the tests pin their outcomes, not each term. Loop
 closure in lti rounds each numerator coefficient's exact sum of products
 once (math.fsum) and adds the denominator in np.polyadd's order;
-realization and the RK4 step map repeat numpy's float operations in
-numpy's order. tests/test_golden.py's seeded evaluation digest pins the
-bits that come of them. Each mutant below breaks one term, one such order
+realization repeats numpy's float operations in numpy's order, and the RK4
+step map takes its series by Horner's rule, dividing dt a before each
+product. tests/test_golden.py's seeded evaluation digest pins the bits that
+come of them. Each mutant below breaks one term, one such order
 or the single rounding, by an exact text replacement. For each, the tool
 copies src/, tests/ and pyproject.toml into a temporary directory, makes the
 replacement there, runs tests/test_lti.py, tests/test_objective.py and the
@@ -124,9 +125,10 @@ MUTANTS = {
     ),
     "refused_block_carries_its_first_state": (
         KERNEL,
-        "states[:] = block[BLOCK + (BLOCK - 1) * n :]",
+        "states[:] = block[len(block) - n :]",
         "states[:] = block[BLOCK : BLOCK + n]",
-        "a block in band carries its first state, not its last, to the next block",
+        "a block carries the n rows after its outputs, not its last state: a block in "
+        "band its first state, a cleared one the fast table's zero rows",
     ),
     "diverged_prefix_one_short": (
         KERNEL,
@@ -136,9 +138,16 @@ MUTANTS = {
     ),
     "fast_table_unpadded": (
         KERNEL,
-        "np.zeros((BLOCK + n + -(BLOCK + n) % 4, 2 * n + 2))",
-        "np.zeros((BLOCK + n, 2 * n + 2))",
+        "np.zeros((BLOCK + n + -(BLOCK + n) % 4, n + 1), np.longdouble)",
+        "np.zeros((BLOCK + n, n + 1), np.longdouble)",
         "the fast table's last rows go through another BLAS kernel than the whole table's",
+    ),
+    "fast_state_rows_before_padding": (
+        KERNEL,
+        "rows[len(rows) - n :] = powers[-1, :n]",
+        "rows[BLOCK : BLOCK + n] = powers[-1, :n]",
+        "A^BLOCK's state rows precede the fast table's zero rows, so a cleared block "
+        "carries zeros",
     ),
     # Each lti mutant below changes an order or a rounding of the closure,
     # the realization or the step map, which moves the bits that the seeded
@@ -162,11 +171,11 @@ MUTANTS = {
         "den = [a * (1.0 / lead) for a in tf.den[1:]]",
         "the monic normalization multiplies by 1/lead, which rounds twice",
     ),
-    "rk4_sums_reversed": (
+    "rk4_horner_divides_after": (
         LTI,
-        "sums = np.add.reduce(terms[:, :4], axis=1)",
-        "sums = np.add.reduce(terms[:, 3::-1], axis=1)",
-        "the step map's series is summed from its smallest term up",
+        "(ha / j) @ vc",
+        "(ha @ vc) / j",
+        "the step map's Horner steps divide each product by j, not dt a before it",
     ),
 }
 

@@ -17,8 +17,6 @@ runs another BLAS kernel, since the digests must not depend on it.
 import hashlib
 import io
 import json
-import os
-import subprocess
 import sys
 import tempfile
 from contextlib import redirect_stderr, redirect_stdout
@@ -37,7 +35,7 @@ from pidtune import (
     ultimate_point,
 )
 
-from helpers import ORACLE_PLANTS, random_pole_plant, random_proper_tf
+from helpers import ORACLE_PLANTS, random_pole_plant, random_proper_tf, run_under_blas_kernel
 
 DIGESTS = Path(__file__).with_name("golden_digests.json")
 
@@ -159,13 +157,7 @@ def test_digests_hold_under_the_haswell_blas_kernel():
     # OpenBLAS picks its compute kernel for the CPU at start-up, and
     # OPENBLAS_CORETYPE overrides the pick; Haswell's is what AVX2-only and
     # AMD Zen machines run. The digests must not depend on which one rounds.
-    proc = subprocess.run(
-        [sys.executable, "-m", "pytest", "-q", "-p", "no:cacheprovider", __file__,
-         "-k", "seeded_evaluations or film"],
-        cwd=Path(__file__).parents[1], capture_output=True, text=True, timeout=600,
-        env={**os.environ, "OPENBLAS_CORETYPE": "Haswell"},
-    )
-    assert proc.returncode == 0, proc.stdout[-3000:]
+    run_under_blas_kernel("Haswell", [__file__, "-k", "seeded_evaluations or film"])
 
 
 if __name__ == "__main__":

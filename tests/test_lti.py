@@ -1,10 +1,7 @@
-import os
-import subprocess
-import sys
+import itertools
 import tracemalloc
 import warnings
 from fractions import Fraction
-from pathlib import Path
 
 import numpy as np
 import pytest
@@ -25,7 +22,7 @@ from pidtune import (
 )
 from pidtune import _kernels
 from pidtune._kernels import BLOCK
-from pidtune.lti import BLOW_UP_LIMIT, MAX_SAMPLES
+from pidtune.lti import BLOW_UP_LIMIT, MAX_SAMPLES, _rk4_step_map
 from pidtune.objective import BAND_LOWER, BAND_UPPER
 from pidtune.tuning import ultimate_point, zn_pid_gains
 
@@ -39,6 +36,7 @@ from helpers import (
     full_table_scan,
     loop_step_map,
     random_proper_tf,
+    run_under_blas_kernel,
     scan_error_bound,
     sequential_scan,
     table_blocks,
@@ -306,6 +304,59 @@ class TestSimulateStep:
         assert resp.values[0] == 2.0
 
 
+def _fraction_series(ha, coeffs):
+    """sum_j coeffs[j] ha^j, exactly, over the float64 matrix ha: a list of
+    rows of Fractions."""
+    n = len(ha)
+    h = [[Fraction(e) for e in row] for row in ha.tolist()]
+    power = [[Fraction(int(i == k)) for k in range(n)] for i in range(n)]
+    total = [[Fraction(0)] * n for _ in range(n)]
+    for coeff in coeffs:
+        total = [[t + coeff * p for t, p in zip(trow, prow)] for trow, prow in zip(total, power)]
+        power = [[sum(p * h[i][k] for i, p in enumerate(prow)) for k in range(n)] for prow in power]
+    return total
+
+
+class TestStepMap:
+    def test_matches_the_exact_series(self):
+        # Against the series in exact arithmetic over the float64 ha = dt a:
+        # m = sum_{j<=4} ha^j / j! and v = dt sum_{j<=3} ha^j / (j + 1)! b.
+        # Each entry's terms' magnitudes sum to the same series over |ha|
+        # and |b|. Summed term by term from the powers, or by Horner's rule,
+        # each entry rounds by at most gamma(4 (n + 2)), about 2 (n + 2) eps,
+        # times that sum (Higham 2002, ch. 3); the test allows twice that.
+        # Measured on these loops: 0.33 (n + 2) eps term by term, 0.22 by
+        # Horner's rule.
+        rng = np.random.default_rng(20261021)
+        dt = 0.01
+        loops = []
+        while len(loops) < 60:
+            plant = (ORACLE_PLANTS[int(rng.integers(len(ORACLE_PLANTS)))]
+                     if len(loops) < 30 else random_proper_tf(rng))
+            try:
+                loops.append(tf_to_state_space(
+                    close_unity_feedback(PidGains(*rng.uniform(-10.0, 10.0, 3).tolist()), plant)
+                ))
+            except ImproperLoop:
+                continue
+        eps, h = Fraction(np.finfo(float).eps), Fraction(dt)
+        m_coeffs = [Fraction(1, k) for k in (1, 1, 2, 6, 24)]
+        vc_coeffs = [Fraction(1, k) for k in (1, 2, 6, 24)]
+        for ss in loops:
+            n = ss.order
+            m, v = _rk4_step_map(ss.a, ss.b, dt)
+            ha = dt * ss.a
+            exact_m, mag_m = (_fraction_series(x, m_coeffs) for x in (ha, np.abs(ha)))
+            exact_vc, mag_vc = (_fraction_series(x, vc_coeffs) for x in (ha, np.abs(ha)))
+            # b is e_n, so dt vc b is dt times vc's last column.
+            assert ss.b.ravel().tolist() == [0.0] * (n - 1) + [1.0]
+            got = [*m.ravel().tolist(), *v.tolist()]
+            exact = [*itertools.chain(*exact_m), *(h * row[-1] for row in exact_vc)]
+            magnitude = [*itertools.chain(*mag_m), *(h * row[-1] for row in mag_vc)]
+            for g, e, mag in zip(got, exact, magnitude, strict=True):
+                assert abs(Fraction(g) - e) <= 4 * (n + 2) * eps * mag, (n, g, float(e))
+
+
 class TestSimConfig:
     def test_validation(self):
         with pytest.raises(ValueError):
@@ -509,14 +560,8 @@ class TestScan:
         # table's padding must keep a cleared block's bits under each.
         names = ["test_matches_full_table_bit_for_bit",
                  "test_matches_full_table_at_every_row_count_mod_4"]
-        proc = subprocess.run(
-            [sys.executable, "-m", "pytest", "-q", "-p", "no:cacheprovider",
-             *(f"{__file__}::TestScan::{name}" for name in names)],
-            cwd=Path(__file__).parents[1], capture_output=True, text=True, timeout=600,
-            env={**os.environ, "OPENBLAS_CORETYPE": coretype},
-        )
-        assert proc.returncode == 0, proc.stdout[-3000:]
-        assert "2 passed" in proc.stdout
+        report = run_under_blas_kernel(coretype, [f"{__file__}::TestScan::{n}" for n in names])
+        assert "2 passed" in report
 
     @pytest.mark.parametrize("loop", [*range(len(GROWING)), "zn"])
     def test_step_table_matches_exact_powers(self, loop):
@@ -755,16 +800,17 @@ class TestStepTable:
 
     @pytest.mark.parametrize("loop", [*range(len(GROWING)), "zn"])
     def test_fast_rows_recur_in_the_full_table(self, loop):
-        # Row block j of the whole table holds fast's output row j, and row
-        # block BLOCK A^BLOCK's state rows, rebuilt as A^(BLOCK/2) squared;
-        # fast's zero rows make its length a multiple of four.
+        # Row block j of the whole table holds fast's output row j. Both
+        # tables end with A^BLOCK's state rows, the whole table's rebuilt as
+        # A^(BLOCK/2) squared, so scan carries the last n rows of either;
+        # fast's zero rows between make its length a multiple of four.
         args = _growing_or_zn_loop(loop)
         n = len(args[1])
         fast, powers, _ = _kernels._fast_table(*args)
-        rows = table_blocks(_kernels._full_table(fast, powers))
-        assert np.array_equal(rows[:, 0], fast[:BLOCK])
-        assert np.array_equal(rows[-1, 1:], fast[BLOCK : BLOCK + n])
-        assert len(fast) - BLOCK - n == -(BLOCK + n) % 4 and not fast[BLOCK + n :].any()
+        table = _kernels._full_table(fast, powers)
+        assert np.array_equal(table_blocks(table)[:, 0], fast[:BLOCK])
+        assert np.array_equal(table[len(table) - n :], fast[len(fast) - n :])
+        assert not fast[BLOCK : len(fast) - n].any() and len(fast) % 4 == 0
 
 
 # The objective's band, which evaluate hands the settle rule.
