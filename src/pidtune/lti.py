@@ -246,6 +246,12 @@ def tf_to_state_space(tf: TransferFunction) -> StateSpace:
 
 
 @functools.cache
+def _identity(n: int) -> np.ndarray:
+    """Read-only n x n identity."""
+    return _read_only(np.eye(n))
+
+
+@functools.cache
 def _companion(n: int) -> np.ndarray:
     """Read-only n x n shift matrix: ones on the superdiagonal."""
     return _read_only(np.eye(n, k=1))
@@ -273,7 +279,7 @@ def _rk4_step_map(a: np.ndarray, b: np.ndarray, dt: float):
     both sums come from vc = I + ha/2 (I + ha/3 (I + ha/4)) by Horner's
     rule: m = I + ha vc and v = dt vc b, three matrix products and a matvec.
     """
-    eye = _kernels._identity(a.shape[0])
+    eye = _identity(a.shape[0])
     ha = dt * a
     vc = eye + ha / 4
     for j in (3, 2):

@@ -110,6 +110,13 @@ MUTANTS = {
         ")",
         "a P that does not solve the Lyapunov equation may certify",
     ),
+    "certificate_unweighted": (
+        KERNEL,
+        "(np.multiply.outer(k, k) / DELTA)",
+        "np.zeros((n, n))",
+        "the certificate weights every state alike (W = I), so slow modes that barely "
+        "reach the output keep the scan going",
+    ),
     "certificate_past_the_block": (
         KERNEL,
         "                        return out[:start], False",

@@ -27,9 +27,12 @@ With --settle it scores the same uniform loops with objective.evaluate at
 the default horizon (10,001 samples), once with the settle rule and once
 with the full scan (responses given), and prints the scores that differ in
 any bit, the share of all samples the settle rule skipped, how many
-responses rose and ended inside the band without being cut short (the
-certificates refused or never tested), and the share of the settled scans
-that built the step table's state rows. Any difference fails the run.
+responses rose and ended inside the band without being cut short, and the
+share of the settled scans that built the step table's state rows. It
+splits the responses scanned in full by cause: a singular I - M (ki = 0
+keeps the PID's pole at s = 0), a certificate its checks refused, or a
+certificate that the carried state never met inside its radius at a
+checkpoint. Any difference fails the run.
 """
 
 import argparse
@@ -38,6 +41,7 @@ from dataclasses import astuple
 import numpy as np
 
 from pidtune import PidGains, SimConfig, _kernels, evaluate, step_response
+from pidtune.lti import BLOW_UP_LIMIT
 from pidtune.objective import BAND_LOWER, BAND_UPPER
 
 from helpers import (
@@ -59,13 +63,29 @@ def _bits(value):
     return [f.hex() if isinstance(f, float) else f for f in astuple(value)]
 
 
+def _full_scan_cause(step_mat, step_vec, c_row, feed, settle):
+    """Why a response that ends in the band was scanned in full: a singular
+    I - M, a certificate its checks refused, or one never met at a
+    checkpoint."""
+    try:
+        np.linalg.solve(np.eye(len(step_vec)) - step_mat, step_vec)
+    except np.linalg.LinAlgError:
+        return "singular I - M"
+    size = _kernels._fast_table(step_mat, step_vec, c_row, feed)[2]
+    cert = _kernels._certificate(step_mat, step_vec, c_row, feed, BLOW_UP_LIMIT, settle, size)
+    return "certified, never inside the radius" if cert else "certificate refused"
+
+
 def settle_main(rng, loops):
     """The --settle comparison; returns the exit status."""
     cfg = SimConfig()
     settle = (BAND_LOWER, BAND_UPPER)
-    mismatches, skipped, refused, settled, built = [], 0, 0, 0, 0
+    mismatches, skipped, settled, built = [], 0, 0, 0
+    causes = dict.fromkeys(
+        ("singular I - M", "certificate refused", "certified, never inside the radius"), 0
+    )
     with np.errstate(all="ignore"):
-        for plant, gains, _, _ in draw_loops(rng, loops, False):
+        for plant, gains, _, map_args in draw_loops(rng, loops, False):
             args = (PidGains(*gains), ORACLE_PLANTS[plant], cfg)
             full = step_response(*args).values
             with counting_full_tables() as builds:
@@ -76,11 +96,13 @@ def settle_main(rng, loops):
                 mismatches.append((plant, gains))
             if BAND_LOWER <= full[-1] <= BAND_UPPER:
                 settled += 1
-                refused += kept == cfg.n_samples
+                if kept == cfg.n_samples:
+                    causes[_full_scan_cause(*map_args, settle)] += 1
     print(f"loops {loops} (settle, {cfg.n_samples} samples), mismatches {len(mismatches)}"
           f"{': ' + repr(mismatches[:5]) if mismatches else ''}")
     print(f"samples skipped {skipped / (loops * cfg.n_samples):.3f}; "
-          f"rose and ended in the band {settled}, of them scanned in full {refused}")
+          f"rose and ended in the band {settled}, of them scanned in full {sum(causes.values())}: "
+          + ", ".join(f"{cause} {count}" for cause, count in causes.items()))
     print(f"settled scans that built state rows {built / loops:.3f}")
     return 1 if mismatches else 0
 

@@ -16,6 +16,8 @@ from pidtune import (
     SimConfig,
     TransferFunction,
     close_unity_feedback,
+    evaluate,
+    optimize,
     simulate_step,
     step_response,
     tf_to_state_space,
@@ -870,6 +872,20 @@ class TestSettle:
         for n_samples in [k - 1, k, k + 1, k + 2, k + BLOCK - 1, k + BLOCK, k + BLOCK + 1]:
             assert _assert_settles_soundly(args, n_samples, SETTLE) == min(k, n_samples)
 
+    def test_zn_search_keeps_few_samples(self):
+        # The output-weighted certificate settles the ZN search's distinct
+        # points within 0.134 of their samples; weighting every state alike
+        # kept 0.177.
+        cfg = SimConfig()
+        kept = []
+
+        def score(gains):
+            kept.append(len(step_response(gains, BENCH3, cfg, settle=SETTLE).values))
+            return evaluate(gains, BENCH3, cfg)
+
+        optimize(zn_pid_gains(ultimate_point(BENCH3)), score)
+        assert len(kept) > 200 and sum(kept) <= 0.15 * len(kept) * cfg.n_samples
+
     def test_stops_only_within_half_the_room(self):
         # z = 1 + 0.05 * 0.999^k falls into the band at sample 916 and stays
         # in (0.01, 0.02] above z_ref = 1 for about 11 blocks: a certificate
@@ -893,8 +909,9 @@ class TestSettle:
         assert _assert_settles_soundly(args, 3001, SETTLE) == 3001
 
     def test_lyapunov_solution_is_checked(self, monkeypatch):
-        # 0.3 P is positive definite but leaves the residual 0.7 I, whose
-        # norm exceeds 1/2: the certificate must test the solve it got.
+        # 0.3 P is positive definite but leaves the residual 0.7 W, whose
+        # norm is at least 0.7 (W >= I) and exceeds 1/2: the certificate
+        # must test the solve it got.
         zn = zn_pid_gains(ultimate_point(BENCH3))
         args = loop_step_map(BENCH3, (zn.kp, zn.ki, zn.kd))
         n = len(args[1])
