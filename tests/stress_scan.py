@@ -30,7 +30,9 @@ any bit, the share of all samples the settle rule skipped, how many
 responses rose and ended inside the band without being cut short, and the
 share of the settled scans that built the step table's state rows. It
 splits the responses scanned in full by cause: a singular I - M (ki = 0
-keeps the PID's pole at s = 0), a certificate its checks refused, or a
+keeps the PID's pole at s = 0), a last written output outside the band at
+every checkpoint (found by replaying scan's checkpoint schedule on the full
+scan, so no certificate was built), a certificate its checks refused, or a
 certificate that the carried state never met inside its radius at a
 checkpoint. Any difference fails the run.
 """
@@ -63,16 +65,39 @@ def _bits(value):
     return [f.hex() if isinstance(f, float) else f for f in astuple(value)]
 
 
-def _full_scan_cause(step_mat, step_vec, c_row, feed, settle):
+def _in_band_at_a_checkpoint(map_args, settle, n_samples, size):
+    """Whether scan's settle rule, replayed on the full scan, finds the last
+    written output in [lower, upper] at some checkpoint: scan tests it
+    before each cleared block from CHECK_START on, the next checkpoint half
+    as far again, and only such a test builds the certificate."""
+    carried = []
+    out = full_table_scan(*map_args, n_samples, BLOW_UP_LIMIT, carried)[0]
+    lower, upper = settle
+    check = _kernels.CHECK_START
+    for j, x in enumerate(carried):
+        start = 1 + j * _kernels.BLOCK
+        cleared = size * (1.0 + sum(map(abs, x))) <= BLOW_UP_LIMIT
+        if check <= start < n_samples and cleared:
+            check += check // 2
+            if lower <= out[start - 1] <= upper:
+                return True
+    return False
+
+
+def _full_scan_cause(map_args, settle, n_samples):
     """Why a response that ends in the band was scanned in full: a singular
-    I - M, a certificate its checks refused, or one never met at a
-    checkpoint."""
+    I - M; a last written output outside the band at every checkpoint, so
+    that scan never built a certificate; a certificate its checks refused;
+    or one whose radius the carried state never met at a checkpoint."""
+    step_mat, step_vec = map_args[:2]
     try:
         np.linalg.solve(np.eye(len(step_vec)) - step_mat, step_vec)
     except np.linalg.LinAlgError:
         return "singular I - M"
-    size = _kernels._fast_table(step_mat, step_vec, c_row, feed)[2]
-    cert = _kernels._certificate(step_mat, step_vec, c_row, feed, BLOW_UP_LIMIT, settle, size)
+    size = _kernels._fast_table(*map_args)[2]
+    if not _in_band_at_a_checkpoint(map_args, settle, n_samples, size):
+        return "never in band at a checkpoint"
+    cert = _kernels._certificate(*map_args, BLOW_UP_LIMIT, settle, size)
     return "certified, never inside the radius" if cert else "certificate refused"
 
 
@@ -82,7 +107,13 @@ def settle_main(rng, loops):
     settle = (BAND_LOWER, BAND_UPPER)
     mismatches, skipped, settled, built = [], 0, 0, 0
     causes = dict.fromkeys(
-        ("singular I - M", "certificate refused", "certified, never inside the radius"), 0
+        (
+            "singular I - M",
+            "never in band at a checkpoint",
+            "certificate refused",
+            "certified, never inside the radius",
+        ),
+        0,
     )
     with np.errstate(all="ignore"):
         for plant, gains, _, map_args in draw_loops(rng, loops, False):
@@ -97,7 +128,7 @@ def settle_main(rng, loops):
             if BAND_LOWER <= full[-1] <= BAND_UPPER:
                 settled += 1
                 if kept == cfg.n_samples:
-                    causes[_full_scan_cause(*map_args, settle)] += 1
+                    causes[_full_scan_cause(map_args, settle, cfg.n_samples)] += 1
     print(f"loops {loops} (settle, {cfg.n_samples} samples), mismatches {len(mismatches)}"
           f"{': ' + repr(mismatches[:5]) if mismatches else ''}")
     print(f"samples skipped {skipped / (loops * cfg.n_samples):.3f}; "

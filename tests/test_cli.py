@@ -10,7 +10,6 @@ import weakref
 from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
-import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -28,7 +27,6 @@ from pidtune import (
 )
 from pidtune import cli, errors
 from pidtune.cli import _starting_gains, parse_plant
-from pidtune.tuning import draw_gains
 
 from helpers import BENCH3
 
@@ -330,33 +328,6 @@ class TestTuneCommand:
         assert "unstable-after=" in r.stdout
         # seed 4's first draw is stable; resampling must report extra draws
         assert "unstable-after=2" in r.stdout
-
-    def test_ensure_unstable_draws_match_full_scans(self, monkeypatch):
-        # The draw loop scans under the settle rule, which may end a stable
-        # draw early; the start and its draw count are those that full
-        # scans give. Seeds 1-10 are the benchmark's, whose stable draws
-        # never settle in the band; seeds 13 and 21 draw one that does.
-        cfg = SimConfig()
-        stable = []
-
-        def recording(*args, **kwargs):
-            resp = step_response(*args, **kwargs)
-            if not resp.diverged:
-                stable.append(len(resp.values))
-            return resp
-
-        monkeypatch.setattr(cli, "step_response", recording)
-        for seed in range(1, 22):
-            rng = np.random.default_rng(seed)
-            for attempt in range(1, cli.MAX_RESAMPLE_ATTEMPTS + 1):
-                gains = draw_gains(rng)
-                if step_response(gains, BENCH3, cfg).diverged:
-                    break
-            start_args = argparse.Namespace(start="random", seed=seed, ensure_unstable=True)
-            assert _starting_gains(start_args, BENCH3, cfg) == (
-                gains, f"start=random seed={seed} unstable-after={attempt} draws"
-            )
-        assert min(stable) < cfg.n_samples
 
     def test_frames_require_out(self):
         r = run_cli("tune", "--plant", "benchmark3", "--start", "zn",

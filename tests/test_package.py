@@ -55,12 +55,11 @@ def test_only_objective_runs_the_gains_to_response_chain():
 
 
 def test_only_evaluate_asks_for_a_settled_scan():
-    # A response that the settle rule cuts short is fit for scoring and for
-    # its divergence flag, which the rule keeps: a frame or a samples CSV
-    # needs every sample. So objective.evaluate and the --ensure-unstable
-    # draw loop are the callers that ask for it; step_response and
-    # simulate_step only pass their own settle parameter on, and no call
-    # hands scan a seventh positional argument.
+    # A response that the settle rule cuts short is fit for scoring only: a
+    # frame, a samples CSV or a divergence check needs every sample. So
+    # objective.evaluate is the one caller that asks for it; step_response
+    # and simulate_step only pass their own settle parameter on, and no
+    # call hands scan a seventh positional argument.
     asks, passes, scans = [], [], []
     for path in SOURCES:
         for func in ast.parse(path.read_text(), filename=str(path)).body:
@@ -81,15 +80,15 @@ def test_only_evaluate_asks_for_a_settled_scan():
                 name = getattr(node.func, "attr", getattr(node.func, "id", None))
                 if name == "scan":
                     scans.append((where, len(node.args)))
-    assert sorted(asks) == ["cli._starting_gains", "objective.evaluate"]
+    assert asks == ["objective.evaluate"]
     assert sorted(passes) == ["lti.simulate_step", "objective.step_response"]
     assert scans == [("lti.simulate_step", 6)]
 
 
 def test_responses_outside_scoring_keep_every_sample(tmp_path, monkeypatch):
-    # evaluate stops its scan of the ZN response at sample 1,473, and a
-    # random start's check reads only the divergence flag; every frame and
-    # the samples CSV draw the whole response.
+    # evaluate alone stops its scan of the ZN response at sample 1,473; a
+    # random start is checked on its whole horizon; every frame draws the
+    # whole response.
     cfg = SimConfig()
     zn = zn_pid_gains(ultimate_point(BENCH3))
     assert len(step_response(zn, BENCH3, cfg).values) == cfg.n_samples
@@ -99,12 +98,12 @@ def test_responses_outside_scoring_keep_every_sample(tmp_path, monkeypatch):
         assert cli.main(["simulate", *gains, "--samples", str(samples)]) == 0
     assert len(samples.read_text().splitlines()) == 1 + cfg.n_samples
 
-    draws, lengths = [], []
+    lengths = []
     start_check, frame = cli.step_response, render.render_frame
 
-    def checked_start(*args, **kwargs):
-        resp = start_check(*args, **kwargs)
-        draws.append(resp.diverged)
+    def checked_start(*args):
+        resp = start_check(*args)
+        lengths.append(len(resp.values))
         return resp
 
     def drawn_frame(record, resp):
@@ -117,6 +116,6 @@ def test_responses_outside_scoring_keep_every_sample(tmp_path, monkeypatch):
     argv = ["tune", "--start", "random", "--seed", "4", "--ensure-unstable", "--max-evals", "40"]
     with redirect_stdout(io.StringIO()):
         assert cli.main(argv) == 0
-        assert draws == [False, True]
+        assert len(lengths) == 2
         assert cli.main(["tune", "--max-evals", "40", "--out", str(tmp_path), "--frames"]) == 0
-    assert lengths and set(lengths) == {cfg.n_samples}
+    assert len(lengths) > 2 and set(lengths) == {cfg.n_samples}
