@@ -20,11 +20,10 @@ from any state gives
     z[s+j] = c M^j x[s] + c x[j] + feed,    j = 1..BLOCK,
 
 where x[j] is the response from x[0] = 0. The step table holds the
-output rows [c M^j | c x[j] + feed], j = 1..BLOCK, then for each j in turn
-the state rows [M^j | x[j]], so a block of samples s+1..s+BLOCK is one
-matvec with [x[s], 1], the last state of the block before, which gives the
-block's outputs in sample order and then its states. Sample 0 is feed over
-the zero state, and block k holds samples 1+k*BLOCK..(k+1)*BLOCK. Every
+output rows [c M^j | c x[j] + feed] and the state rows [M^j | x[j]],
+j = 1..BLOCK, so a block of samples s+1..s+BLOCK is its product with
+[x[s], 1], the last state of the block before. Sample 0 is feed over the
+zero state, and block k holds samples 1+k*BLOCK..(k+1)*BLOCK. Every
 block is computed whole, the last one too, of which only the live rows are
 kept, so the bits of sample k do not depend on n_samples.
 
@@ -38,25 +37,25 @@ A^k, the dot M^k [M^k | x[k]] with x[k] added after it in the last column
 [c M^(k+j) | c x[k+j]] = [c M^j | c x[j]] A^k for j = 1..k, and feed is
 added to their last column at the end. The state rows of A^j, j < BLOCK,
 are built only for a block the bound below does not clear, once per call,
-from the same squares: A^(k+j)'s are A^j's times A^k, j = 1..k, so A^2k's
-come out as the same dots as the square's, bit for bit. Whatever error the
-table holds, every block applies again, so on a growing oscillation it
-adds up coherently, where per-step rounding does not. So each row of the
-table is [high | low]: its long-double entries rounded to float64, then
-what the rounding left out, which is 0 beside a high that is not finite;
-the split looks for such a high only when the highs do not sum to a finite
-value, as they do not when one of them is inf or NaN. One dot with
-[x, 1, x, 1] sums both halves and so carries the long-double table's
+from the same squares: A^(k+j)'s are A^j's times A^k, j = 1..k. Whatever
+error the table holds, every block applies again, so on a growing
+oscillation it adds up coherently, where per-step rounding does not. So
+each row of the table is [high | low]: its long-double entries rounded to
+float64, then what the rounding left out, which is 0 beside a high that is
+not finite; the split looks for such a high only when the highs do not sum
+to a finite value, as they do not when one of them is inf or NaN. One dot
+with [x, 1, x, 1] sums both halves and so carries the long-double table's
 accuracy (CHANGES.md gives the measurements). np.longdouble is 80-bit on
 x86-64 Linux, but equals double on some platforms, such as Windows; there
 the low half is zero and the table is only as accurate as one built in
 float64.
 
 A block's state rows, apart from its last, serve only the band test. So
-scan keeps a fast table: the BLOCK output rows, zero rows up to a multiple
-of four (see the BLAS below), then the n rows [M^BLOCK | x[BLOCK]] of the
-block's last state, with which the whole table ends too. Before each block
-it bounds the block from the carried state x, in Python floats:
+scan keeps the step table in two parts: the fast table, the BLOCK output
+rows then the n rows [M^BLOCK | x[BLOCK]] of the block's last state, which
+every block takes, and the state table, the rows [M^j | x[j]] of its inner
+states, j = 1..BLOCK-1, which only a block the bound refuses takes. Before
+each block it bounds the block from the carried state x, in Python floats:
 
     b = size (1 + sum_i |x_i|),
 
@@ -64,8 +63,8 @@ where size is at least (1 + 4 (n + 2) eps) S + tiny, S the largest row sum
 sum_i (|high_i| + |low_i|) of the step table, eps the float64 epsilon and
 tiny the smallest normal float. If b <= limit the block is cleared: one
 matvec of the fast table writes its outputs straight into the output array,
-and its zero rows and last state into the slots after them, which the next
-block overwrites. No value of a cleared block can be out of band. In exact
+and its last state into the n slots after them, which the next block
+overwrites. No value of a cleared block can be out of band. In exact
 arithmetic a row [h | l] times [x, 1, x, 1] is at most
 sum_i (|h_i| + |l_i|) |x_i| + |h_n| + |l_n| <= S (1 + sum_i |x_i|) in
 magnitude. Rounded, a dot of 2n + 2 products, summed in any order, with or
@@ -94,33 +93,26 @@ size inf or NaN, so every block is refused; so does a product of the norms
 that overflows while no entry does. size's largest term is taken by
 numpy's max, which keeps a NaN where Python's max may drop it.
 
-A block that is not cleared takes the full path: the whole table's matvec,
-built at the call's first such block, written straight into the output
-array, its outputs in place and its states after them, where the next
-block overwrites them; then the test max(np.abs(block)) <= limit over all
-of it, which NaN fails, and only when that fails one out-of-band mask of
-its live rows, each as [z, x], for the trigger: the first row with any
-entry out of band, then the first such column, so an output wins over the
-states of its sample. Every block, cleared or in band, then carries the
-last n rows it wrote, its last state in either table, and advances by
-BLOCK; past n_samples that state is never read.
-A row has the same bits in either table only if the BLAS computes its dot
-the same way at either place. OpenBLAS's dgemv (0.3.31; its SkylakeX,
-Haswell and Prescott kernels) takes the rows four at a time and the last
-len % 4 rows with another kernel, which sums in another order; the whole
-table's BLOCK (n + 1) rows are a multiple of four, and so are the fast
-table's, by its zero rows, so every row goes through the four-row kernel.
-tests/test_lti.py pins scan bit for bit to tests/helpers.full_table_scan,
-which takes every block through the whole table, under the kernel OpenBLAS
-picks for the CPU and under the Haswell and Prescott kernels. A BLAS that
-summed a row by its place would move a cleared block's samples within
-rounding, but not with n_samples, which the bound does not read.
+A block that is not cleared takes the refusal path: the fast table's
+matvec as a cleared block does, then the state table's, built at the
+call's first such block, written into the slots after its last state,
+where the next block overwrites them; then the test
+max(np.abs(rows)) <= limit over its outputs, last state and inner states,
+which NaN fails, and only when that fails one out-of-band mask of its live
+samples, each as [z, x], the last one's x its last state, for the trigger:
+the first row with any entry out of band, then the first such column, so
+an output wins over the states of its sample. Every block, cleared or in
+band, then carries its last state and advances by BLOCK; past n_samples
+that state is never read. Each block's samples and carry come from one
+dot of the fast table, so no two tables need agree on any bit.
+tests/helpers.full_table_scan takes every block through the refusal path,
+and tests/test_lti.py pins scan to it bit for bit.
 
 Products that overflow leave the clamp's sign to the order of the sums: on
 step_mat [[1e308, 1e308], [0, 0]] from state [9.99, -10], the scalar oracle
 sums inf and -inf to NaN and clamps to +limit, where ndarray.dot clamps to
 -limit. An entry of M^j that overflows float64 makes size infinite, so such
-a map takes the full path from block 1 on, where the entry makes NaN against
+a map is refused from block 1 on, where the entry makes NaN against
 a zero state. An infinite c_i, or a long-double power that overflows past
 about 1e4932, makes NaN in the table wherever a product meets a zero, the
 zeros of A's last row included. So such a map may clamp a few samples
@@ -259,27 +251,27 @@ def _split(rows, out):
 
 
 def _fast_table(step_mat, step_vec, c_row, feed):
-    """(fast, powers, size): the table a cleared block reads, the squares
-    it is built from, and the bound's size with its margin and tiny. powers
-    holds A, A^2, A^4, ..., A^BLOCK in long double, each over A's last row;
-    fast the BLOCK output rows [c M^j | c x[j] + feed], zero rows up to a
-    multiple of four, then A^BLOCK's state rows, split."""
+    """(fast, powers, size): the table every block reads, the squares it is
+    built from, and the bound's size with its margin and tiny. powers holds
+    A, A^2, A^4, ..., A^BLOCK in long double, each over A's last row; fast
+    the BLOCK output rows [c M^j | c x[j] + feed], then A^BLOCK's state
+    rows, split."""
     n = len(step_vec)
     margin = 1.0 + 4 * (n + 2) * EPS
     powers = np.zeros((BLOCK.bit_length(), n + 1, n + 1), np.longdouble)
     powers[:, n, n] = 1.0
     powers[0, :n, :n] = step_mat
     powers[0, :n, n] = step_vec
-    # The output rows, zero rows to a multiple of four, A^BLOCK's state rows.
-    rows = np.zeros((BLOCK + n + -(BLOCK + n) % 4, n + 1), np.longdouble)
+    # The output rows, then A^BLOCK's state rows.
+    rows = np.empty((BLOCK + n, n + 1), np.longdouble)
     rows[0] = c_row @ powers[0, :n]
     for i, power in enumerate(powers[:-1]):
         k = 1 << i
         power[:n].dot(power, out=powers[i + 1, :n])
         rows[:k].dot(power, out=rows[k : 2 * k])
     rows[:BLOCK, n] += feed
-    rows[len(rows) - n :] = powers[-1, :n]
-    fast = _split(rows, np.empty((len(rows), 2 * n + 2)))
+    rows[BLOCK:] = powers[-1, :n]
+    fast = _split(rows, np.empty((BLOCK + n, 2 * n + 2)))
     # size's terms: each output row's sum, then the product of the squares'
     # row-sum norms (each at least 1, by A's last row) but the last, and the
     # last; numpy's max keeps a NaN, which Python's may drop.
@@ -291,22 +283,20 @@ def _fast_table(step_mat, step_vec, c_row, feed):
     return fast, powers, size
 
 
-def _full_table(fast, powers):
-    """The whole step table, for the blocks the bound does not clear: fast's
-    BLOCK output rows [c M^j | c x[j] + feed], then for j = 1..BLOCK the n
-    state rows [M^j | x[j]] of A^j, split. Given A^1..A^k, A^(k + j) is
-    A^j A^k, so A^2k is the same dots as its square and fast's state rows
-    recur bit for bit as the last n."""
+def _state_table(powers):
+    """The state rows [M^j | x[j]] of A^j, j = 1..BLOCK - 1, split: a
+    refused block's inner states. Given A^1..A^k, A^(k + j) is A^j A^k; the
+    doubling ends with A^BLOCK's rows, which fast holds, so they are left
+    out of the split."""
     n = powers.shape[1] - 1
     states = np.empty((BLOCK * n, n + 1), np.longdouble)
     states[:n] = powers[0, :n]
     for i, power in enumerate(powers[:-1]):
         k = n << i
         states[:k].dot(power, out=states[k : 2 * k])
-    table = np.empty((BLOCK * (n + 1), 2 * n + 2))
-    table[:BLOCK] = fast[:BLOCK]
-    _split(states, table[BLOCK:])
-    return table
+    # (BLOCK - 1) n, not -n, so that a 0-state map keeps its empty table.
+    inner = states[: (BLOCK - 1) * n]
+    return _split(inner, np.empty((len(inner), 2 * n + 2)))
 
 
 def _certificate(step_mat, step_vec, c_row, feed, limit, settle, size):
@@ -387,12 +377,11 @@ def scan(step_mat, step_vec, c_row, feed, n_samples, limit, settle=None):
     the settle rule: at a block boundary, or just after the clamp begins."""
     n = step_mat.shape[0]
     fast, powers, size = _fast_table(step_mat, step_vec, c_row, feed)
-    # The whole table, built at the first block the bound does not clear.
+    # The state table, built at the first block the bound does not clear.
     table = None
     # Whole blocks after sample 0, then room for what a block writes past
-    # its outputs: a block of the whole table its BLOCK n states, which
-    # take more than a cleared block's zero rows and last state.
-    # What lies past n_samples is cut off.
+    # its outputs: its last state, and a refused block's BLOCK - 1 inner
+    # states after it. What lies past n_samples is cut off.
     out = np.empty(1 + -(-(n_samples - 1) // BLOCK) * BLOCK + BLOCK * n)
     # [x, 1, x, 1], a copy of [x, 1] for each half of a row; states writes
     # both copies of x at once. x starts at 0.
@@ -409,41 +398,41 @@ def scan(step_mat, step_vec, c_row, feed, n_samples, limit, settle=None):
         return _clamped(out, 0, -limit if feed < 0.0 else limit, n_samples, settle)
     start = 1
     while start < n_samples:
-        if size * (1.0 + sum(map(abs, x.tolist()))) <= limit:
-            # A cleared block forms only its outputs and last state.
-            if start >= check:
-                check += check // 2
-                lower, upper = settle
-                if lower <= out[start - 1] <= upper:
-                    if cert is None:
-                        cert = _certificate(step_mat, step_vec, c_row, feed, limit, settle, size)
-                    if not cert:
-                        check = n_samples
-                    elif (e := x - cert[0]) @ cert[1] @ e <= cert[2]:
-                        return out[:start], False
-            step = fast
-        else:
-            step = table = _full_table(fast, powers) if table is None else table
-        # The block's rows, written straight into out: its outputs in place,
-        # then the rows after them, which the next block overwrites.
-        block = out[start : start + len(step)]
-        step.dot(x_one, out=block)
+        cleared = size * (1.0 + sum(map(abs, x.tolist()))) <= limit
+        if cleared and start >= check:
+            check += check // 2
+            lower, upper = settle
+            if lower <= out[start - 1] <= upper:
+                if cert is None:
+                    cert = _certificate(step_mat, step_vec, c_row, feed, limit, settle, size)
+                if not cert:
+                    check = n_samples
+                elif (e := x - cert[0]) @ cert[1] @ e <= cert[2]:
+                    return out[:start], False
+        # The block's outputs, written straight into out, then its last
+        # state, which the next block overwrites.
+        block = out[start : start + BLOCK + n]
+        fast.dot(x_one, out=block)
         # Only a block the bound does not clear can leave the band.
-        if step is table and not np.maximum.reduce(np.abs(block)) <= limit:
-            # The live rows as [z, x]; the first entry out of band, NaN too,
-            # in row order: the first such row, then its first such column,
-            # the output before states.
-            live = min(BLOCK, n_samples - start)
-            live_rows = np.concatenate(
-                (block[:live, None], block[BLOCK : BLOCK + live * n].reshape(live, n)), axis=1
-            )
-            out_of_band = ~(np.abs(live_rows) <= limit)
-            j, col = divmod(int(out_of_band.argmax()), n + 1)
-            if out_of_band[j, col]:
-                clamp = -limit if live_rows[j, col] < 0.0 else limit
-                # A triggering state leaves its sample's output as computed.
-                return _clamped(out, start + j + (col > 0), clamp, n_samples, settle)
-        # Both tables end with the block's last state.
-        states[:] = block[len(block) - n :]
+        if not cleared:
+            table = _state_table(powers) if table is None else table
+            # Its outputs, its last state, then its inner states in order.
+            rows = out[start : start + BLOCK * (n + 1)]
+            table.dot(x_one, out=rows[BLOCK + n :])
+            if not np.maximum.reduce(np.abs(rows)) <= limit:
+                # The live samples as [z, x], the last one's x its last
+                # state; the first entry out of band, NaN too, in row
+                # order: the first such row, then its first such column,
+                # the output before states.
+                live = min(BLOCK, n_samples - start)
+                xs = np.concatenate((rows[BLOCK + n :], block[BLOCK:])).reshape(BLOCK, n)
+                live_rows = np.concatenate((block[:live, None], xs[:live]), axis=1)
+                out_of_band = ~(np.abs(live_rows) <= limit)
+                j, col = divmod(int(out_of_band.argmax()), n + 1)
+                if out_of_band[j, col]:
+                    clamp = -limit if live_rows[j, col] < 0.0 else limit
+                    # A triggering state leaves its sample's output as computed.
+                    return _clamped(out, start + j + (col > 0), clamp, n_samples, settle)
+        states[:] = block[BLOCK:]
         start += BLOCK
     return out[:n_samples], False

@@ -97,19 +97,16 @@ def sequential_scan(step_mat, step_vec, c_row, feed, n_samples, limit):
 
 
 def full_table_scan(step_mat, step_vec, c_row, feed, n_samples, limit, carried=None):
-    """pidtune._kernels.scan's blocks with no bound: every block is the
-    whole step table of scan's refusal path, _kernels._full_table, times
-    [x, 1, x, 1], and its rows are read in order under sequential_scan's
-    rule. scan gives the same bits only where the BLAS computes a row's dot
-    the same way in the fast table as in the whole table, which is why the
-    fast table has zero rows between its outputs and its state rows, up to
-    OpenBLAS's groups of four rows (see _kernels).
+    """pidtune._kernels.scan's blocks with no bound: every block takes scan's
+    refusal path, the fast table's dot and the state table's, each with
+    [x, 1, x, 1], and its rows, each output over the states of its sample,
+    are read in order under sequential_scan's rule.
     A list given as carried gets the state each block starts from, as a
     list of floats: one per block that scan tests against its bound.
     Returns (values, diverged)."""
     n = step_mat.shape[0]
     fast, powers, _ = _kernels._fast_table(step_mat, step_vec, c_row, feed)
-    table = _kernels._full_table(fast, powers)
+    table = _kernels._state_table(powers)
     vec = np.ones(2 * n + 2)
     out = np.empty(n_samples)
     rows, k = [[feed] + [0.0] * n], 0
@@ -128,36 +125,37 @@ def full_table_scan(step_mat, step_vec, c_row, feed, n_samples, limit, carried=N
         if carried is not None:
             carried.append(rows[-1][1:])
         vec[:n] = vec[n + 1 : -1] = rows[-1][1:]
-        rows = table_blocks(np.dot(table, vec)[:, None]).reshape(-1, n + 1).tolist()
+        products = (np.dot(fast, vec)[:, None], np.dot(table, vec)[:, None])
+        rows = table_blocks(*products).reshape(-1, n + 1).tolist()
 
 
-def table_blocks(table):
-    """The rows of _kernels._full_table (or of its product with a vector,
-    as a column) as BLOCK row blocks: block j - 1 holds output row j over
-    the n state rows of A^j."""
-    n = len(table) // _kernels.BLOCK - 1
-    outputs, states = table[: _kernels.BLOCK], table[_kernels.BLOCK :]
-    return np.concatenate(
-        (outputs[:, None], states.reshape(_kernels.BLOCK, n, *table.shape[1:])), axis=1
-    )
+def table_blocks(fast, states):
+    """The rows of _kernels._fast_table and _kernels._state_table (or of
+    their products with one vector, as columns) as BLOCK row blocks: block
+    j - 1 holds output row j over the n state rows of A^j."""
+    block = _kernels.BLOCK
+    n = len(fast) - block
+    ordered = np.concatenate((states, fast[block:])).reshape(block, n, *fast.shape[1:])
+    return np.concatenate((fast[:block, None], ordered), axis=1)
 
 
 @contextlib.contextmanager
-def counting_full_tables():
-    """Counts the calls of _kernels._full_table, scan's build of the whole
-    step table, in the one-item list it yields, while the block runs."""
+def counting_state_tables():
+    """Counts the calls of _kernels._state_table, scan's build of the
+    refusal path's state rows, in the one-item list it yields, while the
+    block runs."""
     builds = [0]
-    full_table = _kernels._full_table
+    state_table = _kernels._state_table
 
     def counting(*args):
         builds[0] += 1
-        return full_table(*args)
+        return state_table(*args)
 
-    _kernels._full_table = counting
+    _kernels._state_table = counting
     try:
         yield builds
     finally:
-        _kernels._full_table = full_table
+        _kernels._state_table = state_table
 
 
 def decimal_scan(step_mat, step_vec, c_row, feed, n_samples, limit):
@@ -186,10 +184,15 @@ def decimal_scan(step_mat, step_vec, c_row, feed, n_samples, limit):
     return out, False
 
 
-def first_clamped(values, limit) -> int:
-    """Index of the first sample pinned to +/-limit, or len(values)."""
-    hits = np.flatnonzero(np.abs(values) == limit)
-    return int(hits[0]) if hits.size else len(values)
+def first_clamped(values, limit, diverged) -> int:
+    """Index of the first clamped sample of a scan: the start of the
+    trailing run of +limit or -limit of one that diverged, so that an
+    in-band sample equal to the limit before it does not count; len(values)
+    for one that did not, or whose state left the band at its last sample."""
+    if not (diverged and abs(values[-1]) == limit):
+        return len(values)
+    unclamped = np.flatnonzero(values != values[-1])
+    return int(unclamped[-1]) + 1 if unclamped.size else 0
 
 
 def loop_step_map(plant, gains, dt=0.01):
@@ -258,8 +261,8 @@ def scan_error_bound(step_mat, step_vec, c_row, feed, n_samples):
 
 
 # The kernel OpenBLAS reports for each OPENBLAS_CORETYPE that tests run
-# under; it names Prescott's kernel Katmai.
-OPENBLAS_CORES = {"Haswell": "Haswell", "Prescott": "Katmai"}
+# under.
+OPENBLAS_CORES = {"Haswell": "Haswell"}
 
 # A child that prints the kernel of the OpenBLAS numpy loaded, at the path
 # given first, then runs pytest on the rest of its arguments.

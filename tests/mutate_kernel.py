@@ -7,9 +7,9 @@ test fail on each mutant?
 
 The kernel's soundness rests on terms of the arguments in the _kernels
 docstring (the clearing bound, the settle certificate, the divergence rule
-and the BLAS layout), and the tests pin their outcomes, not each term. Loop
-closure in lti rounds each numerator coefficient's exact sum of products
-once (math.fsum) and adds the denominator in np.polyadd's order;
+and the tables' layout), and the tests pin their outcomes, not each term.
+Loop closure in lti rounds each numerator coefficient's exact sum of
+products once (math.fsum) and adds the denominator in np.polyadd's order;
 realization repeats numpy's float operations in numpy's order, and the RK4
 step map takes its series by Horner's rule, dividing dt a before each
 product. tests/test_golden.py's seeded evaluation digest pins the bits that
@@ -27,7 +27,7 @@ minutes.
 Not here: max_i |x_i| in place of sum_i |x_i| in the bound. A row's sum
 of magnitudes times max(1, max_i |x_i|) bounds its dot with [x, 1, x, 1]
 too, so that bound is sound as well and changes no sample, only which
-blocks take the full path. Nor b + a in place of a + b in loop closure's
+blocks take the refusal path. Nor b + a in place of a + b in loop closure's
 denominator sum, or another order of the products that math.fsum adds:
 IEEE addition is commutative and fsum's one rounding does not depend on
 the order, so neither changes a bit.
@@ -64,8 +64,8 @@ MUTANTS = {
     ),
     "half_the_bound": (
         KERNEL,
-        "if size * (1.0 + sum(",
-        "if 0.5 * size * (1.0 + sum(",
+        "cleared = size * (1.0 + sum(",
+        "cleared = 0.5 * size * (1.0 + sum(",
         "the bound is half what it must be",
     ),
     "python_max_for_size": (
@@ -119,9 +119,9 @@ MUTANTS = {
     ),
     "certificate_past_the_block": (
         KERNEL,
-        "                        return out[:start], False",
-        "                        np.dot(fast, x_one, out=out[start : start + len(fast)])\n"
-        "                        return out[: start + BLOCK], False",
+        "                    return out[:start], False",
+        "                    np.dot(fast, x_one, out=out[start : start + len(fast)])\n"
+        "                    return out[: start + BLOCK], False",
         "a settled scan returns the next block too, past n_samples when it ends inside it",
     ),
     "trigger_column_is_the_output": (
@@ -132,29 +132,22 @@ MUTANTS = {
     ),
     "refused_block_carries_its_first_state": (
         KERNEL,
-        "states[:] = block[len(block) - n :]",
-        "states[:] = block[BLOCK : BLOCK + n]",
-        "a block carries the n rows after its outputs, not its last state: a block in "
-        "band its first state, a cleared one the fast table's zero rows",
+        "states[:] = block[BLOCK:]",
+        "states[:] = block[BLOCK:] if cleared else rows[BLOCK + n : BLOCK + 2 * n]",
+        "a refused block carries its first inner state, not its last state",
+    ),
+    "last_sample_reads_inner_states": (
+        KERNEL,
+        "np.concatenate((rows[BLOCK + n :], block[BLOCK:]))",
+        "np.concatenate((rows[BLOCK + n :], rows[len(rows) - n :]))",
+        "a refused block's last sample is tested with the states of the sample "
+        "before it, the inner rows' end, not with its last state",
     ),
     "diverged_prefix_one_short": (
         KERNEL,
         "min(max(first, 1) + 1, n_samples)",
         "min(max(first, 1), n_samples)",
         "a diverged settled scan ends before its first clamped sample",
-    ),
-    "fast_table_unpadded": (
-        KERNEL,
-        "np.zeros((BLOCK + n + -(BLOCK + n) % 4, n + 1), np.longdouble)",
-        "np.zeros((BLOCK + n, n + 1), np.longdouble)",
-        "the fast table's last rows go through another BLAS kernel than the whole table's",
-    ),
-    "fast_state_rows_before_padding": (
-        KERNEL,
-        "rows[len(rows) - n :] = powers[-1, :n]",
-        "rows[BLOCK : BLOCK + n] = powers[-1, :n]",
-        "A^BLOCK's state rows precede the fast table's zero rows, so a cleared block "
-        "carries zeros",
     ),
     # Each lti mutant below changes an order or a rounding of the closure,
     # the realization or the step map, which moves the bits that the seeded

@@ -49,7 +49,7 @@ from pidtune.objective import BAND_LOWER, BAND_UPPER
 from helpers import (
     LIMITS,
     ORACLE_PLANTS,
-    counting_full_tables,
+    counting_state_tables,
     decimal_scan,
     draw_loops,
     first_clamped,
@@ -119,7 +119,7 @@ def settle_main(rng, loops):
         for plant, gains, _, map_args in draw_loops(rng, loops, False):
             args = (PidGains(*gains), ORACLE_PLANTS[plant], cfg)
             full = step_response(*args).values
-            with counting_full_tables() as builds:
+            with counting_state_tables() as builds:
                 kept = len(step_response(*args, settle=settle).values)
             built += builds[0]
             skipped += cfg.n_samples - kept
@@ -154,7 +154,7 @@ def main(argv=None):
     worst, worst_loop = 0.0, None
     with np.errstate(all="ignore"):
         for plant, gains, limit, args in draw_loops(rng, opts.loops, opts.growing):
-            with counting_full_tables() as builds:
+            with counting_state_tables() as builds:
                 out, out_diverged = _kernels.scan(*args, N_SAMPLES, limit)
             built += builds[0]
             ref, ref_diverged = sequential_scan(*args, N_SAMPLES, limit)
@@ -167,8 +167,8 @@ def main(argv=None):
             cleared[limit] += sum(size * (1.0 + sum(map(abs, x))) <= limit for x in carried)
             diverged += ref_diverged
             flag += out_diverged != ref_diverged
-            k_clamp = first_clamped(ref, limit)
-            index += first_clamped(out, limit) != k_clamp
+            k_clamp = first_clamped(ref, limit, ref_diverged)
+            index += first_clamped(out, limit, out_diverged) != k_clamp
             tail += not np.array_equal(out[k_clamp:], ref[k_clamp:])
             err = np.abs(out[:k_clamp] - ref[:k_clamp])
             ratio = float(np.nanmax(err / scan_error_bound(*args, k_clamp), initial=0.0))
@@ -186,10 +186,11 @@ def main(argv=None):
         plant, gains, limit = worst_loop
         args = loop_step_map(ORACLE_PLANTS[plant], gains)
         with np.errstate(all="ignore"):
-            out, _ = _kernels.scan(*args, N_SAMPLES, limit)
-            ref, _ = sequential_scan(*args, N_SAMPLES, limit)
-        exact, _ = decimal_scan(*args, N_SAMPLES, limit)
-        k = min(first_clamped(v, limit) for v in (out, ref, exact))
+            out, out_diverged = _kernels.scan(*args, N_SAMPLES, limit)
+            ref, ref_diverged = sequential_scan(*args, N_SAMPLES, limit)
+        exact, exact_diverged = decimal_scan(*args, N_SAMPLES, limit)
+        flags = ((out, out_diverged), (ref, ref_diverged), (exact, exact_diverged))
+        k = min(first_clamped(values, limit, flag) for values, flag in flags)
         tol = scan_error_bound(*args, k)
         kernel, oracle = (float(np.max(np.abs(v[:k] - exact[:k]) / tol, initial=0.0)) for v in (out, ref))
         print(f"on that loop, from a 60-digit recursion: kernel {kernel:.3f}, oracle {oracle:.3f} of the bound")

@@ -329,6 +329,19 @@ class TestTuneCommand:
         # seed 4's first draw is stable; resampling must report extra draws
         assert "unstable-after=2" in r.stdout
 
+    def test_ensure_unstable_gives_up_after_its_draws(self, tmp_path, monkeypatch):
+        # seed 4's first draw is stable, so one draw is not enough
+        monkeypatch.setattr(cli, "MAX_RESAMPLE_ATTEMPTS", 1)
+        out = tmp_path / "run"
+        with redirect_stdout(io.StringIO()) as stdout, redirect_stderr(io.StringIO()) as err:
+            rc = cli.main(["tune", "--start", "random", "--seed", "4", "--ensure-unstable",
+                           "--out", str(out)])
+        assert rc == 2
+        assert err.getvalue() == (
+            "error: ResampleExhausted: no destabilizing gains in 1 draws (seed 4)\n"
+        )
+        assert stdout.getvalue() == "" and not out.exists()
+
     def test_frames_require_out(self):
         r = run_cli("tune", "--plant", "benchmark3", "--start", "zn",
                     "--frames", "--max-evals", "5")

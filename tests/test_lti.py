@@ -31,14 +31,13 @@ from pidtune.tuning import ultimate_point, zn_pid_gains
 from helpers import (
     BENCH3,
     ORACLE_PLANTS,
-    counting_full_tables,
+    counting_state_tables,
     decimal_scan,
     draw_loops,
     first_clamped,
     full_table_scan,
     loop_step_map,
     random_proper_tf,
-    run_under_blas_kernel,
     scan_error_bound,
     sequential_scan,
     table_blocks,
@@ -448,12 +447,14 @@ def _assert_matches_oracle(args, n_samples, limit):
     with np.errstate(all="ignore"):
         out, diverged = _kernels.scan(*args, n_samples, limit)
         ref, ref_diverged = sequential_scan(*args, n_samples, limit)
-        k_out, k_ref = first_clamped(out, limit), first_clamped(ref, limit)
+        k_out = first_clamped(out, limit, diverged)
+        k_ref = first_clamped(ref, limit, ref_diverged)
         if (diverged, k_out) != (ref_diverged, k_ref):
             # The oracle is not authoritative when a crossing lies within its
             # own rounding: a 60-digit recursion of the same map decides.
             exact, exact_diverged = decimal_scan(*args, n_samples, limit)
-            assert (diverged, k_out) == (exact_diverged, first_clamped(exact, limit))
+            k_exact = first_clamped(exact, limit, exact_diverged)
+            assert (diverged, k_out) == (exact_diverged, k_exact)
         k_clamp, k_tail = sorted((k_out, k_ref))
         assert np.array_equal(out[k_tail:], ref[k_tail:])
         # Measured worst over 8,000 uniform and 1,600 growing-oscillation loops
@@ -490,6 +491,9 @@ class TestScan:
     @example(plant=GROWING[1][0], gains=GROWING[1][1], limit=1e6)
     @example(plant=GROWING[2][0], gains=GROWING[2][1], limit=1e6)
     @example(plant=GROWING[3][0], gains=GROWING[3][1], limit=1e6)
+    # sample 0 is feed = kd / (1 + kd) = 3.0 exactly, in band at the limit,
+    # before the response diverges
+    @example(plant=ORACLE_PLANTS[3], gains=(-2.0, 0.0, -1.5), limit=3.0)
     def test_matches_sequential_oracle(self, plant, gains, limit):
         with np.errstate(all="ignore"):
             try:
@@ -537,33 +541,15 @@ class TestScan:
         assert not diverged
 
     def test_matches_full_table_bit_for_bit(self):
-        # A cleared block reads its rows from the fast table, at other
-        # places than in the whole table; their bits agree only where the
-        # BLAS computes each row's dot the same way at either place. Of
-        # these loops about 90% clear a block, 80% refuse one and 70% do
-        # both, so both paths and the moves between them are covered.
+        # Every block's samples and carry come from the fast table's dot,
+        # and a refused block's inner states from the state table's, at any
+        # loop order: ORACLE_PLANTS' loops have orders 2 and 4, the poles
+        # below orders 3, 5 and 6. Of the first set about 90% clear a
+        # block, 80% refuse one and 70% do both, so both paths and the
+        # moves between them are covered.
         _assert_matches_full_table(ORACLE_PLANTS, 20261019, 1000)
-
-    def test_matches_full_table_at_every_row_count_mod_4(self):
-        # ORACLE_PLANTS' loops have orders 2 and 4, where an unpadded fast
-        # table agreed with the whole table under OpenBLAS's SkylakeX and
-        # Haswell dgemv (0.3.31), though not under its Prescott one. At
-        # orders 3, 5 and 6 its last (BLOCK + n) % 4 rows went through the
-        # remainder kernel of dgemv and moved 28-71 of 200 such scans under
-        # each of the three.
         plants = [TransferFunction((1.0,), tuple(np.poly([-1.0] * k))) for k in (2, 4, 5)]
         _assert_matches_full_table(plants, 20261020, 600)
-
-    @pytest.mark.parametrize("coretype", ["Haswell", "Prescott"])
-    def test_full_table_agreement_holds_under_other_blas_kernels(self, coretype):
-        # OpenBLAS picks its dgemv kernel for the CPU at start-up, and
-        # OPENBLAS_CORETYPE overrides the pick: Haswell's is what AVX2-only
-        # and AMD Zen machines run, and Prescott's uses no FMA. The fast
-        # table's padding must keep a cleared block's bits under each.
-        names = ["test_matches_full_table_bit_for_bit",
-                 "test_matches_full_table_at_every_row_count_mod_4"]
-        report = run_under_blas_kernel(coretype, [f"{__file__}::TestScan::{n}" for n in names])
-        assert "2 passed" in report
 
     @pytest.mark.parametrize("loop", [*range(len(GROWING)), "zn"])
     def test_step_table_matches_exact_powers(self, loop):
@@ -573,13 +559,12 @@ class TestScan:
         # eps with the table built in float64; at 64 with the output and
         # state rows doubled from the row side, 0.59 j eps on an output row
         # and 0.45 on a state row. high + low holds about 106 bits, which
-        # bounds it where long double is wider still. The refusal path's
-        # table holds the fast table's rows (see
-        # test_fast_rows_recur_in_the_full_table) and the state rows that
-        # only it builds.
+        # bounds it where long double is wider still. The output rows and
+        # A^BLOCK's state rows are the fast table's, the inner state rows
+        # the state table's.
         args = _growing_or_zn_loop(loop)
         fast, powers, _ = _kernels._fast_table(*args)
-        halves = np.split(table_blocks(_kernels._full_table(fast, powers)), 2, axis=2)
+        halves = np.split(table_blocks(fast, _kernels._state_table(powers)), 2, axis=2)
         high, low = (half.reshape(BLOCK, -1).tolist() for half in halves)
         eps = Fraction(max(float(np.finfo(np.longdouble).eps), np.finfo(float).eps ** 2))
         for j, exact in enumerate(_fraction_step_table(*args), 1):
@@ -598,10 +583,11 @@ class TestScan:
         # 0.071/0.232/0.085/0.400/0.051.
         args = _growing_or_zn_loop(loop)
         with np.errstate(all="ignore"):
-            out, _ = _kernels.scan(*args, 3001, BLOW_UP_LIMIT)
-            ref, _ = sequential_scan(*args, 3001, BLOW_UP_LIMIT)
-        exact, _ = decimal_scan(*args, 3001, BLOW_UP_LIMIT)
-        k = min(first_clamped(v, BLOW_UP_LIMIT) for v in (out, ref, exact))
+            out, out_diverged = _kernels.scan(*args, 3001, BLOW_UP_LIMIT)
+            ref, ref_diverged = sequential_scan(*args, 3001, BLOW_UP_LIMIT)
+        exact, exact_diverged = decimal_scan(*args, 3001, BLOW_UP_LIMIT)
+        flags = ((out, out_diverged), (ref, ref_diverged), (exact, exact_diverged))
+        k = min(first_clamped(values, BLOW_UP_LIMIT, flag) for values, flag in flags)
         tol = scan_error_bound(*args, k)
 
         def share(values):
@@ -695,9 +681,10 @@ class TestScan:
 def _assert_matches_full_table(plants, seed, count):
     """scan against helpers.full_table_scan, bit for bit, on count seeded
     PID loops around plants, gains uniform in [-10, 10]^3, at limits and
-    lengths drawn as well; some of them diverge and some do not."""
+    lengths drawn as well; some of them diverge and some do not, and the
+    bound clears some of their blocks and refuses others."""
     rng = np.random.default_rng(seed)
-    mismatches, diverged, loops = [], 0, 0
+    mismatches, diverged, loops, cleared = [], 0, 0, set()
     while loops < count:
         plant = int(rng.integers(len(plants)))
         gains = tuple(float(g) for g in rng.uniform(-10.0, 10.0, 3))
@@ -709,13 +696,16 @@ def _assert_matches_full_table(plants, seed, count):
             except ImproperLoop:
                 continue
             out, flag = _kernels.scan(*args, n_samples, limit)
-            ref, ref_flag = full_table_scan(*args, n_samples, limit)
+            carried = []
+            ref, ref_flag = full_table_scan(*args, n_samples, limit, carried)
+            size = _kernels._fast_table(*args)[2]
         loops += 1
         diverged += ref_flag
+        cleared.update(size * (1.0 + sum(map(abs, x))) <= limit for x in carried)
         if flag != ref_flag or not np.array_equal(out, ref):
             mismatches.append((plant, gains, limit, n_samples))
     assert mismatches == []
-    assert 0 < diverged < loops
+    assert 0 < diverged < loops and cleared == {True, False}
 
 
 def _seeded_loops(count, seed):
@@ -756,7 +746,8 @@ class TestStepTable:
             margin = 1.0 + 4 * (n + 2) * _kernels.EPS
             with np.errstate(all="ignore"):
                 fast, powers, size = _kernels._fast_table(*args)
-                sums = np.abs(_kernels._full_table(fast, powers)).sum(axis=1)
+                rows = np.concatenate((fast, _kernels._state_table(powers)))
+                sums = np.abs(rows).sum(axis=1)
             if not np.isfinite(size):
                 assert not np.isfinite(sums).all()
                 continue
@@ -766,11 +757,11 @@ class TestStepTable:
 
     def test_overflowing_powers_refuse_every_block(self):
         # A^4 overflows float64, so size is infinite and no block is
-        # cleared: the whole table is built for the first block, and only once.
+        # cleared: the state table is built for the first block, and only once.
         with np.errstate(all="ignore"):
             _, _, size = _kernels._fast_table(*OVERFLOWING)
         assert not np.isfinite(size)
-        with np.errstate(all="ignore"), counting_full_tables() as builds:
+        with np.errstate(all="ignore"), counting_state_tables() as builds:
             out, diverged = _kernels.scan(*OVERFLOWING, 6 * BLOCK, 1e6)
             ref, ref_diverged = sequential_scan(*OVERFLOWING, 6 * BLOCK, 1e6)
         assert builds == [1]
@@ -780,7 +771,7 @@ class TestStepTable:
         def refuse(*_):
             raise AssertionError("the state rows were built")
 
-        monkeypatch.setattr(_kernels, "_full_table", refuse)
+        monkeypatch.setattr(_kernels, "_state_table", refuse)
         args = _growing_or_zn_loop("zn")
         out, diverged = _kernels.scan(*args, 10_001, BLOW_UP_LIMIT)
         assert len(out) == 10_001 and not diverged
@@ -795,24 +786,10 @@ class TestStepTable:
             "diverging": (loop_step_map(BENCH3, (-5.0, 8.0, 3.0)), BLOW_UP_LIMIT, True),
             "rotation": ((turn, np.array([1.0, 0.0]), np.array([0.0, 1.0]), 0.0), 20.2, False),
         }[loop]
-        with counting_full_tables() as builds:
+        with counting_state_tables() as builds:
             for calls in range(1, 4):
                 assert _kernels.scan(*args, 10_001, limit)[1] == want
                 assert builds == [calls]
-
-    @pytest.mark.parametrize("loop", [*range(len(GROWING)), "zn"])
-    def test_fast_rows_recur_in_the_full_table(self, loop):
-        # Row block j of the whole table holds fast's output row j. Both
-        # tables end with A^BLOCK's state rows, the whole table's rebuilt as
-        # A^(BLOCK/2) squared, so scan carries the last n rows of either;
-        # fast's zero rows between make its length a multiple of four.
-        args = _growing_or_zn_loop(loop)
-        n = len(args[1])
-        fast, powers, _ = _kernels._fast_table(*args)
-        table = _kernels._full_table(fast, powers)
-        assert np.array_equal(table_blocks(table)[:, 0], fast[:BLOCK])
-        assert np.array_equal(table[len(table) - n :], fast[len(fast) - n :])
-        assert not fast[BLOCK : len(fast) - n].any() and len(fast) % 4 == 0
 
 
 # The objective's band, which evaluate hands the settle rule.
@@ -850,7 +827,7 @@ def _assert_settles_soundly(args, n_samples, settle, limit=BLOW_UP_LIMIT):
     assert k <= n_samples and np.array_equal(part, full[:k])
     assert part_diverged == diverged
     if diverged:
-        first = first_clamped(full, limit)
+        first = first_clamped(full, limit, diverged)
         assert k == min(max(first, 1) + 1, n_samples), (k, first)
         assert first == n_samples or np.all(full[first:] == full[k - 1]), first
     elif k < n_samples:

@@ -332,7 +332,7 @@ class TestSettledEvaluate:
         full = step_response(gains, plant, cfg)
         part = step_response(gains, plant, cfg, settle=(BAND_LOWER, BAND_UPPER))
         assert full.diverged and part.diverged
-        assert first_clamped(full.values, BLOW_UP_LIMIT) == first
+        assert first_clamped(full.values, BLOW_UP_LIMIT, full.diverged) == first
         assert len(part.values) == kept and np.array_equal(part.values, full.values[:kept])
         want = evaluate(gains, plant, cfg, [])
         assert value_bits(evaluate(gains, plant, cfg)) == value_bits(want)
